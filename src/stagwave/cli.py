@@ -35,7 +35,8 @@ from .transfer import (certify_pair, derive_elemental_pair,
                        tabulated_elemental_pair, tile_periodic)
 from .verification import (assemble_single_block_system, convergence_study,
                            energy_rate_oracle, long_time_stability_run,
-                           two_grid_agreement, uniform_standing_system)
+                           ratio_system, two_grid_agreement,
+                           uniform_standing_system)
 
 _EXIT_CONFIG = 1
 _EXIT_IO = 2
@@ -180,82 +181,67 @@ def cmd_operators(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-_CSV_ROWS: list[tuple] = []
-
-
-def _check(name, ok, detail, value=None, threshold=None) -> bool:
+def _check(name, ok, detail, value=None, threshold=None) -> tuple[str, str, str, str]:
+    """Print a PASS/FAIL line; return the (check, result, value, threshold)
+    record written to the --csv report."""
     print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    _CSV_ROWS.append((name, "pass" if ok else "fail",
-                      "" if value is None else repr(float(value)),
-                      "" if threshold is None else repr(float(threshold))))
-    return ok
+    return (name, "pass" if ok else "fail",
+            "" if value is None else repr(float(value)),
+            "" if threshold is None else repr(float(threshold)))
 
 
-def _verify_energy() -> bool:
-    ok = True
+def _verify_energy() -> list[tuple]:
+    records = []
     rng_seed = 0
     ops = build_sbp_1d(33, 1 / 32)
     sys1 = assemble_1d_boundary_system(ops)
     r = energy_rate_oracle(sys1, seed=rng_seed)
-    ok &= _check("energy/1d-boundary", r <= 1e-12, f"max rate {r:.3e}", r, 1e-12)
+    records.append(_check("energy/1d-boundary", r <= 1e-12, f"max rate {r:.3e}", r, 1e-12))
     from .assembly import assemble_1d_interface_system
     sys2 = assemble_1d_interface_system(build_sbp_1d(17, 1 / 16), build_sbp_1d(33, 1 / 32))
     r = energy_rate_oracle(sys2, seed=rng_seed)
-    ok &= _check("energy/1d-interface", r <= 1e-12, f"max rate {r:.3e}", r, 1e-12)
+    records.append(_check("energy/1d-interface", r <= 1e-12, f"max rate {r:.3e}", r, 1e-12))
     r = energy_rate_oracle(uniform_standing_system(16), seed=rng_seed)
-    ok &= _check("energy/2d-single", r <= 1e-12, f"max rate {r:.3e}", r, 1e-12)
+    records.append(_check("energy/2d-single", r <= 1e-12, f"max rate {r:.3e}", r, 1e-12))
     for ratio in ("2:1", "3:2", "4:3", "5:4", "6:5"):
         m, n = map(int, ratio.split(":"))
-        sysr = _ratio_system(m, n)
-        r = energy_rate_oracle(sysr, seed=rng_seed)
-        ok &= _check(f"energy/2d-two-block-{ratio}", r <= 1e-12,
-                     f"max rate {r:.3e}", r, 1e-12)
+        r = energy_rate_oracle(ratio_system(m, n), seed=rng_seed)
+        records.append(_check(f"energy/2d-two-block-{ratio}", r <= 1e-12,
+                              f"max rate {r:.3e}", r, 1e-12))
     from .verification import with_random_coefficients
-    sysh = with_random_coefficients(_ratio_system(2, 1), np.random.default_rng(3))
+    sysh = with_random_coefficients(ratio_system(2, 1), np.random.default_rng(3))
     r = energy_rate_oracle(sysh, seed=rng_seed)
-    ok &= _check("energy/2d-two-block-heterogeneous", r <= 1e-12,
-                 f"max rate {r:.3e}", r, 1e-12)
-    return ok
+    records.append(_check("energy/2d-two-block-heterogeneous", r <= 1e-12,
+                          f"max rate {r:.3e}", r, 1e-12))
+    return records
 
 
-def _ratio_system(m, n):
-    """Small two-block system at ratio m:n (nine rows per block)."""
-    from .grids import build_layout
-    from .assembly import assemble_interface_system
-    dx_c = Fraction(1, 6 * n)
-    dx_f = Fraction(1, 6 * m)
-    h_b = 8 * dx_c
-    bottom = build_block_2d(0, 1, 6 * n, 0, h_b, 9)
-    top = build_block_2d(0, 1, 6 * m, h_b, h_b + 8 * dx_f, 9)
-    return assemble_interface_system(build_layout(top, bottom))
-
-
-def _verify_convergence() -> bool:
-    ok = True
+def _verify_convergence() -> list[tuple]:
+    records = []
     for scenario in ("uniform", "two_block"):
         report = convergence_study(scenario)
         print(report.table())
         in_range = all(3.0 <= r <= 4.0 for r in report.rates)
-        ok &= _check(f"convergence/{scenario}", in_range,
-                     "rates " + ", ".join(f"{r:.2f}" for r in report.rates),
-                     min(report.rates), 3.0)
-    return ok
+        records.append(_check(f"convergence/{scenario}", in_range,
+                              "rates " + ", ".join(f"{r:.2f}" for r in report.rates),
+                              min(report.rates), 3.0))
+    return records
 
 
-def _verify_cfl() -> bool:
+def _verify_cfl() -> list[tuple]:
     targets = {
         "1d-periodic": (6 / 7, 0.005),
         "1d-sat": (0.635, 0.01),
         "2d-periodic": (0.6061, 0.01),
         "2d-sat": (0.5105, 0.01),
     }
-    ok = True
+    records = []
     for name, (target, tol) in targets.items():
         res = _cfl_search(name)
-        ok &= _check(f"cfl/{name}", abs(res.ratio - target) <= tol,
-                     f"dt_max/dx = {res.ratio:.4f} (target {target} +- {tol})",
-                     res.ratio, target)
-    return ok
+        records.append(_check(f"cfl/{name}", abs(res.ratio - target) <= tol,
+                              f"dt_max/dx = {res.ratio:.4f} (target {target} +- {tol})",
+                              res.ratio, target))
+    return records
 
 
 def _cfl_search(name: str, n: int = 32):
@@ -273,26 +259,28 @@ def _cfl_search(name: str, n: int = 32):
     return find_cfl(system, dx)
 
 
-def _verify_stability(n_steps: int) -> bool:
-    ok = True
+def _verify_stability(n_steps: int) -> list[tuple]:
+    records = []
     for scenario in ("two_layer_2to1", "smooth_gradient_6to5"):
         res = long_time_stability_run(scenario, n_steps=n_steps)
-        ok &= _check(f"stability/{scenario}", res.verdict == "stable",
-                     f"verdict {res.verdict}, tail ratio {res.tail_amplitude_ratio:.3f}, "
-                     f"energy drift {res.energy_drift:.2e}",
-                     res.energy_drift, 1e-3)
-    return ok
+        records.append(_check(
+            f"stability/{scenario}", res.verdict == "stable",
+            f"verdict {res.verdict}, tail ratio {res.tail_amplitude_ratio:.3f}, "
+            f"energy drift {res.energy_drift:.2e}",
+            res.energy_drift, 1e-3))
+    return records
 
 
-def _verify_agreement() -> bool:
-    ok = True
+def _verify_agreement() -> list[tuple]:
+    records = []
     m = two_grid_agreement("6:5")
-    ok &= _check("agreement/6:5-vs-uniform", m <= 0.05, f"misfit {m:.4f}", m, 0.05)
+    records.append(_check("agreement/6:5-vs-uniform", m <= 0.05, f"misfit {m:.4f}", m, 0.05))
     m = two_grid_agreement("2:1")
-    ok &= _check("agreement/2:1-vs-uniform", m <= 0.1, f"misfit {m:.4f}", m, 0.1)
+    records.append(_check("agreement/2:1-vs-uniform", m <= 0.1, f"misfit {m:.4f}", m, 0.1))
     m = two_grid_agreement("1:1")
-    ok &= _check("agreement/1:1-vs-single-grid", m <= 1e-8, f"misfit {m:.3e}", m, 1e-8)
-    return ok
+    records.append(_check("agreement/1:1-vs-single-grid", m <= 1e-8, f"misfit {m:.3e}",
+                          m, 1e-8))
+    return records
 
 
 def cmd_verify(args) -> int:
@@ -304,16 +292,13 @@ def cmd_verify(args) -> int:
         "agreement": _verify_agreement,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
-    _CSV_ROWS.clear()
-    ok = True
-    for name in names:
-        ok &= suites[name]()
+    records = [record for name in names for record in suites[name]()]
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("check,result,value,threshold\n")
-            for row in _CSV_ROWS:
-                fh.write(",".join(row) + "\n")
-    if not ok:
+            for record in records:
+                fh.write(",".join(record) + "\n")
+    if any(result == "fail" for _, result, _, _ in records):
         raise VerificationFailure("one or more verification checks failed")
     return 0
 

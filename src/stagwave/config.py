@@ -86,10 +86,7 @@ def _block_cfg(cfg, where):
 def parse_config(source) -> RunConfig:
     """Parse and validate a YAML config from a path, file object, or string."""
     if isinstance(source, (str, Path)) and "\n" not in str(source):
-        try:
-            text = Path(source).read_text()
-        except OSError as exc:
-            raise exc
+        text = Path(source).read_text()
     elif hasattr(source, "read"):
         text = source.read()
     else:

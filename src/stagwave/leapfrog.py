@@ -43,7 +43,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Collocated point source on a pressure grid point."""
+    """Collocated Ricker point source on a pressure grid point."""
 
     block: int
     ix: int
@@ -51,11 +51,8 @@ class SourceSpec:
     f0: float
     t0: float = 0.0
     amplitude: float = 1.0
-    wavelet: str = "ricker"
 
     def value(self, t) -> float:
-        if self.wavelet != "ricker":
-            raise DomainError(f"unknown wavelet {self.wavelet!r}")
         return self.amplitude * float(ricker(t, self.f0, self.t0))
 
 
@@ -75,14 +72,6 @@ class SimState:
     pressures: list[NDArray[np.float64]]
     velocities: list[NDArray[np.float64]]
     t_p: float = 0.0
-
-
-def _alloc_state(system) -> SimState:
-    if hasattr(system, "zero_state"):
-        prs, vel = system.zero_state()
-    else:
-        prs, vel = system.random_state(np.random.default_rng(0), amplitude=0.0)
-    return SimState([np.asarray(p) for p in prs], [np.asarray(v) for v in vel])
 
 
 def step_forward(system, state: SimState, dt: float, sources=()):
@@ -126,7 +115,7 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
 
     Args:
         system: any object with pressure_rates/velocity_rates (and energy if
-            record_energy is requested).
+            record_energy is requested, zero_state if no state is given).
         time_grid: step length and count.
         sources: SourceSpec sequence (pressure injections).
         receivers: ReceiverSpec sequence; traces include the initial sample.
@@ -137,7 +126,7 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     """
     dt, n = time_grid.dt, time_grid.n_steps
     if state is None:
-        state = _alloc_state(system)
+        state = SimState(*system.zero_state())
     t_start = state.t_p
     receivers = tuple(receivers)
     traces = np.zeros((len(receivers), n + 1))

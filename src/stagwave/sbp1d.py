@@ -19,9 +19,10 @@ staggered pair of subgrids:
 
 Closure coefficients are stored as exact rationals. They are the unique
 solution of the accuracy + structure constraint system once the boundary
-projection is restricted to its minimal three-point support; the build is
-certified at import time by an exact structure check (`verify_sbp_structure`
-re-runs the same certificate on demand).
+projection is restricted to its minimal three-point support. The exact
+structure certificate runs on demand, not at import or build time:
+`verify_sbp_structure`, `stagwave operators sbp1d` and acceptance criterion 1
+run it.
 """
 
 from __future__ import annotations

@@ -332,11 +332,21 @@ def tile_periodic(elem: ElementalStencilPair, n_coarse: int, n_fine: int) -> Tra
 
 
 def transfer_pair_for(ratio, n_coarse: int, n_fine: int) -> TransferPair:
-    """Tiled pair for a ratio, preferring tabulated stencils."""
+    """Tiled pair for a ratio, preferring tabulated stencils.
+
+    A derived pair is certified on four elemental intervals before use.
+
+    Raises:
+        InfeasibleStencilError: a derived pair fails its certificate.
+    """
     try:
         elem = tabulated_elemental_pair(ratio)
     except UnsupportedRatioError:
         elem = derive_elemental_pair(ratio)
+        cert = certify_pair(tile_periodic(elem, 4 * elem.n, 4 * elem.m))
+        if not cert.ok:
+            raise InfeasibleStencilError(
+                f"derived {elem.m}:{elem.n} pair fails its certificate: {cert}")
     return tile_periodic(elem, n_coarse, n_fine)
 
 

@@ -23,10 +23,10 @@ from numpy.typing import NDArray
 
 from .assembly import (SemiDiscreteSystem, assemble_interface_system,
                        assemble_single_block_system)
+from .config import RunConfig, build_run, validate_config
 from .errors import DomainError, SizeError
 from .grids import build_block_2d, build_layout
-from .leapfrog import ReceiverSpec, SimState, SourceSpec, TimeGrid, run
-from .media import TwoLayerMedium, VerticalLinearMedium
+from .leapfrog import SimState, TimeGrid, run
 
 SQRT2 = np.sqrt(2.0)
 
@@ -103,7 +103,7 @@ def state_error(system: SemiDiscreteSystem, state: SimState, t_p: float,
 
 
 # ---------------------------------------------------------------------------
-# scenario builders
+# unit-coefficient systems: standing-mode studies and small m:n oracles
 # ---------------------------------------------------------------------------
 
 def uniform_standing_system(n: int) -> SemiDiscreteSystem:
@@ -120,91 +120,66 @@ def two_block_standing_system(n_bottom: int) -> SemiDiscreteSystem:
     return assemble_interface_system(layout)
 
 
-def two_layer_scenario():
-    """Two homogeneous layers, 2:1 grids, collocated source and receiver.
-
-    0.96 m x 0.96 m domain; top layer rho=0.5, c=1 on an 0.008 m grid
-    (120 x 61 pressure points), bottom layer rho=1, c=2 on an 0.016 m grid
-    (60 x 31). Ricker source (5 Hz, 0.25 s delay) five fine spacings in from
-    the top-left corner; receiver mirrored at the top-right.
-    """
-    f = Fraction
-    bottom = build_block_2d(0, f("0.96"), 60, 0, f("0.48"), 31)
-    top = build_block_2d(0, f("0.96"), 120, f("0.48"), f("0.96"), 61)
-    layout = build_layout(top, bottom)
-    medium = TwoLayerMedium(split_y=0.48, rho_top=0.5, c_top=1.0,
-                            rho_bottom=1.0, c_bottom=2.0)
-    system = assemble_interface_system(layout, medium)
-    src = system.locate_pressure_point(f("0.04"), f("0.92"))
-    rec = system.locate_pressure_point(f("0.92"), f("0.92"))
-    source = SourceSpec(*src, f0=5.0, t0=0.25)
-    receiver = ReceiverSpec(*rec)
-    return system, source, receiver
+def ratio_system(m: int, n: int, transfer=None, coeffs=None) -> SemiDiscreteSystem:
+    """Small two-block system at ratio m:n (nine rows per block), unit
+    coefficients, on the unit width; `transfer` and `coeffs` as in
+    `assemble_interface_system`."""
+    dx_c, dx_f = Fraction(1, 6 * n), Fraction(1, 6 * m)
+    h_b = 8 * dx_c
+    bottom = build_block_2d(0, 1, 6 * n, 0, h_b, 9)
+    top = build_block_2d(0, 1, 6 * m, h_b, h_b + 8 * dx_f, 9)
+    return assemble_interface_system(build_layout(top, bottom),
+                                     transfer=transfer, coeffs=coeffs)
 
 
-def _gradient_medium():
-    return VerticalLinearMedium(y_bottom=0.0, y_top=0.96, rho_bottom=1.0,
-                                rho_top=0.5, c_bottom=2.0, c_top=1.0)
+# ---------------------------------------------------------------------------
+# seismic scenarios: run configs in the schema `stagwave run` reads
+# ---------------------------------------------------------------------------
+
+#: smooth depth gradient shared by every scenario but the two-layer one
+_GRADIENT = {"kind": "vertical_linear", "y_bottom": 0.0, "y_top": 0.96,
+             "rho_bottom": 1.0, "rho_top": 0.5, "c_bottom": 2.0, "c_top": 1.0}
 
 
-def smooth_gradient_scenario():
-    """Smooth depth gradient, 6:5 grids (100 x 81 below, 120 x 25 above)."""
-    f = Fraction
-    bottom = build_block_2d(0, f("0.96"), 100, 0, f("0.768"), 81)
-    top = build_block_2d(0, f("0.96"), 120, f("0.768"), f("0.96"), 25)
-    layout = build_layout(top, bottom)
-    system = assemble_interface_system(layout, _gradient_medium())
-    source = SourceSpec(*system.locate_pressure_point(f("0.04"), f("0.92")),
-                        f0=5.0, t0=0.25)
-    receiver = ReceiverSpec(*system.locate_pressure_point(f("0.92"), f("0.92")))
-    return system, source, receiver
+def _square(top, bottom=None, medium=_GRADIENT) -> dict:
+    """0.96 m x 0.96 m domain (a single block when `bottom` is None), 6 s at
+    dt = 0.0012; Ricker source (5 Hz, 0.25 s delay) five fine spacings in from
+    the top-left corner, receiver mirrored at the top-right."""
+    return {"layout": {"width": 0.96, "top": top, "bottom": bottom},
+            "medium": medium,
+            "time": {"dt": 0.0012, "n_steps": 5000},
+            "sources": [{"x": 0.04, "y": 0.92, "f0": 5.0, "t0": 0.25}],
+            "receivers": [{"x": 0.92, "y": 0.92}]}
 
 
-def uniform_gradient_scenario():
-    """Same medium and instrumentation on a single uniform 0.008 m grid."""
-    f = Fraction
-    block = build_block_2d(0, f("0.96"), 120, 0, f("0.96"), 121)
-    system = assemble_single_block_system(block, _gradient_medium())
-    source = SourceSpec(*system.locate_pressure_point(f("0.04"), f("0.92")),
-                        f0=5.0, t0=0.25)
-    receiver = ReceiverSpec(*system.locate_pressure_point(f("0.92"), f("0.92")))
-    return system, source, receiver
-
-
-def degenerate_split_scenario():
-    """Same grid split at mid-depth with a 1:1 interface; the assembler glues
-    the conforming split back into the single uniform grid."""
-    f = Fraction
-    bottom = build_block_2d(0, f("0.96"), 120, 0, f("0.48"), 61)
-    top = build_block_2d(0, f("0.96"), 120, f("0.48"), f("0.96"), 61)
-    layout = build_layout(top, bottom)
-    system = assemble_interface_system(layout, _gradient_medium())
-    source = SourceSpec(*system.locate_pressure_point(f("0.04"), f("0.92")),
-                        f0=5.0, t0=0.25)
-    receiver = ReceiverSpec(*system.locate_pressure_point(f("0.92"), f("0.92")))
-    return system, source, receiver
-
-
-def coarsened_split_scenario():
-    """Smooth gradient with the bottom block coarsened to a 2:1 ratio."""
-    f = Fraction
-    bottom = build_block_2d(0, f("0.96"), 60, 0, f("0.48"), 31)
-    top = build_block_2d(0, f("0.96"), 120, f("0.48"), f("0.96"), 61)
-    layout = build_layout(top, bottom)
-    system = assemble_interface_system(layout, _gradient_medium())
-    source = SourceSpec(*system.locate_pressure_point(f("0.04"), f("0.92")),
-                        f0=5.0, t0=0.25)
-    receiver = ReceiverSpec(*system.locate_pressure_point(f("0.92"), f("0.92")))
-    return system, source, receiver
-
+_FINE_HALF = {"columns": 120, "dx": 0.008, "height": 0.48}
+_COARSE_HALF = {"columns": 60, "dx": 0.016, "height": 0.48}
 
 SCENARIOS = {
-    "two_layer_2to1": two_layer_scenario,
-    "smooth_gradient_6to5": smooth_gradient_scenario,
-    "uniform_gradient": uniform_gradient_scenario,
-    "degenerate_split_1to1": degenerate_split_scenario,
-    "coarsened_split_2to1": coarsened_split_scenario,
+    # two homogeneous layers on 2:1 grids (120 x 61 above, 60 x 31 below)
+    "two_layer_2to1": _square(
+        _FINE_HALF, _COARSE_HALF,
+        {"kind": "two_layer_constant", "split_y": 0.48,
+         "top": {"rho": 0.5, "c": 1.0}, "bottom": {"rho": 1.0, "c": 2.0}}),
+    # smooth gradient on 6:5 grids (120 x 25 above, 100 x 81 below)
+    "smooth_gradient_6to5": _square({"columns": 120, "dx": 0.008, "height": 0.192},
+                                    {"columns": 100, "dx": 0.0096, "height": 0.768}),
+    # the same medium on a single uniform 0.008 m grid
+    "uniform_gradient": _square({"columns": 120, "dx": 0.008, "height": 0.96}),
+    # that grid split at mid-depth; the assembler glues it back into one block
+    "degenerate_split_1to1": _square(_FINE_HALF, _FINE_HALF),
+    # the bottom half coarsened to a 2:1 ratio
+    "coarsened_split_2to1": _square(_FINE_HALF, _COARSE_HALF),
 }
+
+
+def build_scenario(name: str):
+    """(system, first source, first receiver) of a SCENARIOS entry, built by
+    the same validation and construction as `stagwave run`."""
+    raw = SCENARIOS[name]
+    validate_config(raw)
+    built = build_run(RunConfig(raw=raw))
+    return built.system, built.sources[0], built.receivers[0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +426,7 @@ def long_time_stability_run(scenario: str, n_steps: int = 50_000,
     record does not exceed the overall maximum, and the post-source energy
     drift stays within 1e-3 relative.
     """
-    system, source, receiver = SCENARIOS[scenario]()
+    system, source, receiver = build_scenario(scenario)
     result = run(system, TimeGrid(dt, n_steps), sources=[source],
                  receivers=[receiver], record_energy=True)
     trace = result.seismograms[0]
@@ -487,7 +462,7 @@ def two_grid_agreement(which: str = "6:5", n_steps: int = 5000,
              "2:1": "coarsened_split_2to1"}[which]
     traces = []
     for name in (split, "uniform_gradient"):
-        system, source, receiver = SCENARIOS[name]()
+        system, source, receiver = build_scenario(name)
         result = run(system, TimeGrid(dt, n_steps), sources=[source],
                      receivers=[receiver])
         traces.append(result.seismograms[0])

@@ -14,12 +14,12 @@ import stagwave as sw
 from stagwave.assembly import (SatCoefficients, assemble_1d_boundary_system,
                                assemble_1d_interface_system)
 from stagwave.cli import _cfl_search, main
-from stagwave.grids import build_block_2d
 from stagwave.transfer import (ElementalStencilPair, certify_pair,
                                tabulated_elemental_pair, tile_periodic)
 from stagwave.verification import (convergence_study, energy_rate_oracle,
-                                   long_time_stability_run, two_grid_agreement,
-                                   uniform_standing_system,
+                                   long_time_stability_run,
+                                   ratio_system as _two_block,
+                                   two_grid_agreement, uniform_standing_system,
                                    with_random_coefficients)
 
 F = Fraction
@@ -29,17 +29,6 @@ SHIPPED_RATIOS = (F(2, 1), F(3, 2), F(4, 3), F(5, 4), F(6, 5))
 def _report(criterion: str, ok: bool, detail: str):
     print(f"[acceptance] {'PASS' if ok else 'FAIL'}  {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-def _two_block(m, n, transfer=None, coeffs=None):
-    from stagwave.grids import build_layout
-    from stagwave.assembly import assemble_interface_system
-    dx_c, dx_f = F(1, 6 * n), F(1, 6 * m)
-    h_b = 8 * dx_c
-    bottom = build_block_2d(0, 1, 6 * n, 0, h_b, 9)
-    top = build_block_2d(0, 1, 6 * m, h_b, h_b + 8 * dx_f, 9)
-    return assemble_interface_system(build_layout(top, bottom),
-                                     transfer=transfer, coeffs=coeffs)
 
 
 def test_criterion_1_sbp_structure_certificate():

@@ -14,20 +14,11 @@ from stagwave.leapfrog import SimState, step_forward
 from stagwave.transfer import (ElementalStencilPair, tabulated_elemental_pair,
                                tile_periodic)
 from stagwave.verification import (energy_rate_oracle, flatten_fields,
-                                   materialize_system, uniform_standing_system,
+                                   materialize_system, ratio_system,
+                                   uniform_standing_system,
                                    with_random_coefficients)
 
 F = Fraction
-
-
-def two_block_system(m=2, n=1, transfer=None, coeffs=None):
-    dx_c = F(1, 6 * n)
-    dx_f = F(1, 6 * m)
-    h_b = 8 * dx_c
-    bottom = build_block_2d(0, 1, 6 * n, 0, h_b, 9)
-    top = build_block_2d(0, 1, 6 * m, h_b, h_b + 8 * dx_f, 9)
-    layout = build_layout(top, bottom)
-    return assemble_interface_system(layout, transfer=transfer, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +100,17 @@ def test_2d_single_block_interior_pressure_rows_skip_penalties(rng):
 
 @pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5)])
 def test_two_block_conserves_energy(m, n):
-    assert energy_rate_oracle(two_block_system(m, n), n_states=100) <= 1e-12
+    assert energy_rate_oracle(ratio_system(m, n), n_states=100) <= 1e-12
 
 
 def test_two_block_heterogeneous_conserves_energy(rng):
-    system = with_random_coefficients(two_block_system(3, 2), rng)
+    system = with_random_coefficients(ratio_system(3, 2), rng)
     assert energy_rate_oracle(system, n_states=100) <= 1e-12
 
 
 def test_two_block_flipped_sign_leaks(rng):
     coeffs = SatCoefficients(sigma_p_minus=0.5)
-    system = two_block_system(2, 1, coeffs=coeffs)
+    system = ratio_system(2, 1, coeffs=coeffs)
     prs, vel = system.random_state(rng)
     assert system.energy_rate(prs, vel) >= 1e-3
 
@@ -132,7 +123,7 @@ def test_two_block_broken_adjoint_relation_leaks(rng):
                                   coarse_to_fine=tuple(rows),
                                   fine_to_coarse=base.fine_to_coarse)
     transfer = tile_periodic(broken, 6, 12)
-    system = two_block_system(2, 1, transfer=transfer)
+    system = ratio_system(2, 1, transfer=transfer)
     prs, vel = system.random_state(rng)
     assert system.energy_rate(prs, vel) >= 1e-3
 
@@ -190,7 +181,7 @@ def test_mixed_product_identity_for_q_y():
 
 @pytest.mark.parametrize("hetero", [False, True])
 def test_matrix_free_equals_dense_two_block(rng, hetero):
-    system = two_block_system(2, 1)
+    system = ratio_system(2, 1)
     if hetero:
         system = with_random_coefficients(system, rng)
     l_vel, l_prs = materialize_system(system)
@@ -274,7 +265,7 @@ def test_one_to_one_split_with_different_y_spacings_keeps_two_blocks():
 
 
 def test_locate_pressure_point():
-    system = two_block_system(2, 1)
+    system = ratio_system(2, 1)
     assert system.locate_pressure_point(0, 0) == (0, 0, 0)
     assert system.locate_pressure_point(F(1, 6), F(7, 6)) == (0, 1, 7)
     # the interface row belongs to both blocks; the top one wins
@@ -287,7 +278,7 @@ def test_locate_pressure_point():
 def test_two_block_requires_matching_transfer():
     transfer = tile_periodic(tabulated_elemental_pair(F(2, 1)), 12, 24)
     with pytest.raises(DomainError):
-        two_block_system(2, 1, transfer=transfer)
+        ratio_system(2, 1, transfer=transfer)
 
 
 def test_constant_medium_reduces_to_scaled_unit_system(rng):

@@ -5,9 +5,10 @@ import pytest
 
 from stagwave.errors import (DomainError, InfeasibleStencilError,
                              UnsupportedRatioError)
-from stagwave.transfer import (certify_pair, derive_elemental_pair,
-                               pair_exactness_degree, tabulated_elemental_pair,
-                               tile_periodic, transfer_pair_for)
+from stagwave.transfer import (ElementalStencilPair, certify_pair,
+                               derive_elemental_pair, pair_exactness_degree,
+                               tabulated_elemental_pair, tile_periodic,
+                               transfer_pair_for)
 
 F = Fraction
 
@@ -125,3 +126,13 @@ def test_transfer_pair_for_prefers_tables_and_falls_back():
     assert tiled.elemental.coarse_to_fine == tabulated_elemental_pair(F(2, 1)).coarse_to_fine
     tiled = transfer_pair_for(F(5, 2), 10, 25)
     assert certify_pair(tiled).ok
+
+
+def test_transfer_pair_for_rejects_a_derived_pair_failing_its_certificate(monkeypatch):
+    good = derive_elemental_pair(F(5, 2))
+    rows = [dict(r) for r in good.coarse_to_fine]
+    rows[0][min(rows[0])] += F(1, 2)          # row sum 3/2
+    broken = ElementalStencilPair(F(5, 2), tuple(rows), good.fine_to_coarse)
+    monkeypatch.setattr("stagwave.transfer.derive_elemental_pair", lambda ratio: broken)
+    with pytest.raises(InfeasibleStencilError):
+        transfer_pair_for(F(5, 2), 10, 25)

@@ -1,14 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from stagwave.assembly import SatCoefficients, assemble_single_block_system
+from stagwave.config import RunConfig, build_run, parse_config
 from stagwave.errors import DomainError, SizeError
 from stagwave.grids import build_block_2d
-from stagwave.verification import (convergence_study, energy_rate_oracle,
+from stagwave.verification import (SCENARIOS, build_scenario,
+                                   convergence_study, energy_rate_oracle,
                                    long_time_stability_run, materialize_system,
                                    post_source_drift, seismogram_misfit,
                                    standing_p, standing_u, standing_v,
                                    uniform_standing_system, weighted_l2_error)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_standing_solution_satisfies_the_wave_system():
@@ -133,3 +139,20 @@ def test_coarsened_split_agreement_degrades_gracefully():
     from stagwave.verification import two_grid_agreement
     misfit = two_grid_agreement("2:1")   # measured 0.0096
     assert misfit <= 0.1
+
+
+@pytest.mark.parametrize("name", ["two_layer_2to1", "smooth_gradient_6to5"])
+def test_shipped_config_builds_its_scenario(name, rng):
+    shipped = build_run(parse_config(CONFIGS / f"{name}.yaml"))
+    scenario = build_run(RunConfig(raw=SCENARIOS[name]))
+    assert shipped.sources == scenario.sources
+    assert shipped.receivers == scenario.receivers
+    assert shipped.time_grid == scenario.time_grid
+    assert build_scenario(name)[1:] == (scenario.sources[0], scenario.receivers[0])
+    a, b = shipped.system, scenario.system
+    assert [blk.block.p_shape for blk in a.blocks] == [blk.block.p_shape for blk in b.blocks]
+    prs, vel = a.random_state(rng)
+    for x, y in zip(a.pressure_rates(vel), b.pressure_rates(vel), strict=True):
+        assert np.array_equal(x, y)
+    for x, y in zip(a.velocity_rates(prs), b.velocity_rates(prs), strict=True):
+        assert np.array_equal(x, y)
