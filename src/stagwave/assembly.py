@@ -2,7 +2,8 @@
 penalties.
 
 The 2D operators are never formed; tensor structure is exploited by applying
-the 1D difference operators along array axes. Fields are (n_x, n_y) arrays
+the 1D difference operators along array axes, in place, into rate buffers
+each system allocates once. Fields are (n_x, n_y) arrays
 whose flattening is the column-wise linearization (x-major, y fastest). All
 penalty terms appear after multiplying the governing equations by the inverse
 norm matrices, at which point the x-direction norm cancels and each term
@@ -22,6 +23,13 @@ and is the package's primary conservation oracle.
 Material coefficients divide the assembled right-hand side at the very end
 (they multiply the time derivatives on the left of the governing system), so
 heterogeneous media reuse the identical penalty structure.
+
+Every system allocates one rate buffer per field at construction, and the
+penalty weights, signs included, are computed then too. `pressure_rates`
+and `velocity_rates` write into those buffers and return them; the caller
+may scale them in place. A result is valid until the next call of either
+rate method, because the 2D systems' y differences use the other method's
+buffers as scratch.
 """
 
 from __future__ import annotations
@@ -81,17 +89,10 @@ class BoundarySystem1D:
     def __init__(self, ops: SbpOperatorSet1D, coeffs: SatCoefficients | None = None):
         self.ops = ops
         self.coeffs = coeffs or SatCoefficients()
-        self._pl = ops.proj_left[:3] / ops.a_v[:3]
-        self._pr = ops.proj_right[-3:] / ops.a_v[-3:]
-
-    def pressure_rate(self, v: NDArray) -> NDArray:
-        return -self.ops.apply_d_v(v)
-
-    def velocity_rate(self, p: NDArray) -> NDArray:
-        dv = -self.ops.apply_d_p(p)
-        dv[:3] += self.coeffs.sigma_left * self._pl * p[0]
-        dv[-3:] += self.coeffs.sigma_right * self._pr * p[-1]
-        return dv
+        self._pl = self.coeffs.sigma_left * ops.proj_left[:3] / ops.a_v[:3]
+        self._pr = self.coeffs.sigma_right * ops.proj_right[-3:] / ops.a_v[-3:]
+        self._dp = np.empty(ops.n_p)
+        self._dv = np.empty(ops.n_v)
 
     def energy(self, prs, vel) -> float:
         p, v = prs[0], vel[0]
@@ -99,8 +100,8 @@ class BoundarySystem1D:
 
     def energy_rate(self, prs, vel) -> float:
         p, v = prs[0], vel[0]
-        terms = [float((p * self.ops.a_p * self.pressure_rate(v)).sum()),
-                 float((v * self.ops.a_v * self.velocity_rate(p)).sum())]
+        terms = [float((p * self.ops.a_p * self.pressure_rates(vel)[0]).sum()),
+                 float((v * self.ops.a_v * self.velocity_rates(prs)[0]).sum())]
         return _rate_from_terms(terms)
 
     def random_state(self, rng, amplitude=1.0):
@@ -109,10 +110,13 @@ class BoundarySystem1D:
 
     # leapfrog protocol: pressure fields [P], velocity fields [V]
     def pressure_rates(self, vel):
-        return [self.pressure_rate(vel[0])]
+        return [self.ops.apply_d_v(vel[0], 0, self._dp, -1.0)]
 
     def velocity_rates(self, prs):
-        return [self.velocity_rate(prs[0])]
+        p, dv = prs[0], self.ops.apply_d_p(prs[0], 0, self._dv, -1.0)
+        dv[:3] += self._pl * p[0]
+        dv[-3:] += self._pr * p[-1]
+        return [dv]
 
 
 def assemble_1d_boundary_system(ops: SbpOperatorSet1D,
@@ -125,12 +129,14 @@ class PeriodicSystem1D:
 
     def __init__(self, ops: PeriodicOperatorSet1D):
         self.ops = ops
+        self._dp = np.empty(ops.n)
+        self._dv = np.empty(ops.n)
 
     def pressure_rates(self, vel):
-        return [-self.ops.apply_d_v(vel[0])]
+        return [self.ops.apply_d_v(vel[0], 0, self._dp, -1.0)]
 
     def velocity_rates(self, prs):
-        return [-self.ops.apply_d_p(prs[0])]
+        return [self.ops.apply_d_p(prs[0], 0, self._dv, -1.0)]
 
     def random_state(self, rng, amplitude=1.0):
         return [amplitude * rng.standard_normal(self.ops.n)], \
@@ -149,31 +155,36 @@ class InterfaceSystem1D:
                  coeffs: SatCoefficients | None = None):
         self.left = left
         self.right = right
-        self.coeffs = coeffs or SatCoefficients()
+        self.coeffs = c = coeffs or SatCoefficients()
+        self._tau_l = c.tau_int_minus / left.a_p[-1]
+        self._tau_r = c.tau_int_plus / right.a_p[0]
+        self._outer_l = c.sigma_left * left.proj_left[:3] / left.a_v[:3]
+        self._outer_r = c.sigma_right * right.proj_right[-3:] / right.a_v[-3:]
+        self._int_l = c.sigma_int_minus * left.proj_right[-3:] / left.a_v[-3:]
+        self._int_r = c.sigma_int_plus * right.proj_left[:3] / right.a_v[:3]
+        self._dp = [np.empty(left.n_p), np.empty(right.n_p)]
+        self._dv = [np.empty(left.n_v), np.empty(right.n_v)]
 
     def pressure_rates(self, vel):
         vl, vr = vel
-        c = self.coeffs
-        dpl = -self.left.apply_d_v(vl)
-        dpr = -self.right.apply_d_v(vr)
-        v_hat_l = float(self.left.proj_right[-3:] @ vl[-3:])
-        v_hat_r = float(self.right.proj_left[:3] @ vr[:3])
-        jump = v_hat_r - v_hat_l
-        dpl[-1] += c.tau_int_minus / self.left.a_p[-1] * jump
-        dpr[0] += c.tau_int_plus / self.right.a_p[0] * jump
-        return [dpl, dpr]
+        dpl = self.left.apply_d_v(vl, 0, self._dp[0], -1.0)
+        dpr = self.right.apply_d_v(vr, 0, self._dp[1], -1.0)
+        jump = float(self.right.proj_left[:3] @ vr[:3]) \
+            - float(self.left.proj_right[-3:] @ vl[-3:])
+        dpl[-1] += self._tau_l * jump
+        dpr[0] += self._tau_r * jump
+        return self._dp
 
     def velocity_rates(self, prs):
         pl, pr = prs
-        c = self.coeffs
-        dvl = -self.left.apply_d_p(pl)
-        dvr = -self.right.apply_d_p(pr)
-        dvl[:3] += c.sigma_left * self.left.proj_left[:3] / self.left.a_v[:3] * pl[0]
-        dvr[-3:] += c.sigma_right * self.right.proj_right[-3:] / self.right.a_v[-3:] * pr[-1]
+        dvl = self.left.apply_d_p(pl, 0, self._dv[0], -1.0)
+        dvr = self.right.apply_d_p(pr, 0, self._dv[1], -1.0)
+        dvl[:3] += self._outer_l * pl[0]
+        dvr[-3:] += self._outer_r * pr[-1]
         jump = pr[0] - pl[-1]
-        dvl[-3:] += c.sigma_int_minus * self.left.proj_right[-3:] / self.left.a_v[-3:] * jump
-        dvr[:3] += c.sigma_int_plus * self.right.proj_left[:3] / self.right.a_v[:3] * jump
-        return [dvl, dvr]
+        dvl[-3:] += self._int_l * jump
+        dvr[:3] += self._int_r * jump
+        return self._dv
 
     def energy(self, prs, vel) -> float:
         e = 0.0
@@ -235,10 +246,8 @@ class BlockOperators2D:
         self.w_u = np.outer(ax_u, self.y_ops.a_p)
         self.w_v = np.outer(ax_p, self.y_ops.a_v)
 
-    # derivative applications along the tensor axes
-    def d_x_u(self, u):
-        return self.x_ops.apply_d_v(u, axis=0)
-
+    # derivative applications along the tensor axes (new arrays; the system
+    # rates apply the same operators into their own buffers)
     def d_x_p(self, p):
         return self.x_ops.apply_d_p(p, axis=0)
 
@@ -261,21 +270,29 @@ def assemble_2d_block(block: StaggeredBlock2D,
     return BlockOperators2D(block, coeffs)
 
 
+def _add_outer(block, trace, weights) -> None:
+    """block += outer(trace, weights), one column at a time: 1D updates skip
+    the buffered loops numpy runs for a strided 2D block."""
+    for j, weight in enumerate(weights):
+        block[:, j] += trace * weight
+
+
 def free_surface_velocity_sats(ops: BlockOperators2D, coeffs: SatCoefficients,
                                bottom: bool, top: bool):
     """Additive y-velocity penalties for pressure-free horizontal boundaries.
 
-    Returns a callable (p) -> dV increment applied near the selected edges.
+    Returns a callable (p, dv) that adds the penalties near the selected
+    edges to dv in place; the weights, sign included, are computed here once.
     """
     y = ops.y_ops
-    wl = y.proj_left[:3] / y.a_v[:3]
-    wr = y.proj_right[-3:] / y.a_v[-3:]
+    wl = coeffs.sigma_bottom * y.proj_left[:3] / y.a_v[:3]
+    wr = coeffs.sigma_top * y.proj_right[-3:] / y.a_v[-3:]
 
     def add_terms(p, dv):
         if bottom:
-            dv[:, :3] += coeffs.sigma_bottom * np.outer(p[:, 0], wl)
+            _add_outer(dv[:, :3], p[:, 0], wl)
         if top:
-            dv[:, -3:] += coeffs.sigma_top * np.outer(p[:, -1], wr)
+            _add_outer(dv[:, -3:], p[:, -1], wr)
 
     return add_terms
 
@@ -288,12 +305,12 @@ def free_surface_x_sats(ops: BlockOperators2D, coeffs: SatCoefficients):
     if ops.x_periodic:
         raise DomainError("x free-surface penalties require a non-periodic x grid")
     x = ops.x_ops
-    wl = x.proj_left[:3] / x.a_v[:3]
-    wr = x.proj_right[-3:] / x.a_v[-3:]
+    wl = (coeffs.sigma_left * x.proj_left[:3] / x.a_v[:3])[:, None]
+    wr = (coeffs.sigma_right * x.proj_right[-3:] / x.a_v[-3:])[:, None]
 
     def add_terms(p, du):
-        du[:3, :] += coeffs.sigma_left * np.outer(wl, p[0, :])
-        du[-3:, :] += coeffs.sigma_right * np.outer(wr, p[-1, :])
+        du[:3, :] += wl * p[0, :]
+        du[-3:, :] += wr * p[-1, :]
 
     return add_terms
 
@@ -306,8 +323,9 @@ def interface_sat_terms(bottom: BlockOperators2D, top: BlockOperators2D,
     Returns (add_to_pressure, add_to_velocity): the first consumes the two
     velocity fields and increments the interface pressure rows, the second
     consumes the two pressure fields and increments the near-interface
-    y-velocity rows. Both sides exchange restricted/projected traces through
-    the transfer pair.
+    y-velocity rows, both in place. Both sides exchange restricted/projected
+    traces through the transfer pair. The penalty weights, sign included,
+    are computed here once.
 
     Raises:
         DomainError: transfer operator shapes do not match the interface.
@@ -320,23 +338,23 @@ def interface_sat_terms(bottom: BlockOperators2D, top: BlockOperators2D,
         )
     proj_m = bottom.y_ops.proj_right[-3:]
     proj_p = top.y_ops.proj_left[:3]
-    lift_m = proj_m / bottom.y_ops.a_v[-3:]
-    lift_p = proj_p / top.y_ops.a_v[:3]
-    inv_ap_m = 1.0 / bottom.y_ops.a_p[-1]
-    inv_ap_p = 1.0 / top.y_ops.a_p[0]
+    lift_m = coeffs.sigma_v_minus * proj_m / bottom.y_ops.a_v[-3:]
+    lift_p = coeffs.sigma_v_plus * proj_p / top.y_ops.a_v[:3]
+    tau_m = coeffs.sigma_p_minus / bottom.y_ops.a_p[-1]
+    tau_p = coeffs.sigma_p_plus / top.y_ops.a_p[0]
     f2c, c2f = transfer.fine_to_coarse, transfer.coarse_to_fine
 
     def add_to_pressure(v_m, v_p, dp_m, dp_p):
         v_int_m = v_m[:, -3:] @ proj_m
         v_int_p = v_p[:, :3] @ proj_p
-        dp_m[:, -1] += coeffs.sigma_p_minus * inv_ap_m * (f2c @ v_int_p - v_int_m)
-        dp_p[:, 0] += coeffs.sigma_p_plus * inv_ap_p * (v_int_p - c2f @ v_int_m)
+        dp_m[:, -1] += tau_m * (f2c @ v_int_p - v_int_m)
+        dp_p[:, 0] += tau_p * (v_int_p - c2f @ v_int_m)
 
     def add_to_velocity(p_m, p_p, dv_m, dv_p):
         p_int_m = p_m[:, -1]
         p_int_p = p_p[:, 0]
-        dv_m[:, -3:] += coeffs.sigma_v_minus * np.outer(f2c @ p_int_p - p_int_m, lift_m)
-        dv_p[:, :3] += coeffs.sigma_v_plus * np.outer(p_int_p - c2f @ p_int_m, lift_p)
+        _add_outer(dv_m[:, -3:], f2c @ p_int_p - p_int_m, lift_m)
+        _add_outer(dv_p[:, :3], p_int_p - c2f @ p_int_m, lift_p)
 
     return add_to_pressure, add_to_velocity
 
@@ -348,6 +366,9 @@ class SemiDiscreteSystem:
     levels, velocity fields at half levels; `pressure_rates` consumes
     velocities and `velocity_rates` consumes pressures, which is exactly the
     split the staggered leapfrog needs.
+
+    The rates are written into buffers the system owns; a result is valid
+    until the next call of either rate method (see the module docstring).
     """
 
     def __init__(self, blocks: list[BlockOperators2D],
@@ -371,36 +392,38 @@ class SemiDiscreteSystem:
         if len(self.blocks) == 2:
             self._int_p, self._int_v = interface_sat_terms(
                 self.blocks[0], self.blocks[1], transfer, self.coeffs)
+        self._dp, self._dvel = self.zero_state()
 
     # -- leapfrog protocol ---------------------------------------------------
 
     def pressure_rates(self, vel):
         """d/dt of pressure fields given velocity fields [U0, V0, (U1, V1)]."""
-        out = []
-        for i, b in enumerate(self.blocks):
-            u, v = vel[2 * i], vel[2 * i + 1]
-            out.append(-(b.d_x_u(u) + b.d_y_v(v)))
+        for b, dp, u, v, scratch in zip(self.blocks, self._dp, vel[0::2], vel[1::2],
+                                        self._dvel[1::2]):
+            b.y_ops.apply_d_v(v, 1, dp, -1.0, scratch=scratch)
+            b.x_ops.apply_d_v(u, 0, dp, -1.0, add=True)
         if len(self.blocks) == 2:
-            self._int_p(vel[1], vel[3], out[0], out[1])
-        return [dp / b.coeffs.c_p for dp, b in zip(out, self.blocks)]
+            self._int_p(vel[1], vel[3], *self._dp)
+        for b, dp in zip(self.blocks, self._dp):
+            dp /= b.coeffs.c_p
+        return self._dp
 
     def velocity_rates(self, prs):
         """d/dt of velocity fields given pressure fields [P0, (P1)]."""
-        dus, dvs = [], []
-        for b, p, fs, fsx in zip(self.blocks, prs, self._fs, self._fs_x):
-            du = -b.d_x_p(p)
-            dv = -b.d_y_p(p)
+        dus, dvs = self._dvel[0::2], self._dvel[1::2]
+        for b, p, du, dv, fs, fsx, scratch in zip(self.blocks, prs, dus, dvs, self._fs,
+                                                  self._fs_x, self._dp):
+            b.x_ops.apply_d_p(p, 0, du, -1.0)
+            b.y_ops.apply_d_p(p, 1, dv, -1.0, scratch=scratch)
             fs(p, dv)
             if fsx is not None:
                 fsx(p, du)
-            dus.append(du)
-            dvs.append(dv)
         if len(self.blocks) == 2:
             self._int_v(prs[0], prs[1], dvs[0], dvs[1])
-        out = []
         for b, du, dv in zip(self.blocks, dus, dvs):
-            out.extend([du / b.coeffs.c_u, dv / b.coeffs.c_v])
-        return out
+            du /= b.coeffs.c_u
+            dv /= b.coeffs.c_v
+        return self._dvel
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -412,11 +435,10 @@ class SemiDiscreteSystem:
 
     def energy_rate(self, prs, vel) -> float:
         """Relative instantaneous rate of change of the discrete energy."""
-        dps = self.pressure_rates(vel)
+        terms = [float((p * b.coeffs.c_p * b.w_p * dp).sum())
+                 for p, b, dp in zip(prs, self.blocks, self.pressure_rates(vel))]
         dvs = self.velocity_rates(prs)
-        terms = []
         for i, b in enumerate(self.blocks):
-            terms.append(float((prs[i] * b.coeffs.c_p * b.w_p * dps[i]).sum()))
             terms.append(float((vel[2 * i] * b.coeffs.c_u * b.w_u * dvs[2 * i]).sum()))
             terms.append(float((vel[2 * i + 1] * b.coeffs.c_v * b.w_v * dvs[2 * i + 1]).sum()))
         return _rate_from_terms(terms)
@@ -517,14 +539,19 @@ class PeriodicSystem2D:
         self.x_ops = build_periodic_1d(n_x, dx)
         self.y_ops = build_periodic_1d(n_y, dx)
         self.shape = (n_x, n_y)
+        self._dp = [np.empty(self.shape)]
+        self._dvel = [np.empty(self.shape), np.empty(self.shape)]
 
     def pressure_rates(self, vel):
         u, v = vel
-        return [-(self.x_ops.apply_d_v(u, axis=0) + self.y_ops.apply_d_v(v, axis=1))]
+        self.y_ops.apply_d_v(v, 1, self._dp[0], -1.0, scratch=self._dvel[1])
+        self.x_ops.apply_d_v(u, 0, self._dp[0], -1.0, add=True)
+        return self._dp
 
     def velocity_rates(self, prs):
-        p = prs[0]
-        return [-self.x_ops.apply_d_p(p, axis=0), -self.y_ops.apply_d_p(p, axis=1)]
+        self.x_ops.apply_d_p(prs[0], 0, self._dvel[0], -1.0)
+        self.y_ops.apply_d_p(prs[0], 1, self._dvel[1], -1.0, scratch=self._dp[0])
+        return self._dvel
 
     def random_state(self, rng, amplitude=1.0):
         return ([amplitude * rng.standard_normal(self.shape)],

@@ -9,8 +9,13 @@ roundoff.
 
 Sources are collocated on single pressure points and injected as
 dt * amplitude * wavelet(t + dt/2) during the pressure update, matching the
-half-level sampling of the scheme. The discrete energy is recorded at half
-levels with the pressure averaged over the two adjacent integer levels.
+half-level sampling of the scheme. `run` samples each source's wavelet once,
+on the vector of half-level times, and each step injects its sample. The
+discrete energy is recorded at half levels with the pressure averaged over
+the two adjacent integer levels.
+
+A step updates the fields in place: the system's rate buffers are scaled by
+dt and added to the fields, so stepping allocates no field-sized arrays.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ class SourceSpec:
     t0: float = 0.0
     amplitude: float = 1.0
 
-    def value(self, t) -> float:
-        return self.amplitude * float(ricker(t, self.f0, self.t0))
+    def value(self, t):
+        """Source time function at time(s) t: amplitude * Ricker wavelet."""
+        return self.amplitude * ricker(t, self.f0, self.t0)
 
 
 @dataclass(frozen=True)
@@ -74,28 +80,32 @@ class SimState:
     t_p: float = 0.0
 
 
-def step_forward(system, state: SimState, dt: float, sources=()):
-    """Advance one step: pressure to t+dt, then velocities to t+3dt/2."""
-    dps = system.pressure_rates(state.velocities)
-    t_half = state.t_p + 0.5 * dt
-    for i, dp in enumerate(dps):
-        state.pressures[i] += dt * dp
-    for s in sources:
-        state.pressures[s.block][s.ix, s.iy] += dt * s.value(t_half)
-    dvs = system.velocity_rates(state.pressures)
-    for i, dv in enumerate(dvs):
-        state.velocities[i] += dt * dv
+def step_forward(system, state: SimState, dt: float, injections=()):
+    """Advance one step: pressure to t+dt, then velocities to t+3dt/2.
+
+    `injections` holds (source, value) pairs: each adds dt * value at its
+    source's pressure point, after the pressure update. The rates the system
+    returns are scaled in place (`dp *= dt`) before they are added.
+    """
+    for p, dp in zip(state.pressures, system.pressure_rates(state.velocities)):
+        dp *= dt
+        p += dp
+    for s, value in injections:
+        state.pressures[s.block][s.ix, s.iy] += dt * value
+    for v, dv in zip(state.velocities, system.velocity_rates(state.pressures)):
+        dv *= dt
+        v += dv
     state.t_p += dt
 
 
 def step_backward(system, state: SimState, dt: float):
     """Exact inverse of a source-free forward step."""
-    dvs = system.velocity_rates(state.pressures)
-    for i, dv in enumerate(dvs):
-        state.velocities[i] -= dt * dv
-    dps = system.pressure_rates(state.velocities)
-    for i, dp in enumerate(dps):
-        state.pressures[i] -= dt * dp
+    for v, dv in zip(state.velocities, system.velocity_rates(state.pressures)):
+        dv *= dt
+        v -= dv
+    for p, dp in zip(state.pressures, system.pressure_rates(state.velocities)):
+        dp *= dt
+        p -= dp
     state.t_p -= dt
 
 
@@ -128,21 +138,28 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     if state is None:
         state = SimState(*system.zero_state())
     t_start = state.t_p
+    times = t_start + dt * np.arange(n + 1)
+    energy_times = t_start + dt * (np.arange(n) + 0.5)
+    sources = tuple(sources)
+    wavelets = [s.value(energy_times) for s in sources]
     receivers = tuple(receivers)
     traces = np.zeros((len(receivers), n + 1))
     for r_i, r in enumerate(receivers):
         traces[r_i, 0] = state.pressures[r.block][r.ix, r.iy]
     energy = np.zeros(n) if record_energy else None
+    p_half = [np.empty_like(p) for p in state.pressures] if record_energy else None
     for it in range(n):
-        p_prev = [p.copy() for p in state.pressures] if record_energy else None
-        step_forward(system, state, dt, sources)
         if record_energy:
-            p_avg = [0.5 * (a + b) for a, b in zip(p_prev, state.pressures)]
-            energy[it] = system.energy(p_avg, state.velocities)
+            for h, p in zip(p_half, state.pressures):
+                np.copyto(h, p)
+        step_forward(system, state, dt, [(s, w[it]) for s, w in zip(sources, wavelets)])
+        if record_energy:
+            for h, p in zip(p_half, state.pressures):
+                h += p
+                h *= 0.5
+            energy[it] = system.energy(p_half, state.velocities)
         for r_i, r in enumerate(receivers):
             traces[r_i, it + 1] = state.pressures[r.block][r.ix, r.iy]
-    times = t_start + dt * np.arange(n + 1)
-    energy_times = t_start + dt * (np.arange(n) + 0.5)
     return RunResult(times=times, seismograms=traces, energy_times=energy_times,
                      energy=energy, final_state=state, receivers=receivers)
 

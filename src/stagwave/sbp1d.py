@@ -17,6 +17,10 @@ staggered pair of subgrids:
 * ``PeriodicOperatorSet1D`` -- wrapped interior stencil on a periodic pair;
   the analogous bilinear form vanishes identically.
 
+Both families apply through one in-place kernel each (`apply_d_p`,
+`apply_d_v`): along axis 0 of a 1D or 2D array or axis 1 of a 2D array, into
+an output array, optionally scaled and added to it.
+
 Closure coefficients are stored as exact rationals. They are the unique
 solution of the accuracy + structure constraint system once the boundary
 projection is restricted to its minimal three-point support. The exact
@@ -27,7 +31,7 @@ run it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +82,148 @@ _DV_BOT = _as_float(_mirror(DV_CLOSURE))
 _DP_TOP = _as_float(DP_CLOSURE)
 _DP_BOT = _as_float(_mirror(DP_CLOSURE))
 _ST = np.array([float(c) for c in INTERIOR_STENCIL])
+#: the periodic rows that wrap: three stencil rows over six consecutive points
+_WRAP = np.array([[*_ST, 0, 0], [0, *_ST, 0], [0, 0, *_ST]])
+
+
+# ---------------------------------------------------------------------------
+# in-place application kernel
+# ---------------------------------------------------------------------------
+
+def _interior(w0, w1, w2, w3, out, s: float, add: bool) -> None:
+    """out (+)= s * (w0 - w3 + 27 (w2 - w1)), in place, with no temporaries.
+
+    This is the interior stencil (1, -27, 27, -1)/24 with 1/24, the grid
+    spacing and the scale folded into s. Its weights relative to 1/24 are
+    integers, so a unit input gives s and 27 s, the dense operator's entries
+    up to one rounding of 27 s. To add, the running sum is divided by s and
+    the (w0 - w3) part by 27 first: three more roundings of the sum, and no
+    buffer.
+    """
+    if add:
+        out *= 1.0 / s
+        out += w0
+        out -= w3
+        out *= 1.0 / 27.0
+        out += w2
+        out -= w1
+        out *= 27.0 * s
+    else:
+        np.subtract(w2, w1, out=out)
+        out *= 27.0
+        out += w0
+        out -= w3
+        out *= s
+
+
+class _Kernel:
+    """scale * D for one staggered operator, into an output array, along
+    axis 0 of a 1D or 2D array or along axis 1 of a 2D array.
+
+    The interior stencil covers output rows lo .. lo+m-1, and row lo reads
+    input rows first .. first+3. Along axis 0 the stencil runs in place in
+    `out` on contiguous blocks of rows. Along axis 1 the rows are columns,
+    which numpy walks with slow, buffered strided loops; there the stencil
+    runs on the flattened input, into `scratch` (laid out like the input),
+    and one copy moves the columns whose four points lie in one row into
+    `out`. Subclasses add the edge rows.
+    """
+
+    def __init__(self, lo: int, first: int, m: int, dx: float, scale: float):
+        self.s = scale * (_ST[0] / dx)
+        self.out_rows = slice(lo, lo + m)
+        self.in_rows = [slice(first + j, first + j + m) for j in range(4)]
+        self.cols = (slice(None), self.out_rows)
+        self.flat_start = lo - first
+
+    def __call__(self, w, out, axis: int, add: bool, scratch) -> None:
+        if axis == 0:
+            r0, r1, r2, r3 = self.in_rows
+            _interior(w[r0], w[r1], w[r2], w[r3], out[self.out_rows], self.s, add)
+        else:
+            flat, n = w.reshape(-1), w.size
+            start = self.flat_start
+            _interior(flat[:n - 3], flat[1:n - 2], flat[2:n - 1], flat[3:],
+                      scratch.reshape(-1)[start:start + n - 3], self.s, False)
+            if add:
+                out[self.cols] += scratch[self.cols]
+            else:
+                out[self.cols] = scratch[self.cols]
+        self._edges(w, out, axis, add)
+
+
+def _product(mat, w, out, axis: int, add: bool) -> None:
+    """out (+)= mat applied along `axis` of w (a few rows: small temporaries)."""
+    if axis == 0:
+        prod = np.matmul(mat, w, out=None if add else out)
+    else:
+        prod = np.matmul(w, mat.T, out=None if add else out)
+    if add:
+        out += prod
+
+
+class _BoundedKernel(_Kernel):
+    """Bounded operator: each closure is a product with the five input rows
+    at its end."""
+
+    def __init__(self, top, bottom, n_in: int, n_out: int, dx: float, scale: float):
+        k = top.shape[0]
+        super().__init__(k, 2, n_out - 2 * k, dx, scale)
+        self.top = scale * (top / dx)
+        self.bottom = scale * (bottom / dx)
+        rows = [slice(0, k), slice(0, 5), slice(n_out - k, n_out), slice(n_in - 5, n_in)]
+        self.edge_index = (rows, [(slice(None), r) for r in rows])   # by axis
+
+    def _edges(self, w, out, axis: int, add: bool) -> None:
+        o_top, i_top, o_bot, i_bot = self.edge_index[axis]
+        _product(self.top, w[i_top], out[o_top], axis, add)
+        _product(self.bottom, w[i_bot], out[o_bot], axis, add)
+
+
+class _PeriodicKernel(_Kernel):
+    """Periodic operator: the three rows that wrap are one product with the
+    six points around the seam."""
+
+    def __init__(self, n: int, dx: float, lo: int, scale: float):
+        super().__init__(lo, 0, n - 3, dx, scale)
+        self.wrap = scale * (_WRAP / dx)
+        self.seam = np.array([n - 3, n - 2, n - 1, 0, 1, 2])
+        self.wrapped = np.arange(lo - 3, lo) % n
+
+    def _edges(self, w, out, axis: int, add: bool) -> None:
+        seam = np.take(w, self.seam, axis=axis)
+        rows = (slice(None), self.wrapped) if axis else self.wrapped
+        wrapped = seam @ self.wrap.T if axis else self.wrap @ seam
+        if add:
+            out[rows] += wrapped
+        else:
+            out[rows] = wrapped
+
+
+def _apply(ops, kind: str, values, axis: int, out, scale: float, add: bool, scratch,
+           n_in: int, n_out: int) -> NDArray[np.float64]:
+    """Shared body of every `apply_d_*`: check the arrays, allocate `out` and
+    `scratch` where needed, and run the operator's cached kernel for
+    (kind, scale)."""
+    w = np.asarray(values, dtype=float)
+    if w.ndim > 2 or axis not in range(w.ndim):
+        raise DomainError(f"cannot apply along axis {axis} of a {w.ndim}D array")
+    if w.shape[axis] != n_in:
+        raise DomainError(f"expected {n_in} values along axis {axis}, got {w.shape[axis]}")
+    if out is None:
+        if add:
+            raise DomainError("add=True needs an out array to add to")
+        out = np.empty(w.shape[:axis] + (n_out,) + w.shape[axis + 1:])
+    if axis == 1:
+        if scratch is None:
+            scratch = np.empty(w.shape)
+        elif scratch.shape != w.shape or not scratch.flags.c_contiguous:
+            raise DomainError("scratch must be a C-contiguous array shaped like the input")
+    kernel = ops._kernels.get((kind, scale))
+    if kernel is None:
+        kernel = ops._kernels[kind, scale] = ops._make_kernel(kind, scale)
+    kernel(w, out, axis, add, scratch)
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,38 +250,33 @@ class SbpOperatorSet1D:
     def n_v(self) -> int:
         return self.n_p - 1
 
-    # -- application (banded slicing; closures as small dense blocks) --
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def apply_d_v(self, values, axis: int = 0) -> NDArray[np.float64]:
-        """Differentiate a dual-subgrid field; result lives on primary points."""
-        w = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-        n = self.n_p
-        if w.shape[0] != n - 1:
-            raise DomainError(f"expected {n - 1} dual values, got {w.shape[0]}")
-        out = np.empty((n,) + w.shape[1:])
-        m = n - 8
-        out[4:n - 4] = (_ST[0] * w[2:2 + m] + _ST[1] * w[3:3 + m]
-                        + _ST[2] * w[4:4 + m] + _ST[3] * w[5:5 + m])
-        out[:4] = np.tensordot(_DV_TOP, w[:5], axes=(1, 0))
-        out[-4:] = np.tensordot(_DV_BOT, w[-5:], axes=(1, 0))
-        out /= self.dx
-        return np.moveaxis(out, 0, axis)
+    # -- application: the in-place kernel, one per (operator, scale) --
 
-    def apply_d_p(self, values, axis: int = 0) -> NDArray[np.float64]:
-        """Differentiate a primary-subgrid field; result lives on dual points."""
-        w = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
-        n = self.n_p
-        if w.shape[0] != n:
-            raise DomainError(f"expected {n} primary values, got {w.shape[0]}")
-        n_v = n - 1
-        out = np.empty((n_v,) + w.shape[1:])
-        m = n_v - 6
-        out[3:n_v - 3] = (_ST[0] * w[2:2 + m] + _ST[1] * w[3:3 + m]
-                          + _ST[2] * w[4:4 + m] + _ST[3] * w[5:5 + m])
-        out[:3] = np.tensordot(_DP_TOP, w[:5], axes=(1, 0))
-        out[-3:] = np.tensordot(_DP_BOT, w[-5:], axes=(1, 0))
-        out /= self.dx
-        return np.moveaxis(out, 0, axis)
+    def apply_d_v(self, values, axis: int = 0, out=None, scale: float = 1.0,
+                  add: bool = False, scratch=None) -> NDArray[np.float64]:
+        """scale * (d^v values) along `axis`: dual values in, primary points out.
+
+        `values` is 1D or 2D. With `out`, the result is written into it (added
+        to it with `add`) and `out` is returned; otherwise a new array is.
+        Along axis 1, `scratch` (a C-contiguous array shaped like `values`,
+        overwritten) saves allocating one.
+        """
+        return _apply(self, "d_v", values, axis, out, scale, add, scratch,
+                      self.n_p - 1, self.n_p)
+
+    def apply_d_p(self, values, axis: int = 0, out=None, scale: float = 1.0,
+                  add: bool = False, scratch=None) -> NDArray[np.float64]:
+        """scale * (d^p values) along `axis`: primary values in, dual points
+        out; `out`, `add` and `scratch` as in `apply_d_v`."""
+        return _apply(self, "d_p", values, axis, out, scale, add, scratch,
+                      self.n_p, self.n_p - 1)
+
+    def _make_kernel(self, kind: str, scale: float) -> _BoundedKernel:
+        if kind == "d_v":
+            return _BoundedKernel(_DV_TOP, _DV_BOT, self.n_p - 1, self.n_p, self.dx, scale)
+        return _BoundedKernel(_DP_TOP, _DP_BOT, self.n_p, self.n_p - 1, self.dx, scale)
 
     # -- dense and exact materializations (tests, certificates, dumps) --
 
@@ -222,21 +363,22 @@ class PeriodicOperatorSet1D:
         """Uniform diagonal norm entry (primary and dual alike)."""
         return self.dx
 
-    def apply_d_p(self, values, axis: int = 0) -> NDArray[np.float64]:
-        """Derivative of the primary field at dual points."""
-        w = np.asarray(values, dtype=float)
-        out = (_ST[0] * np.roll(w, 1, axis) + _ST[1] * w
-               + _ST[2] * np.roll(w, -1, axis) + _ST[3] * np.roll(w, -2, axis))
-        out /= self.dx
-        return out
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def apply_d_v(self, values, axis: int = 0) -> NDArray[np.float64]:
-        """Derivative of the dual field at primary points."""
-        w = np.asarray(values, dtype=float)
-        out = (_ST[0] * np.roll(w, 2, axis) + _ST[1] * np.roll(w, 1, axis)
-               + _ST[2] * w + _ST[3] * np.roll(w, -1, axis))
-        out /= self.dx
-        return out
+    def apply_d_p(self, values, axis: int = 0, out=None, scale: float = 1.0,
+                  add: bool = False, scratch=None) -> NDArray[np.float64]:
+        """scale * (derivative of the primary field) at dual points; `out`,
+        `add` and `scratch` as in `SbpOperatorSet1D.apply_d_v`."""
+        return _apply(self, "d_p", values, axis, out, scale, add, scratch, self.n, self.n)
+
+    def apply_d_v(self, values, axis: int = 0, out=None, scale: float = 1.0,
+                  add: bool = False, scratch=None) -> NDArray[np.float64]:
+        """scale * (derivative of the dual field) at primary points."""
+        return _apply(self, "d_v", values, axis, out, scale, add, scratch, self.n, self.n)
+
+    def _make_kernel(self, kind: str, scale: float) -> _PeriodicKernel:
+        # d^p row j starts at primary point j - 1, d^v row i at dual point i - 2
+        return _PeriodicKernel(self.n, self.dx, 1 if kind == "d_p" else 2, scale)
 
     def dense_d_p(self) -> NDArray[np.float64]:
         mat = np.zeros((self.n, self.n))

@@ -15,6 +15,7 @@ studies for both the uniform and the two-block discretizations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -450,20 +451,32 @@ def seismogram_misfit(trace_a, trace_b) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
+def _scenario_trace(name: str, n_steps: int, dt: float) -> NDArray[np.float64]:
+    """Receiver trace of a SCENARIOS entry driven by its source."""
+    system, source, receiver = build_scenario(name)
+    result = run(system, TimeGrid(dt, n_steps), sources=[source], receivers=[receiver])
+    return result.seismograms[0]
+
+
+@functools.lru_cache(maxsize=4)
+def _uniform_reference_trace(n_steps: int, dt: float) -> NDArray[np.float64]:
+    """The uniform_gradient trace every agreement check compares against,
+    computed once per (n_steps, dt) and returned read-only."""
+    trace = _scenario_trace("uniform_gradient", n_steps, dt)
+    trace.setflags(write=False)
+    return trace
+
+
 def two_grid_agreement(which: str = "6:5", n_steps: int = 5000,
                        dt: float = 0.0012) -> float:
     """Seismogram misfit between a split-grid run and its uniform reference.
 
     which='6:5' compares the smooth-gradient 6:5 stack against the uniform
     fine grid; which='1:1' the degenerate conforming split; which='2:1' the
-    aggressively coarsened bottom block, all against the same uniform grid.
+    aggressively coarsened bottom block, all against the same uniform grid,
+    whose trace is computed once per (n_steps, dt).
     """
     split = {"6:5": "smooth_gradient_6to5", "1:1": "degenerate_split_1to1",
              "2:1": "coarsened_split_2to1"}[which]
-    traces = []
-    for name in (split, "uniform_gradient"):
-        system, source, receiver = build_scenario(name)
-        result = run(system, TimeGrid(dt, n_steps), sources=[source],
-                     receivers=[receiver])
-        traces.append(result.seismograms[0])
-    return seismogram_misfit(traces[0], traces[1])
+    return seismogram_misfit(_scenario_trace(split, n_steps, dt),
+                             _uniform_reference_trace(n_steps, dt))

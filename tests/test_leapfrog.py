@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from stagwave.leapfrog import (ReceiverSpec, SimState, SourceSpec, TimeGrid,
                                find_cfl, ricker, run, step_backward,
                                step_forward)
 from stagwave.assembly import PeriodicSystem1D, assemble_1d_boundary_system
-from stagwave.verification import (_standing_state, state_error,
+from stagwave.verification import (_standing_state, build_scenario, state_error,
                                    uniform_standing_system)
 
 
@@ -101,6 +103,24 @@ def test_energy_record_is_bounded_sampling_ripple():
         devs.append(np.abs(e - e.mean()).max() / e.mean())
     assert devs[0] <= 5e-3
     assert devs[1] <= 0.7 * devs[0]
+
+
+def test_step_allocates_no_field_sized_arrays(rng):
+    # the rates are written into buffers the system owns and the fields are
+    # updated in place, so a step's transient memory stays below one field
+    system, source, _ = build_scenario("two_layer_2to1")
+    state = SimState(*system.random_state(rng))
+    for _ in range(3):
+        step_forward(system, state, 1e-3, [(source, 1.0)])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            step_forward(system, state, 1e-3, [(source, 1.0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < min(p.nbytes for p in state.pressures)
 
 
 def test_find_cfl_periodic_1d():

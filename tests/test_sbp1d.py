@@ -100,6 +100,45 @@ def test_apply_along_second_axis():
                                field @ ops.dense_d_p().T, rtol=0, atol=1e-13)
 
 
+KERNEL_OPERATORS = [build_sbp_1d(13, 0.37), build_periodic_1d(11, 0.37)]
+
+
+@pytest.mark.parametrize("ops", KERNEL_OPERATORS, ids=["bounded", "periodic"])
+@pytest.mark.parametrize("kind", ["d_p", "d_v"])
+def test_kernel_matches_dense_on_both_axes(ops, kind):
+    dense = getattr(ops, f"dense_{kind}")()
+    apply = getattr(ops, f"apply_{kind}")
+    field = np.random.default_rng(2).standard_normal((dense.shape[1], 7))
+    np.testing.assert_allclose(apply(field, axis=0), dense @ field, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(apply(field.T.copy(), axis=1), (dense @ field).T,
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("ops", KERNEL_OPERATORS, ids=["bounded", "periodic"])
+@pytest.mark.parametrize("kind", ["d_p", "d_v"])
+def test_kernel_accumulates_into_nonzero_out(ops, kind):
+    dense = getattr(ops, f"dense_{kind}")()
+    apply = getattr(ops, f"apply_{kind}")
+    rng = np.random.default_rng(3)
+    field = rng.standard_normal((dense.shape[1], 7))
+    start = rng.standard_normal((dense.shape[0], 7))
+    out = start.copy()
+    assert apply(field, 0, out, scale=-1.5, add=True) is out
+    np.testing.assert_allclose(out, start - 1.5 * dense @ field, rtol=0, atol=1e-13)
+    out = start.T.copy()
+    apply(field.T.copy(), 1, out, scale=-1.5, add=True, scratch=np.empty((7, dense.shape[1])))
+    np.testing.assert_allclose(out, (start - 1.5 * dense @ field).T, rtol=0, atol=1e-13)
+
+
+def test_kernel_rejects_a_scratch_unlike_the_input():
+    ops = build_sbp_1d(11, 1.0)
+    field = np.ones((4, 11))
+    with pytest.raises(DomainError):
+        ops.apply_d_p(field, axis=1, scratch=np.empty((4, 10)))
+    with pytest.raises(DomainError):
+        ops.apply_d_p(field, axis=1, scratch=np.empty((11, 4)).T)
+
+
 def test_build_rejects_bad_sizes():
     with pytest.raises(DomainError):
         build_sbp_1d(8, 1.0)

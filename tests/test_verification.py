@@ -156,3 +156,19 @@ def test_shipped_config_builds_its_scenario(name, rng):
         assert np.array_equal(x, y)
     for x, y in zip(a.velocity_rates(prs), b.velocity_rates(prs), strict=True):
         assert np.array_equal(x, y)
+
+
+def test_two_grid_agreement_builds_the_uniform_reference_once(monkeypatch):
+    from stagwave import verification
+    built = []
+
+    def counting_build(name):
+        built.append(name)
+        return build_scenario(name)
+
+    monkeypatch.setattr(verification, "build_scenario", counting_build)
+    verification._uniform_reference_trace.cache_clear()
+    for which in ("6:5", "2:1"):
+        assert verification.two_grid_agreement(which, n_steps=20) >= 0.0
+    assert built.count("uniform_gradient") == 1
+    assert built.count("smooth_gradient_6to5") == built.count("coarsened_split_2to1") == 1
