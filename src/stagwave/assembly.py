@@ -28,8 +28,10 @@ Every system allocates one rate buffer per field at construction, and the
 penalty weights, signs included, are computed then too. `pressure_rates`
 and `velocity_rates` write into those buffers and return them; the caller
 may scale them in place. A result is valid until the next call of either
-rate method, because the 2D systems' y differences use the other method's
-buffers as scratch.
+rate method, because the 2D systems' differences use the other method's
+buffers as scratch. For the same reason one method's result cannot be
+passed to the other: the difference kernel raises `DomainError` rather than
+overwrite its own input.
 """
 
 from __future__ import annotations
@@ -398,10 +400,10 @@ class SemiDiscreteSystem:
 
     def pressure_rates(self, vel):
         """d/dt of pressure fields given velocity fields [U0, V0, (U1, V1)]."""
-        for b, dp, u, v, scratch in zip(self.blocks, self._dp, vel[0::2], vel[1::2],
-                                        self._dvel[1::2]):
-            b.y_ops.apply_d_v(v, 1, dp, -1.0, scratch=scratch)
-            b.x_ops.apply_d_v(u, 0, dp, -1.0, add=True)
+        for b, dp, u, v, du, dv in zip(self.blocks, self._dp, vel[0::2], vel[1::2],
+                                       self._dvel[0::2], self._dvel[1::2]):
+            b.y_ops.apply_d_v(v, 1, dp, -1.0, scratch=dv)
+            b.x_ops.apply_d_v(u, 0, dp, -1.0, add=True, scratch=du)
         if len(self.blocks) == 2:
             self._int_p(vel[1], vel[3], *self._dp)
         for b, dp in zip(self.blocks, self._dp):
@@ -545,7 +547,7 @@ class PeriodicSystem2D:
     def pressure_rates(self, vel):
         u, v = vel
         self.y_ops.apply_d_v(v, 1, self._dp[0], -1.0, scratch=self._dvel[1])
-        self.x_ops.apply_d_v(u, 0, self._dp[0], -1.0, add=True)
+        self.x_ops.apply_d_v(u, 0, self._dp[0], -1.0, add=True, scratch=self._dvel[0])
         return self._dp
 
     def velocity_rates(self, prs):

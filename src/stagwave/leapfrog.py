@@ -9,10 +9,9 @@ roundoff.
 
 Sources are collocated on single pressure points and injected as
 dt * amplitude * wavelet(t + dt/2) during the pressure update, matching the
-half-level sampling of the scheme. `run` samples each source's wavelet once,
-on the vector of half-level times, and each step injects its sample. The
-discrete energy is recorded at half levels with the pressure averaged over
-the two adjacent integer levels.
+half-level sampling of the scheme. The discrete energy is recorded at half
+levels with the pressure averaged over the two adjacent integer levels, in
+one buffer reused every step.
 
 A step updates the fields in place: the system's rate buffers are scaled by
 dt and added to the fields, so stepping allocates no field-sized arrays.
@@ -57,9 +56,8 @@ class SourceSpec:
     t0: float = 0.0
     amplitude: float = 1.0
 
-    def value(self, t):
-        """Source time function at time(s) t: amplitude * Ricker wavelet."""
-        return self.amplitude * ricker(t, self.f0, self.t0)
+    def value(self, t) -> float:
+        return self.amplitude * float(ricker(t, self.f0, self.t0))
 
 
 @dataclass(frozen=True)
@@ -80,18 +78,18 @@ class SimState:
     t_p: float = 0.0
 
 
-def step_forward(system, state: SimState, dt: float, injections=()):
+def step_forward(system, state: SimState, dt: float, sources=()):
     """Advance one step: pressure to t+dt, then velocities to t+3dt/2.
 
-    `injections` holds (source, value) pairs: each adds dt * value at its
-    source's pressure point, after the pressure update. The rates the system
-    returns are scaled in place (`dp *= dt`) before they are added.
+    The rates the system returns are scaled in place (`dp *= dt`) before they
+    are added to the fields.
     """
+    t_half = state.t_p + 0.5 * dt
     for p, dp in zip(state.pressures, system.pressure_rates(state.velocities)):
         dp *= dt
         p += dp
-    for s, value in injections:
-        state.pressures[s.block][s.ix, s.iy] += dt * value
+    for s in sources:
+        state.pressures[s.block][s.ix, s.iy] += dt * s.value(t_half)
     for v, dv in zip(state.velocities, system.velocity_rates(state.pressures)):
         dv *= dt
         v += dv
@@ -138,10 +136,6 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     if state is None:
         state = SimState(*system.zero_state())
     t_start = state.t_p
-    times = t_start + dt * np.arange(n + 1)
-    energy_times = t_start + dt * (np.arange(n) + 0.5)
-    sources = tuple(sources)
-    wavelets = [s.value(energy_times) for s in sources]
     receivers = tuple(receivers)
     traces = np.zeros((len(receivers), n + 1))
     for r_i, r in enumerate(receivers):
@@ -152,7 +146,7 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
         if record_energy:
             for h, p in zip(p_half, state.pressures):
                 np.copyto(h, p)
-        step_forward(system, state, dt, [(s, w[it]) for s, w in zip(sources, wavelets)])
+        step_forward(system, state, dt, sources)
         if record_energy:
             for h, p in zip(p_half, state.pressures):
                 h += p
@@ -160,6 +154,8 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
             energy[it] = system.energy(p_half, state.velocities)
         for r_i, r in enumerate(receivers):
             traces[r_i, it + 1] = state.pressures[r.block][r.ix, r.iy]
+    times = t_start + dt * np.arange(n + 1)
+    energy_times = t_start + dt * (np.arange(n) + 0.5)
     return RunResult(times=times, seismograms=traces, energy_times=energy_times,
                      energy=energy, final_state=state, receivers=receivers)
 

@@ -90,30 +90,19 @@ _WRAP = np.array([[*_ST, 0, 0], [0, *_ST, 0], [0, 0, *_ST]])
 # in-place application kernel
 # ---------------------------------------------------------------------------
 
-def _interior(w0, w1, w2, w3, out, s: float, add: bool) -> None:
-    """out (+)= s * (w0 - w3 + 27 (w2 - w1)), in place, with no temporaries.
+def _interior(w0, w1, w2, w3, out, s: float) -> None:
+    """out = s * (w0 - w3 + 27 (w2 - w1)), in place, with no temporaries.
 
     This is the interior stencil (1, -27, 27, -1)/24 with 1/24, the grid
     spacing and the scale folded into s. Its weights relative to 1/24 are
     integers, so a unit input gives s and 27 s, the dense operator's entries
-    up to one rounding of 27 s. To add, the running sum is divided by s and
-    the (w0 - w3) part by 27 first: three more roundings of the sum, and no
-    buffer.
+    up to one rounding of 27 s.
     """
-    if add:
-        out *= 1.0 / s
-        out += w0
-        out -= w3
-        out *= 1.0 / 27.0
-        out += w2
-        out -= w1
-        out *= 27.0 * s
-    else:
-        np.subtract(w2, w1, out=out)
-        out *= 27.0
-        out += w0
-        out -= w3
-        out *= s
+    np.subtract(w2, w1, out=out)
+    out *= 27.0
+    out += w0
+    out -= w3
+    out *= s
 
 
 class _Kernel:
@@ -125,86 +114,99 @@ class _Kernel:
     `out` on contiguous blocks of rows. Along axis 1 the rows are columns,
     which numpy walks with slow, buffered strided loops; there the stencil
     runs on the flattened input, into `scratch` (laid out like the input),
-    and one copy moves the columns whose four points lie in one row into
-    `out`. Subclasses add the edge rows.
+    and one copy (or sum) moves the columns whose four points lie in one row
+    into `out`. To add along axis 0, the stencil runs into the first m rows
+    of `scratch` and one contiguous sum moves them into `out`. Subclasses add
+    the edge rows. The scale is folded into the stencil's scalar and into the
+    edge products at call time.
     """
 
-    def __init__(self, lo: int, first: int, m: int, dx: float, scale: float):
-        self.s = scale * (_ST[0] / dx)
+    def __init__(self, lo: int, first: int, m: int, dx: float):
+        self.s = _ST[0] / dx
         self.out_rows = slice(lo, lo + m)
+        self.scratch_rows = slice(0, m)
         self.in_rows = [slice(first + j, first + j + m) for j in range(4)]
         self.cols = (slice(None), self.out_rows)
         self.flat_start = lo - first
 
-    def __call__(self, w, out, axis: int, add: bool, scratch) -> None:
+    def __call__(self, w, out, axis: int, scale: float, add: bool, scratch) -> None:
+        s = self.s * scale
         if axis == 0:
             r0, r1, r2, r3 = self.in_rows
-            _interior(w[r0], w[r1], w[r2], w[r3], out[self.out_rows], self.s, add)
+            if add:
+                dest = scratch[self.scratch_rows]
+                _interior(w[r0], w[r1], w[r2], w[r3], dest, s)
+                out[self.out_rows] += dest
+            else:
+                _interior(w[r0], w[r1], w[r2], w[r3], out[self.out_rows], s)
         else:
             flat, n = w.reshape(-1), w.size
             start = self.flat_start
             _interior(flat[:n - 3], flat[1:n - 2], flat[2:n - 1], flat[3:],
-                      scratch.reshape(-1)[start:start + n - 3], self.s, False)
+                      scratch.reshape(-1)[start:start + n - 3], s)
             if add:
                 out[self.cols] += scratch[self.cols]
             else:
                 out[self.cols] = scratch[self.cols]
-        self._edges(w, out, axis, add)
+        self._edges(w, out, axis, scale, add)
 
 
-def _product(mat, w, out, axis: int, add: bool) -> None:
-    """out (+)= mat applied along `axis` of w (a few rows: small temporaries)."""
-    if axis == 0:
-        prod = np.matmul(mat, w, out=None if add else out)
-    else:
-        prod = np.matmul(w, mat.T, out=None if add else out)
+def _product(mat, w, out, axis: int, scale: float, add: bool) -> None:
+    """out (+)= scale * mat applied along `axis` of w (a few rows: small
+    temporaries)."""
+    prod = mat @ w if axis == 0 else w @ mat.T
+    if scale != 1.0:
+        prod *= scale
     if add:
         out += prod
+    else:
+        out[...] = prod
 
 
 class _BoundedKernel(_Kernel):
     """Bounded operator: each closure is a product with the five input rows
     at its end."""
 
-    def __init__(self, top, bottom, n_in: int, n_out: int, dx: float, scale: float):
+    def __init__(self, top, bottom, n_in: int, n_out: int, dx: float):
         k = top.shape[0]
-        super().__init__(k, 2, n_out - 2 * k, dx, scale)
-        self.top = scale * (top / dx)
-        self.bottom = scale * (bottom / dx)
+        super().__init__(k, 2, n_out - 2 * k, dx)
+        self.top = top / dx
+        self.bottom = bottom / dx
         rows = [slice(0, k), slice(0, 5), slice(n_out - k, n_out), slice(n_in - 5, n_in)]
         self.edge_index = (rows, [(slice(None), r) for r in rows])   # by axis
 
-    def _edges(self, w, out, axis: int, add: bool) -> None:
+    def _edges(self, w, out, axis: int, scale: float, add: bool) -> None:
         o_top, i_top, o_bot, i_bot = self.edge_index[axis]
-        _product(self.top, w[i_top], out[o_top], axis, add)
-        _product(self.bottom, w[i_bot], out[o_bot], axis, add)
+        _product(self.top, w[i_top], out[o_top], axis, scale, add)
+        _product(self.bottom, w[i_bot], out[o_bot], axis, scale, add)
 
 
 class _PeriodicKernel(_Kernel):
     """Periodic operator: the three rows that wrap are one product with the
     six points around the seam."""
 
-    def __init__(self, n: int, dx: float, lo: int, scale: float):
-        super().__init__(lo, 0, n - 3, dx, scale)
-        self.wrap = scale * (_WRAP / dx)
+    def __init__(self, n: int, dx: float, lo: int):
+        super().__init__(lo, 0, n - 3, dx)
+        self.wrap = _WRAP / dx
         self.seam = np.array([n - 3, n - 2, n - 1, 0, 1, 2])
         self.wrapped = np.arange(lo - 3, lo) % n
 
-    def _edges(self, w, out, axis: int, add: bool) -> None:
+    def _edges(self, w, out, axis: int, scale: float, add: bool) -> None:
         seam = np.take(w, self.seam, axis=axis)
         rows = (slice(None), self.wrapped) if axis else self.wrapped
         wrapped = seam @ self.wrap.T if axis else self.wrap @ seam
+        if scale != 1.0:
+            wrapped *= scale
         if add:
             out[rows] += wrapped
         else:
             out[rows] = wrapped
 
 
-def _apply(ops, kind: str, values, axis: int, out, scale: float, add: bool, scratch,
+def _apply(kernel: _Kernel, values, axis: int, out, scale: float, add: bool, scratch,
            n_in: int, n_out: int) -> NDArray[np.float64]:
     """Shared body of every `apply_d_*`: check the arrays, allocate `out` and
-    `scratch` where needed, and run the operator's cached kernel for
-    (kind, scale)."""
+    `scratch` where needed, and run the operator's kernel."""
     w = np.asarray(values, dtype=float)
     if w.ndim > 2 or axis not in range(w.ndim):
         raise DomainError(f"cannot apply along axis {axis} of a {w.ndim}D array")
@@ -214,15 +216,16 @@ def _apply(ops, kind: str, values, axis: int, out, scale: float, add: bool, scra
         if add:
             raise DomainError("add=True needs an out array to add to")
         out = np.empty(w.shape[:axis] + (n_out,) + w.shape[axis + 1:])
-    if axis == 1:
+    elif np.may_share_memory(out, w):
+        raise DomainError("out must not share memory with the input")
+    if axis == 1 or add:
         if scratch is None:
             scratch = np.empty(w.shape)
         elif scratch.shape != w.shape or not scratch.flags.c_contiguous:
             raise DomainError("scratch must be a C-contiguous array shaped like the input")
-    kernel = ops._kernels.get((kind, scale))
-    if kernel is None:
-        kernel = ops._kernels[kind, scale] = ops._make_kernel(kind, scale)
-    kernel(w, out, axis, add, scratch)
+        elif np.may_share_memory(scratch, w) or np.may_share_memory(scratch, out):
+            raise DomainError("scratch must not share memory with the input or out")
+    kernel(w, out, axis, scale, add, scratch)
     return out
 
 
@@ -246,13 +249,19 @@ class SbpOperatorSet1D:
     proj_left: NDArray[np.float64]
     proj_right: NDArray[np.float64]
 
+    _d_v: _BoundedKernel = field(init=False, repr=False, compare=False)
+    _d_p: _BoundedKernel = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, dx = self.n_p, self.dx
+        object.__setattr__(self, "_d_v", _BoundedKernel(_DV_TOP, _DV_BOT, n - 1, n, dx))
+        object.__setattr__(self, "_d_p", _BoundedKernel(_DP_TOP, _DP_BOT, n, n - 1, dx))
+
     @property
     def n_v(self) -> int:
         return self.n_p - 1
 
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    # -- application: the in-place kernel, one per (operator, scale) --
+    # -- application: the in-place kernel --
 
     def apply_d_v(self, values, axis: int = 0, out=None, scale: float = 1.0,
                   add: bool = False, scratch=None) -> NDArray[np.float64]:
@@ -260,23 +269,19 @@ class SbpOperatorSet1D:
 
         `values` is 1D or 2D. With `out`, the result is written into it (added
         to it with `add`) and `out` is returned; otherwise a new array is.
-        Along axis 1, `scratch` (a C-contiguous array shaped like `values`,
-        overwritten) saves allocating one.
+        Along axis 1, and to add along axis 0, `scratch` (a C-contiguous
+        array shaped like `values`, overwritten) saves allocating one. Neither `out` nor `scratch` may
+        share memory with `values`: the kernel would overwrite its own input.
         """
-        return _apply(self, "d_v", values, axis, out, scale, add, scratch,
+        return _apply(self._d_v, values, axis, out, scale, add, scratch,
                       self.n_p - 1, self.n_p)
 
     def apply_d_p(self, values, axis: int = 0, out=None, scale: float = 1.0,
                   add: bool = False, scratch=None) -> NDArray[np.float64]:
         """scale * (d^p values) along `axis`: primary values in, dual points
         out; `out`, `add` and `scratch` as in `apply_d_v`."""
-        return _apply(self, "d_p", values, axis, out, scale, add, scratch,
+        return _apply(self._d_p, values, axis, out, scale, add, scratch,
                       self.n_p, self.n_p - 1)
-
-    def _make_kernel(self, kind: str, scale: float) -> _BoundedKernel:
-        if kind == "d_v":
-            return _BoundedKernel(_DV_TOP, _DV_BOT, self.n_p - 1, self.n_p, self.dx, scale)
-        return _BoundedKernel(_DP_TOP, _DP_BOT, self.n_p, self.n_p - 1, self.dx, scale)
 
     # -- dense and exact materializations (tests, certificates, dumps) --
 
@@ -357,28 +362,29 @@ class PeriodicOperatorSet1D:
 
     n: int
     dx: float
+    _d_p: _PeriodicKernel = field(init=False, repr=False, compare=False)
+    _d_v: _PeriodicKernel = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # d^p row j starts at primary point j - 1, d^v row i at dual point i - 2
+        object.__setattr__(self, "_d_p", _PeriodicKernel(self.n, self.dx, 1))
+        object.__setattr__(self, "_d_v", _PeriodicKernel(self.n, self.dx, 2))
 
     @property
     def a_weight(self) -> float:
         """Uniform diagonal norm entry (primary and dual alike)."""
         return self.dx
 
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
     def apply_d_p(self, values, axis: int = 0, out=None, scale: float = 1.0,
                   add: bool = False, scratch=None) -> NDArray[np.float64]:
         """scale * (derivative of the primary field) at dual points; `out`,
         `add` and `scratch` as in `SbpOperatorSet1D.apply_d_v`."""
-        return _apply(self, "d_p", values, axis, out, scale, add, scratch, self.n, self.n)
+        return _apply(self._d_p, values, axis, out, scale, add, scratch, self.n, self.n)
 
     def apply_d_v(self, values, axis: int = 0, out=None, scale: float = 1.0,
                   add: bool = False, scratch=None) -> NDArray[np.float64]:
         """scale * (derivative of the dual field) at primary points."""
-        return _apply(self, "d_v", values, axis, out, scale, add, scratch, self.n, self.n)
-
-    def _make_kernel(self, kind: str, scale: float) -> _PeriodicKernel:
-        # d^p row j starts at primary point j - 1, d^v row i at dual point i - 2
-        return _PeriodicKernel(self.n, self.dx, 1 if kind == "d_p" else 2, scale)
+        return _apply(self._d_v, values, axis, out, scale, add, scratch, self.n, self.n)
 
     def dense_d_p(self) -> NDArray[np.float64]:
         mat = np.zeros((self.n, self.n))

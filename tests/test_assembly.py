@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import stagwave as sw
-from stagwave.assembly import (SatCoefficients, assemble_1d_boundary_system,
+from stagwave.assembly import (PeriodicSystem2D, SatCoefficients,
+                               assemble_1d_boundary_system,
                                assemble_1d_interface_system, assemble_2d_block,
                                assemble_interface_system,
                                assemble_single_block_system)
@@ -173,6 +174,20 @@ def test_mixed_product_identity_for_q_y():
             + (b.y_ops.a_v[:, None] * b.y_ops.dense_d_p()).T)
     q_expected = np.kron(np.diag(b.ax_p), q_1d)
     np.testing.assert_allclose(q_big, q_expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("make", [lambda: ratio_system(2, 1),
+                                  lambda: PeriodicSystem2D(12, 10, 0.1)],
+                         ids=["two_block", "periodic"])
+def test_composing_the_rate_methods_raises(make, rng):
+    # each 2D system's y differences use the other rate method's buffers as
+    # scratch, so feeding one method's result to the other must not run
+    system = make()
+    prs, vel = system.random_state(rng)
+    with pytest.raises(DomainError):
+        system.pressure_rates(system.velocity_rates(prs))
+    with pytest.raises(DomainError):
+        system.velocity_rates(system.pressure_rates(vel))
 
 
 # ---------------------------------------------------------------------------

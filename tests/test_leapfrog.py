@@ -111,12 +111,12 @@ def test_step_allocates_no_field_sized_arrays(rng):
     system, source, _ = build_scenario("two_layer_2to1")
     state = SimState(*system.random_state(rng))
     for _ in range(3):
-        step_forward(system, state, 1e-3, [(source, 1.0)])
+        step_forward(system, state, 1e-3, [source])
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         for _ in range(20):
-            step_forward(system, state, 1e-3, [(source, 1.0)])
+            step_forward(system, state, 1e-3, [source])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -139,6 +139,18 @@ def test_kernel_rejects_a_scratch_unlike_the_input():
         ops.apply_d_p(field, axis=1, scratch=np.empty((11, 4)).T)
 
 
+def test_kernel_rejects_out_or_scratch_sharing_the_input():
+    ops = build_periodic_1d(11, 1.0)
+    field = np.ones((11, 11))
+    with pytest.raises(DomainError):
+        ops.apply_d_p(field, axis=0, out=field)
+    with pytest.raises(DomainError):
+        ops.apply_d_p(field, axis=1, out=np.empty((11, 11)), scratch=field)
+    out = np.empty((11, 11))
+    with pytest.raises(DomainError):
+        ops.apply_d_p(field, axis=1, out=out, scratch=out)
+
+
 def test_build_rejects_bad_sizes():
     with pytest.raises(DomainError):
         build_sbp_1d(8, 1.0)
