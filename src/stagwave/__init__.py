@@ -8,7 +8,7 @@ from .assembly import (SatCoefficients, SemiDiscreteSystem,
                        assemble_1d_boundary_system, assemble_1d_interface_system,
                        assemble_2d_block, assemble_interface_system,
                        assemble_single_block_system, free_surface_velocity_sats,
-                       free_surface_x_sats, interface_sat_terms)
+                       interface_sat_terms)
 from .errors import (ConfigError, DomainError, FormatError,
                      InfeasibleStencilError, MisalignmentError,
                      OutOfCoverageError, SizeError, StagwaveError,

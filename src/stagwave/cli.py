@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .assembly import assemble_1d_boundary_system, PeriodicSystem1D, PeriodicSystem2D
+from .assembly import (BlockOperators, SemiDiscreteSystem, assemble_1d_boundary_system,
+                       assemble_1d_interface_system)
 from .config import build_run, parse_config
 from .errors import (ConfigError, StagwaveError, UnsupportedRatioError,
                      VerificationFailure)
@@ -197,7 +198,6 @@ def _verify_energy() -> list[tuple]:
     sys1 = assemble_1d_boundary_system(ops)
     r = energy_rate_oracle(sys1, seed=rng_seed)
     records.append(_check("energy/1d-boundary", r <= 1e-12, f"max rate {r:.3e}", r, 1e-12))
-    from .assembly import assemble_1d_interface_system
     sys2 = assemble_1d_interface_system(build_sbp_1d(17, 1 / 16), build_sbp_1d(33, 1 / 32))
     r = energy_rate_oracle(sys2, seed=rng_seed)
     records.append(_check("energy/1d-interface", r <= 1e-12, f"max rate {r:.3e}", r, 1e-12))
@@ -247,11 +247,11 @@ def _verify_cfl() -> list[tuple]:
 def _cfl_search(name: str, n: int = 32):
     dx = 1.0 / n
     if name == "1d-periodic":
-        system = PeriodicSystem1D(build_periodic_1d(n, dx))
+        system = SemiDiscreteSystem([BlockOperators([build_periodic_1d(n, dx)])])
     elif name == "1d-sat":
         system = assemble_1d_boundary_system(build_sbp_1d(n + 1, dx))
     elif name == "2d-periodic":
-        system = PeriodicSystem2D(n, n, dx)
+        system = SemiDiscreteSystem([BlockOperators([build_periodic_1d(n, dx)] * 2)])
     elif name == "2d-sat":
         system = assemble_single_block_system(build_block_2d(0, 1, n, 0, 1, n + 1))
     else:

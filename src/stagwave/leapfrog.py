@@ -122,8 +122,7 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     """Integrate the system, recording receiver traces and optionally energy.
 
     Args:
-        system: any object with pressure_rates/velocity_rates (and energy if
-            record_energy is requested, zero_state if no state is given).
+        system: SemiDiscreteSystem (its rate buffers are scaled in place).
         time_grid: step length and count.
         sources: SourceSpec sequence (pressure injections).
         receivers: ReceiverSpec sequence; traces include the initial sample.

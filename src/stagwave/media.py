@@ -33,11 +33,9 @@ class ConstantMedium:
 
 @dataclass(frozen=True)
 class TwoLayerMedium:
-    """Piecewise-constant stack split at y = split_y.
-
-    Points exactly on the split take the side indicated per evaluation; a
-    block whose interior lies below the split samples its own (bottom) values
-    on the shared interface row, and vice versa.
+    """Piecewise-constant stack split at y = split_y; points exactly on the
+    split take the top values (`sample_coefficients` resolves a block's
+    points on the split by the block's own side).
     """
 
     split_y: float
@@ -46,14 +44,12 @@ class TwoLayerMedium:
     rho_bottom: float
     c_bottom: float
 
-    def rho_at(self, x, y, prefer_top_at_split: bool = True):
-        y = np.asarray(y, dtype=float)
-        top = (y > self.split_y) | ((y == self.split_y) & prefer_top_at_split)
+    def rho_at(self, x, y):
+        top = np.asarray(y, dtype=float) >= self.split_y
         return np.where(top, self.rho_top, self.rho_bottom) * np.ones_like(np.asarray(x, float))
 
-    def c_at(self, x, y, prefer_top_at_split: bool = True):
-        y = np.asarray(y, dtype=float)
-        top = (y > self.split_y) | ((y == self.split_y) & prefer_top_at_split)
+    def c_at(self, x, y):
+        top = np.asarray(y, dtype=float) >= self.split_y
         return np.where(top, self.c_top, self.c_bottom) * np.ones_like(np.asarray(x, float))
 
 
@@ -184,30 +180,30 @@ class CoefficientDiagonals:
 def sample_coefficients(medium: Medium, block: StaggeredBlock2D) -> CoefficientDiagonals:
     """Sample a medium onto one block's three subgrids.
 
-    For a two-layer medium, points exactly on the split sample the side that
-    holds the block's mid-height, and every other point samples by its own
-    position. The shared row of a layout split at the material interface so
-    takes each block's own side; a block may also straddle the split, as a
-    glued 1:1 layout does when its shared row lies off the split.
+    For a two-layer medium, points exactly on the split are sampled at the
+    block's mid-height, so they take the side that holds it, and every other
+    point samples by its own position. The shared row of a layout split at
+    the material interface so takes each block's own side; a block may also
+    straddle the split, as a glued 1:1 layout does when its shared row lies
+    off the split.
     """
-    kwargs = {}
-    if isinstance(medium, TwoLayerMedium):
-        mid = 0.5 * (float(block.grid_y.x_left) + float(block.grid_y.x_right))
-        kwargs["prefer_top_at_split"] = mid >= medium.split_y
+    mid = 0.5 * (float(block.grid_y.x_left) + float(block.grid_y.x_right))
 
     def grids(field):
         xs, ys = block.subgrid_coords(field)
+        if isinstance(medium, TwoLayerMedium):
+            ys = np.where(ys == medium.split_y, mid, ys)
         return np.meshgrid(xs, ys, indexing="ij")
 
     xp, yp = grids("p")
-    rho_p = medium.rho_at(xp, yp, **kwargs)
-    c_p = medium.c_at(xp, yp, **kwargs)
+    rho_p = medium.rho_at(xp, yp)
+    c_p = medium.c_at(xp, yp)
     xu, yu = grids("u")
     xv, yv = grids("v")
     diag = CoefficientDiagonals(
         c_p=1.0 / (rho_p * c_p**2),
-        c_u=medium.rho_at(xu, yu, **kwargs),
-        c_v=medium.rho_at(xv, yv, **kwargs),
+        c_u=medium.rho_at(xu, yu),
+        c_v=medium.rho_at(xv, yv),
     )
     for name in ("c_p", "c_u", "c_v"):
         if not np.all(getattr(diag, name) > 0):

@@ -375,6 +375,13 @@ class PeriodicOperatorSet1D:
         """Uniform diagonal norm entry (primary and dual alike)."""
         return self.dx
 
+    @property
+    def a_p(self) -> NDArray[np.float64]:
+        """Diagonal norm weights, primary and dual alike: n entries of dx."""
+        return np.full(self.n, self.dx)
+
+    a_v = a_p
+
     def apply_d_p(self, values, axis: int = 0, out=None, scale: float = 1.0,
                   add: bool = False, scratch=None) -> NDArray[np.float64]:
         """scale * (derivative of the primary field) at dual points; `out`,

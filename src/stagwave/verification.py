@@ -22,12 +22,13 @@ from fractions import Fraction
 import numpy as np
 from numpy.typing import NDArray
 
-from .assembly import (SemiDiscreteSystem, assemble_interface_system,
+from .assembly import (BlockOperators, SemiDiscreteSystem, assemble_interface_system,
                        assemble_single_block_system)
 from .config import RunConfig, build_run, validate_config
 from .errors import DomainError, SizeError
 from .grids import build_block_2d, build_layout
 from .leapfrog import SimState, TimeGrid, run
+from .sbp1d import SbpOperatorSet1D
 
 SQRT2 = np.sqrt(2.0)
 
@@ -99,7 +100,7 @@ def state_error(system: SemiDiscreteSystem, state: SimState, t_p: float,
         fields += [state.pressures[i], state.velocities[2 * i], state.velocities[2 * i + 1]]
         exact += [standing_p(xp, yp, t_p), standing_u(xu, yu, t_vel),
                   standing_v(xv, yv, t_vel)]
-        weights += [b.w_p, b.w_u, b.w_v]
+        weights += b.weights
     return weighted_l2_error(fields, exact, weights)
 
 
@@ -236,9 +237,9 @@ def convergence_study(scenario: str, sizes=(16, 32, 64, 128), dt: float = 1e-5,
 
 def _check_cap(system: SemiDiscreteSystem):
     for b in system.blocks:
-        if b.block.p_shape[0] * b.block.p_shape[1] > DENSE_CAP:
+        if b.weights[0].size > DENSE_CAP:
             raise SizeError(
-                f"block with {b.block.p_shape} pressure points exceeds the "
+                f"block with {b.shapes[0]} pressure points exceeds the "
                 f"{DENSE_CAP}-point dense cap"
             )
 
@@ -246,24 +247,16 @@ def _check_cap(system: SemiDiscreteSystem):
 def with_random_coefficients(system: SemiDiscreteSystem, rng,
                              low: float = 0.5, high: float = 2.0) -> SemiDiscreteSystem:
     """Copy of a system with random positive material diagonals per block."""
-    from .assembly import BlockOperators2D
-    from .media import CoefficientDiagonals
-    blocks = []
-    for b in system.blocks:
-        blk = b.block
-        coeffs = CoefficientDiagonals(
-            c_p=rng.uniform(low, high, blk.p_shape),
-            c_u=rng.uniform(low, high, blk.u_shape),
-            c_v=rng.uniform(low, high, blk.v_shape))
-        blocks.append(BlockOperators2D(blk, coeffs))
+    blocks = [BlockOperators(b.ops, [rng.uniform(low, high, shape) for shape in b.shapes],
+                             b.block) for b in system.blocks]
     return SemiDiscreteSystem(blocks, transfer=system.transfer, coeffs=system.coeffs)
 
 
-def energy_rate_oracle(system, n_states: int = 100, seed: int = 0) -> float:
+def energy_rate_oracle(system: SemiDiscreteSystem, n_states: int = 100,
+                       seed: int = 0) -> float:
     """Max relative |dE/dt| over random states (zero up to roundoff when the
     penalties are at their energy-conserving values)."""
-    if isinstance(system, SemiDiscreteSystem):
-        _check_cap(system)
+    _check_cap(system)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_states):
@@ -272,109 +265,92 @@ def energy_rate_oracle(system, n_states: int = 100, seed: int = 0) -> float:
     return worst
 
 
+def _unit(n: int, i: int) -> NDArray[np.float64]:
+    e = np.zeros(n)
+    e[i] = 1.0
+    return e
+
+
+def _along(mat, axis: int, shape) -> NDArray[np.float64]:
+    """`mat` applied along `axis` of a field whose other axes have the
+    given point counts: its Kronecker product with identities."""
+    return functools.reduce(np.kron, [mat if j == axis else np.eye(n)
+                                      for j, n in enumerate(shape)])
+
+
 def materialize_system(system: SemiDiscreteSystem):
     """Dense (L_vel, L_prs) built independently from Kronecker products.
 
     L_prs maps stacked velocities to stacked pressure rates; L_vel maps
     stacked pressures to stacked velocity rates. Penalty terms are assembled
     from the textbook tensor-product expressions, providing a second route
-    against the sliced matrix-free evaluators.
+    against the sliced matrix-free evaluators. Covers one- and two-axis
+    blocks, bounded or periodic along each axis.
 
     Raises:
         SizeError: any block above the dense cap.
     """
     _check_cap(system)
-    if any(not b.x_periodic for b in system.blocks):
-        raise DomainError("dense route covers periodic-x blocks only")
     blocks = system.blocks
     c = system.coeffs
-    np_kron = np.kron
-
-    def eye(k):
-        return np.eye(k)
-
-    p_sizes = [b.block.p_shape[0] * b.block.p_shape[1] for b in blocks]
-    u_sizes = [b.block.u_shape[0] * b.block.u_shape[1] for b in blocks]
-    v_sizes = [b.block.v_shape[0] * b.block.v_shape[1] for b in blocks]
-    n_p, n_uv = sum(p_sizes), sum(u_sizes) + sum(v_sizes)
-    L_prs = np.zeros((n_p, n_uv))
-    L_vel = np.zeros((n_uv, n_p))
-
-    def u_off(i):
-        return sum(u_sizes[:i]) + sum(v_sizes[:i])
-
-    def v_off(i):
-        return u_off(i) + u_sizes[i]
-
-    def p_off(i):
-        return sum(p_sizes[:i])
-
+    sigmas = ((c.sigma_left, c.sigma_right), (c.sigma_bottom, c.sigma_top))
+    p_off = np.cumsum([0] + [b.weights[0].size for b in blocks])
+    v_off = np.cumsum([0] + [w.size for b in blocks for w in b.weights[1:]])
+    L_prs = np.zeros((p_off[-1], v_off[-1]))
+    L_vel = np.zeros((v_off[-1], p_off[-1]))
+    p_rows = [slice(p_off[i], p_off[i + 1]) for i in range(len(blocks))]
+    v_rows = [slice(v_off[i], v_off[i + 1]) for i in range(len(v_off) - 1)]
+    last_v = []   # each block's last-axis velocity (the interface one)
+    vi = 0
     for i, b in enumerate(blocks):
-        nx, ny = b.block.p_shape
-        dxu = b.x_ops.dense_d_v()
-        dxp = b.x_ops.dense_d_p()
-        dyv = b.y_ops.dense_d_v()
-        dyp = b.y_ops.dense_d_p()
-        cp = b.coeffs.c_p.reshape(-1)
-        cu = b.coeffs.c_u.reshape(-1)
-        cv = b.coeffs.c_v.reshape(-1)
-        L_prs[p_off(i):p_off(i) + p_sizes[i], u_off(i):u_off(i) + u_sizes[i]] = \
-            -np_kron(dxu, eye(ny)) / cp[:, None]
-        L_prs[p_off(i):p_off(i) + p_sizes[i], v_off(i):v_off(i) + v_sizes[i]] = \
-            -np_kron(eye(nx), dyv) / cp[:, None]
-        L_vel[u_off(i):u_off(i) + u_sizes[i], p_off(i):p_off(i) + p_sizes[i]] = \
-            -np_kron(dxp, eye(ny)) / cu[:, None]
-        dv_block = -np_kron(eye(nx), dyp)
-        # pressure-free surfaces: outer boundaries only
-        ay_v = b.y_ops.a_v
-        if i == 0:
-            e_b = np.zeros(ny); e_b[0] = 1.0
-            dv_block += c.sigma_bottom * np_kron(
-                eye(nx), np.outer(b.y_ops.proj_left / ay_v, e_b))
-        if i == len(blocks) - 1:
-            e_t = np.zeros(ny); e_t[-1] = 1.0
-            dv_block += c.sigma_top * np_kron(
-                eye(nx), np.outer(b.y_ops.proj_right / ay_v, e_t))
-        L_vel[v_off(i):v_off(i) + v_sizes[i], p_off(i):p_off(i) + p_sizes[i]] = \
-            dv_block / cv[:, None]
+        n_prim = b.shapes[0]
+        cp = b.coefficients[0].reshape(-1)[:, None]
+        for k, ops in enumerate(b.ops):
+            cv = b.coefficients[1 + k].reshape(-1)[:, None]
+            L_prs[p_rows[i], v_rows[vi]] = -_along(ops.dense_d_v(), k, n_prim) / cp
+            d_vel = -ops.dense_d_p()
+            if isinstance(ops, SbpOperatorSet1D):
+                # pressure-free ends: both, except where stacked blocks meet
+                stacked = k == b.ndim - 1
+                if not stacked or i == 0:
+                    d_vel += sigmas[k][0] * np.outer(ops.proj_left / ops.a_v,
+                                                     _unit(n_prim[k], 0))
+                if not stacked or i == len(blocks) - 1:
+                    d_vel += sigmas[k][1] * np.outer(ops.proj_right / ops.a_v,
+                                                     _unit(n_prim[k], -1))
+            L_vel[v_rows[vi], p_rows[i]] = _along(d_vel, k, n_prim) / cv
+            vi += 1
+        last_v.append(vi - 1)
 
     if len(blocks) == 2:
         bm, bp = blocks
+        ym, yp = bm.ops[-1], bp.ops[-1]
         t = system.transfer
-        nxm, nym = bm.block.p_shape
-        nxp, nyp_ = bp.block.p_shape
-        e_im = np.zeros(nym); e_im[-1] = 1.0          # bottom block interface row
-        e_ip = np.zeros(nyp_); e_ip[0] = 1.0          # top block interface row
-        r_m = np_kron(eye(nxm), e_im[None, :])        # restrict P- to interface
-        r_p = np_kron(eye(nxp), e_ip[None, :])
-        pr_m = np_kron(eye(nxm), bm.y_ops.proj_right[None, :])   # project V-
-        pr_p = np_kron(eye(nxp), bp.y_ops.proj_left[None, :])
-        lift_pm = np_kron(eye(nxm), (e_im / bm.y_ops.a_p[-1])[:, None])
-        lift_pp = np_kron(eye(nxp), (e_ip / bp.y_ops.a_p[0])[:, None])
-        lift_vm = np_kron(eye(nxm), (bm.y_ops.proj_right / bm.y_ops.a_v)[:, None])
-        lift_vp = np_kron(eye(nxp), (bp.y_ops.proj_left / bp.y_ops.a_v)[:, None])
-        cpm = bm.coeffs.c_p.reshape(-1)[:, None]
-        cpp = bp.coeffs.c_p.reshape(-1)[:, None]
-        cvm = bm.coeffs.c_v.reshape(-1)[:, None]
-        cvp = bp.coeffs.c_v.reshape(-1)[:, None]
+        ncm, ncp = (int(np.prod(b.shapes[0][:-1])) for b in blocks)   # columns
+        e_im = _unit(bm.shapes[0][-1], -1)            # bottom block interface row
+        e_ip = _unit(bp.shapes[0][-1], 0)             # top block interface row
+        r_m = np.kron(np.eye(ncm), e_im[None, :])     # restrict P- to interface
+        r_p = np.kron(np.eye(ncp), e_ip[None, :])
+        pr_m = np.kron(np.eye(ncm), ym.proj_right[None, :])   # project V-
+        pr_p = np.kron(np.eye(ncp), yp.proj_left[None, :])
+        lift_pm = np.kron(np.eye(ncm), (e_im / ym.a_p[-1])[:, None])
+        lift_pp = np.kron(np.eye(ncp), (e_ip / yp.a_p[0])[:, None])
+        lift_vm = np.kron(np.eye(ncm), (ym.proj_right / ym.a_v)[:, None])
+        lift_vp = np.kron(np.eye(ncp), (yp.proj_left / yp.a_v)[:, None])
+        cpm, cpp = (b.coefficients[0].reshape(-1)[:, None] for b in blocks)
+        cvm, cvp = (b.coefficients[-1].reshape(-1)[:, None] for b in blocks)
+        pm, pp = p_rows
+        vm, vp = (v_rows[j] for j in last_v)
         # pressure equations: penalize the projected-velocity jump
-        L_prs[p_off(0):p_off(0) + p_sizes[0], v_off(1):v_off(1) + v_sizes[1]] += \
-            c.sigma_p_minus * lift_pm @ t.fine_to_coarse @ pr_p / cpm
-        L_prs[p_off(0):p_off(0) + p_sizes[0], v_off(0):v_off(0) + v_sizes[0]] += \
-            -c.sigma_p_minus * lift_pm @ pr_m / cpm
-        L_prs[p_off(1):p_off(1) + p_sizes[1], v_off(1):v_off(1) + v_sizes[1]] += \
-            c.sigma_p_plus * lift_pp @ pr_p / cpp
-        L_prs[p_off(1):p_off(1) + p_sizes[1], v_off(0):v_off(0) + v_sizes[0]] += \
-            -c.sigma_p_plus * lift_pp @ t.coarse_to_fine @ pr_m / cpp
+        L_prs[pm, vp] += c.sigma_p_minus * lift_pm @ t.fine_to_coarse @ pr_p / cpm
+        L_prs[pm, vm] += -c.sigma_p_minus * lift_pm @ pr_m / cpm
+        L_prs[pp, vp] += c.sigma_p_plus * lift_pp @ pr_p / cpp
+        L_prs[pp, vm] += -c.sigma_p_plus * lift_pp @ t.coarse_to_fine @ pr_m / cpp
         # velocity equations: penalize the pressure jump
-        L_vel[v_off(0):v_off(0) + v_sizes[0], p_off(1):p_off(1) + p_sizes[1]] += \
-            c.sigma_v_minus * lift_vm @ t.fine_to_coarse @ r_p / cvm
-        L_vel[v_off(0):v_off(0) + v_sizes[0], p_off(0):p_off(0) + p_sizes[0]] += \
-            -c.sigma_v_minus * lift_vm @ r_m / cvm
-        L_vel[v_off(1):v_off(1) + v_sizes[1], p_off(1):p_off(1) + p_sizes[1]] += \
-            c.sigma_v_plus * lift_vp @ r_p / cvp
-        L_vel[v_off(1):v_off(1) + v_sizes[1], p_off(0):p_off(0) + p_sizes[0]] += \
-            -c.sigma_v_plus * lift_vp @ t.coarse_to_fine @ r_m / cvp
+        L_vel[vm, pp] += c.sigma_v_minus * lift_vm @ t.fine_to_coarse @ r_p / cvm
+        L_vel[vm, pm] += -c.sigma_v_minus * lift_vm @ r_m / cvm
+        L_vel[vp, pp] += c.sigma_v_plus * lift_vp @ r_p / cvp
+        L_vel[vp, pm] += -c.sigma_v_plus * lift_vp @ t.coarse_to_fine @ r_m / cvp
 
     return L_vel, L_prs
 

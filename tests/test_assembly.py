@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 import stagwave as sw
-from stagwave.assembly import (PeriodicSystem2D, SatCoefficients,
+from stagwave.assembly import (BlockOperators, SatCoefficients, SemiDiscreteSystem,
                                assemble_1d_boundary_system,
                                assemble_1d_interface_system, assemble_2d_block,
                                assemble_interface_system,
                                assemble_single_block_system)
 from stagwave.errors import DomainError
-from stagwave.grids import build_block_2d, build_layout
+from stagwave.grids import BOTH_ENDS_PRIMARY, build_block_2d, build_layout
 from stagwave.leapfrog import SimState, step_forward
 from stagwave.transfer import (ElementalStencilPair, tabulated_elemental_pair,
                                tile_periodic)
@@ -53,8 +53,8 @@ def test_1d_interface_system_conserves_energy():
 
 
 def test_1d_interface_zero_coefficients_leak(rng):
-    coeffs = SatCoefficients(tau_int_minus=0.0, tau_int_plus=0.0,
-                             sigma_int_minus=0.0, sigma_int_plus=0.0)
+    coeffs = SatCoefficients(sigma_p_minus=0.0, sigma_p_plus=0.0,
+                             sigma_v_minus=0.0, sigma_v_plus=0.0)
     system = assemble_1d_interface_system(sw.build_sbp_1d(17, 1 / 16),
                                           sw.build_sbp_1d(17, 1 / 16), coeffs)
     prs, vel = system.random_state(rng)
@@ -96,7 +96,7 @@ def test_2d_single_block_interior_pressure_rows_skip_penalties(rng):
     p[:, 0] = 0.0
     p[:, -1] = 0.0
     du, dv = system.velocity_rates([p])
-    np.testing.assert_array_equal(dv, -b.d_y_p(p))
+    np.testing.assert_array_equal(dv, -b.ops[1].apply_d_p(p, axis=1))
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5)])
@@ -138,16 +138,15 @@ def test_d_y_v_exact_on_quadratic():
     xv, yv = b.block.subgrid_coords("v")
     _, yp = b.block.subgrid_coords("p")
     v = np.ones((12, 1)) * (yv**2)[None, :]
-    dv = b.d_y_v(v)
+    dv = b.ops[1].apply_d_v(v, axis=1)
     np.testing.assert_allclose(dv, np.ones((12, 1)) * (2 * yp)[None, :],
                                rtol=0, atol=1e-12)
 
 
 def test_norm_diagonal_sums_to_domain_area():
     b = assemble_2d_block(build_block_2d(0, "0.96", 12, 0, "0.48", 13))
-    assert b.w_p.sum() == pytest.approx(0.96 * 0.48, rel=1e-13)
-    assert b.w_u.sum() == pytest.approx(0.96 * 0.48, rel=1e-13)
-    assert b.w_v.sum() == pytest.approx(0.96 * 0.48, rel=1e-13)
+    for w in b.weights:
+        assert w.sum() == pytest.approx(0.96 * 0.48, rel=1e-13)
 
 
 def test_d_x_p_fourth_order_refinement():
@@ -157,7 +156,7 @@ def test_d_x_p_fourth_order_refinement():
         xs, _ = b.block.subgrid_coords("p")
         xu, _ = b.block.subgrid_coords("u")
         p = np.sin(2 * np.pi * xs)[:, None] * np.ones(n + 1)
-        d = b.d_x_p(p)
+        d = b.ops[0].apply_d_p(p, axis=0)
         errs.append(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * xu)[:, None]).max())
     assert 14.0 <= errs[0] / errs[1] <= 18.0
 
@@ -165,19 +164,22 @@ def test_d_x_p_fourth_order_refinement():
 def test_mixed_product_identity_for_q_y():
     b = assemble_2d_block(build_block_2d(0, 1, 6, 0, 1, 9))
     nx, _ = b.block.p_shape
-    a_p2 = np.kron(np.diag(b.ax_p), np.diag(b.y_ops.a_p))
-    a_v2 = np.kron(np.diag(b.ax_p), np.diag(b.y_ops.a_v))
-    d_y_v = np.kron(np.eye(nx), b.y_ops.dense_d_v())
-    d_y_p = np.kron(np.eye(nx), b.y_ops.dense_d_p())
+    x_ops, y_ops = b.ops
+    a_p2 = np.kron(np.diag(x_ops.a_p), np.diag(y_ops.a_p))
+    a_v2 = np.kron(np.diag(x_ops.a_p), np.diag(y_ops.a_v))
+    d_y_v = np.kron(np.eye(nx), y_ops.dense_d_v())
+    d_y_p = np.kron(np.eye(nx), y_ops.dense_d_p())
     q_big = a_p2 @ d_y_v + (a_v2 @ d_y_p).T
-    q_1d = (b.y_ops.a_p[:, None] * b.y_ops.dense_d_v()
-            + (b.y_ops.a_v[:, None] * b.y_ops.dense_d_p()).T)
-    q_expected = np.kron(np.diag(b.ax_p), q_1d)
+    q_1d = (y_ops.a_p[:, None] * y_ops.dense_d_v()
+            + (y_ops.a_v[:, None] * y_ops.dense_d_p()).T)
+    q_expected = np.kron(np.diag(x_ops.a_p), q_1d)
     np.testing.assert_allclose(q_big, q_expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("make", [lambda: ratio_system(2, 1),
-                                  lambda: PeriodicSystem2D(12, 10, 0.1)],
+                                  lambda: SemiDiscreteSystem([BlockOperators(
+                                      [sw.build_periodic_1d(12, 0.1),
+                                       sw.build_periodic_1d(10, 0.1)])])],
                          ids=["two_block", "periodic"])
 def test_composing_the_rate_methods_raises(make, rng):
     # each 2D system's y differences use the other rate method's buffers as
@@ -209,14 +211,38 @@ def test_matrix_free_equals_dense_two_block(rng, hetero):
     assert np.abs(dv - dv_dense).max() <= 1e-14 * np.abs(dv_dense).max()
 
 
-def test_matrix_free_equals_dense_single_block(rng):
-    system = uniform_standing_system(10)
+def _assert_matrix_free_equals_dense(system, rng):
     l_vel, l_prs = materialize_system(system)
     prs, vel = system.random_state(rng)
     dp = flatten_fields(system.pressure_rates(vel))
     dv = flatten_fields(system.velocity_rates(prs))
     assert np.abs(dp - l_prs @ flatten_fields(vel)).max() <= 1e-13
     assert np.abs(dv - l_vel @ flatten_fields(prs)).max() <= 1e-13
+
+
+def test_matrix_free_equals_dense_single_block(rng):
+    _assert_matrix_free_equals_dense(uniform_standing_system(10), rng)
+
+
+_SYSTEM_KINDS = {
+    "1d_boundary": lambda: assemble_1d_boundary_system(sw.build_sbp_1d(16, 1 / 15)),
+    "1d_interface": lambda: assemble_1d_interface_system(sw.build_sbp_1d(17, 1 / 16),
+                                                         sw.build_sbp_1d(33, 1 / 32)),
+    "1d_periodic": lambda: SemiDiscreteSystem([BlockOperators([sw.build_periodic_1d(16, 0.1)])]),
+    "2d_periodic": lambda: SemiDiscreteSystem([BlockOperators(
+        [sw.build_periodic_1d(12, 0.1), sw.build_periodic_1d(10, 0.1)])]),
+    "2d_sidewalls": lambda: assemble_single_block_system(
+        build_block_2d(0, 1, 11, 0, 1, 13, x_alignment=BOTH_ENDS_PRIMARY)),
+}
+
+
+@pytest.mark.parametrize("hetero", [False, True], ids=["unit", "hetero"])
+@pytest.mark.parametrize("kind", list(_SYSTEM_KINDS))
+def test_matrix_free_equals_dense_on_every_system_kind(rng, kind, hetero):
+    system = _SYSTEM_KINDS[kind]()
+    if hetero:
+        system = with_random_coefficients(system, rng)
+    _assert_matrix_free_equals_dense(system, rng)
 
 
 def test_conforming_split_tracks_single_segment():

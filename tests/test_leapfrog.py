@@ -7,7 +7,8 @@ import stagwave as sw
 from stagwave.leapfrog import (ReceiverSpec, SimState, SourceSpec, TimeGrid,
                                find_cfl, ricker, run, step_backward,
                                step_forward)
-from stagwave.assembly import PeriodicSystem1D, assemble_1d_boundary_system
+from stagwave.assembly import (BlockOperators, SemiDiscreteSystem,
+                               assemble_1d_boundary_system)
 from stagwave.verification import (_standing_state, build_scenario, state_error,
                                    uniform_standing_system)
 
@@ -125,7 +126,7 @@ def test_step_allocates_no_field_sized_arrays(rng):
 
 def test_find_cfl_periodic_1d():
     n = 32
-    system = PeriodicSystem1D(sw.build_periodic_1d(n, 1.0 / n))
+    system = SemiDiscreteSystem([BlockOperators([sw.build_periodic_1d(n, 1.0 / n)])])
     res = find_cfl(system, 1.0 / n)
     assert res.ratio == pytest.approx(6.0 / 7.0, abs=0.005)
     assert res.dt_unstable - res.dt_stable <= 1e-3 / n

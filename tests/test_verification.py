@@ -52,7 +52,7 @@ def test_weighted_l2_error_zero_and_constant():
     zeros = [np.zeros(b.block.p_shape), np.zeros(b.block.u_shape),
              np.zeros(b.block.v_shape)]
     ones = [z + 1.0 for z in zeros]
-    weights = [b.w_p, b.w_u, b.w_v]
+    weights = b.weights
     assert weighted_l2_error(zeros, zeros, weights) == 0.0
     # unit error on every node of three fields over the unit square
     assert weighted_l2_error(ones, zeros, weights) == pytest.approx(np.sqrt(3.0),
@@ -62,7 +62,7 @@ def test_weighted_l2_error_zero_and_constant():
 def test_weighted_l2_error_scales_linearly(rng):
     system = uniform_standing_system(12)
     b = system.blocks[0]
-    weights = [b.w_p, b.w_u, b.w_v]
+    weights = b.weights
     noise = [rng.standard_normal(b.block.p_shape),
              rng.standard_normal(b.block.u_shape),
              rng.standard_normal(b.block.v_shape)]
