@@ -5,12 +5,12 @@ A block (`BlockOperators`) is the tensor product of one 1D operator set per
 axis, bounded or periodic; its operators are never formed, the 1D
 differences are applied along array axes in place. Fields have one array
 axis per block axis; a 2D field's flattening is the column-wise
-linearization (x-major, y fastest). A system (`SemiDiscreteSystem`) is one
-block, or two blocks stacked along their last axis: a 1D segment, two 1D
-segments sharing an interface point, a 2D block, or a coarse 2D block below
-a fine one. Its state is a list of pressure fields, one per block, and a
-list of velocity fields, per block and then per axis: [V], [VL, VR],
-[U, V] or [U0, V0, U1, V1].
+linearization (x-major, y fastest). A system (`SemiDiscreteSystem`) is a
+stack of blocks along their last axis, each consecutive pair coupled
+through its own transfer pair: a 1D segment, 1D segments sharing interface
+points, a 2D block, or 2D blocks refining upward. Its state is a list of
+pressure fields, one per block, and a list of velocity fields, per block
+and then per axis: [V], [VL, VR], [U, V], [U0, V0, U1, V1], and so on.
 
 All penalty terms appear after multiplying the governing equations by the
 inverse norm matrices, at which point the norms of the other axes cancel and
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,25 +245,30 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
 # ---------------------------------------------------------------------------
 
 class SemiDiscreteSystem:
-    """Complete spatial operator for one block or a two-block stack.
+    """Complete spatial operator for a stack of blocks, each consecutive
+    pair coupled through its own transfer pair.
 
     Blocks are ordered bottom-first (left-first for one-axis blocks) and
-    stack along their last axis. Pressure fields live at integer time
-    levels, velocity fields at half levels; `pressure_rates` consumes
-    velocities and `velocity_rates` consumes pressures, which is exactly the
-    split the staggered leapfrog needs. The rates are written into buffers
-    the system owns (see the module docstring for how long they are valid).
+    stack along their last axis; `transfers[i]` couples block i to block
+    i + 1. Pressure fields live at integer time levels, velocity fields at
+    half levels; `pressure_rates` consumes velocities and `velocity_rates`
+    consumes pressures, which is exactly the split the staggered leapfrog
+    needs. The rates are written into buffers the system owns (see the
+    module docstring for how long they are valid).
+
+    Raises:
+        DomainError: the number of transfer pairs is not one less than the
+            number of blocks, or a pair does not match its interface.
     """
 
     def __init__(self, blocks: list[BlockOperators],
-                 transfer: TransferPair | None = None,
+                 transfers: Sequence[TransferPair] = (),
                  coeffs: SatCoefficients | None = None):
-        if len(blocks) not in (1, 2):
-            raise DomainError("system supports one block or a two-block stack")
-        if len(blocks) == 2 and transfer is None:
-            raise DomainError("two-block system needs a transfer pair")
+        if len(transfers) != len(blocks) - 1:
+            raise DomainError(f"a stack of {len(blocks)} blocks needs "
+                              f"{len(blocks) - 1} transfer pairs, got {len(transfers)}")
         self.blocks = blocks = list(blocks)
-        self.transfer = transfer
+        self.transfers = tuple(transfers)
         self.coeffs = coeffs or SatCoefficients()
         self._dp, self._dvel = self.zero_state()
         # per block: the index of its first velocity field, its velocity-rate
@@ -272,10 +278,13 @@ class SemiDiscreteSystem:
         self._fs = [free_surface_velocity_sats(b, self.coeffs, low=i == 0,
                                                high=i == len(blocks) - 1)
                     for i, b in enumerate(blocks)]
-        if len(blocks) == 2:
-            self._int_p, self._int_v = interface_sat_terms(*blocks, transfer, self.coeffs)
-            # each block's last-axis velocity, the one the interface couples
-            self._int_vel = [i + b.ndim - 1 for i, b in zip(self._first_vel, blocks)]
+        # per interface: the lower block's index, the two blocks' last-axis
+        # velocities (the ones it couples) and its two penalty callables
+        last_vel = [i + b.ndim - 1 for i, b in zip(self._first_vel, blocks)]
+        self._interfaces = [
+            (i, last_vel[i], last_vel[i + 1],
+             *interface_sat_terms(blocks[i], blocks[i + 1], transfer, self.coeffs))
+            for i, transfer in enumerate(self.transfers)]
         self._c_p = [b.coefficients[0] for b in blocks]
         self._c_vel = [c for b in blocks for c in b.coefficients[1:]]
         self._cw_p = [b.energy_weights[0] for b in blocks]
@@ -295,9 +304,8 @@ class SemiDiscreteSystem:
             b.ops[last].apply_d_v(vel[i + last], last, dp, -1.0, scratch=scratch[last])
             for k in range(last):
                 b.ops[k].apply_d_v(vel[i + k], k, dp, -1.0, add=True, scratch=scratch[k])
-        if len(self.blocks) == 2:
-            m, p = self._int_vel
-            self._int_p(vel[m], vel[p], *self._dp)
+        for i, m, p, add_to_pressure, _ in self._interfaces:
+            add_to_pressure(vel[m], vel[p], self._dp[i], self._dp[i + 1])
         for dp, c in zip(self._dp, self._c_p):
             dp /= c
         return self._dp
@@ -310,9 +318,8 @@ class SemiDiscreteSystem:
             for k, (axis_ops, dv) in enumerate(zip(b.ops, dvel)):
                 axis_ops.apply_d_p(p, k, dv, -1.0, scratch=scratch)
             fs(p, dvel)
-        if len(self.blocks) == 2:
-            m, p = self._int_vel
-            self._int_v(prs[0], prs[1], self._dvel[m], self._dvel[p])
+        for i, m, p, _, add_to_velocity in self._interfaces:
+            add_to_velocity(prs[i], prs[i + 1], self._dvel[m], self._dvel[p])
         for dv, c in zip(self._dvel, self._c_vel):
             dv /= c
         return self._dvel
@@ -349,6 +356,8 @@ class SemiDiscreteSystem:
     def locate_pressure_point(self, x, y) -> tuple[int, int, int]:
         """(block index, ix, iy) of the pressure point at exactly (x, y) of
         a grid block."""
+        if any(b.block is None for b in self.blocks):
+            raise DomainError("pressure points are located on grid blocks only")
         fx, fy = to_fraction(x), to_fraction(y)
         hits = []
         for bi, b in enumerate(self.blocks):
@@ -376,7 +385,7 @@ def assemble_1d_interface_system(left: SbpOperatorSet1D, right: SbpOperatorSet1D
     projected dual values and pressure jumps through the 1x1 identity
     transfer."""
     return SemiDiscreteSystem([BlockOperators([left]), BlockOperators([right])],
-                              transfer_pair_for(1, 1, 1), coeffs)
+                              [transfer_pair_for(1, 1, 1)], coeffs)
 
 
 def assemble_interface_system(layout: BlockLayout, medium: Medium | None = None,
@@ -412,7 +421,7 @@ def assemble_interface_system(layout: BlockLayout, medium: Medium | None = None,
         merged = build_block_2d(gx.x_left, gx.length, gx.n_p, gy_b.x_left,
                                 gy_t.x_right, gy_b.n_p + gy_t.n_p - 1)
         return assemble_single_block_system(merged, medium, coeffs)
-    return SemiDiscreteSystem([bottom, top], transfer=transfer, coeffs=coeffs)
+    return SemiDiscreteSystem([bottom, top], [transfer], coeffs)
 
 
 def _is_conforming(layout: BlockLayout, below, above) -> bool:

@@ -101,22 +101,23 @@ def parse_config(source) -> RunConfig:
     return RunConfig(raw=raw)
 
 
+def _block_names(layout: dict) -> tuple[str, ...]:
+    """The layout's blocks, bottom first: a bottom block is optional."""
+    return ("bottom", "top") if layout.get("bottom") is not None else ("top",)
+
+
 def validate_config(raw: dict) -> None:
     layout = _require(raw, "layout", "config", dict)
-    top = _require(layout, "top", "layout", dict)
-    _block_cfg(top, "layout.top")
-    if "bottom" in layout and layout["bottom"] is not None:
-        bcfg = _require(layout, "bottom", "layout", dict)
-        n_c, dx_c, _ = _block_cfg(bcfg, "layout.bottom")
-        n_f, dx_f, _ = _block_cfg(top, "layout.top")
-        width = to_fraction(_positive(_require(layout, "width", "layout"), "layout.width"))
-        if to_fraction(dx_c) * n_c != width or to_fraction(dx_f) * n_f != width:
-            raise ConfigError("layout: block widths (columns*dx) must equal layout.width")
-        ratio = to_fraction(dx_c) / to_fraction(dx_f)
-        if ratio < 1:
-            raise ConfigError("layout.bottom must be the coarse side (dx >= top dx)")
-    else:
-        _positive(_require(layout, "width", "layout"), "layout.width")
+    width = to_fraction(_positive(_require(layout, "width", "layout"), "layout.width"))
+    spacings = []
+    for name in _block_names(layout):
+        cols, dx, _ = _block_cfg(_require(layout, name, "layout", dict), f"layout.{name}")
+        if to_fraction(dx) * cols != width:
+            raise ConfigError(f"layout.{name}: block width (columns*dx) must equal "
+                              "layout.width")
+        spacings.append(to_fraction(dx))
+    if spacings[0] < spacings[-1]:
+        raise ConfigError("layout.bottom must be the coarse side (dx >= top dx)")
 
     medium = _require(raw, "medium", "config", dict)
     kind = _require(medium, "kind", "medium", str)
@@ -192,29 +193,23 @@ def build_run(config: RunConfig) -> BuiltRun:
     layout_cfg = raw["layout"]
     x_left = to_fraction(layout_cfg.get("x_left", 0))
     width = to_fraction(layout_cfg["width"])
-    y0 = to_fraction(layout_cfg.get("y_bottom", 0))
-    tc, tdx, th = (layout_cfg["top"]["columns"], to_fraction(layout_cfg["top"]["dx"]),
-                   to_fraction(layout_cfg["top"]["height"]))
+    y_low = to_fraction(layout_cfg.get("y_bottom", 0))
 
     medium = _build_medium(raw["medium"])
 
-    two_block = layout_cfg.get("bottom") is not None
-    if two_block:
-        bc, bdx, bh = (layout_cfg["bottom"]["columns"],
-                       to_fraction(layout_cfg["bottom"]["dx"]),
-                       to_fraction(layout_cfg["bottom"]["height"]))
-        if (bh / bdx).denominator != 1 or (th / tdx).denominator != 1:
-            raise ConfigError("block heights must be whole multiples of their dx")
-        bottom = build_block_2d(x_left, width, bc, y0, y0 + bh, int(bh / bdx) + 1)
-        top = build_block_2d(x_left, width, tc, y0 + bh, y0 + bh + th,
-                             int(th / tdx) + 1)
-        layout = build_layout(top, bottom)
-        system = assemble_interface_system(layout, medium)
+    blocks = []
+    for name in _block_names(layout_cfg):
+        cfg = layout_cfg[name]
+        dx, height = to_fraction(cfg["dx"]), to_fraction(cfg["height"])
+        if (height / dx).denominator != 1:
+            raise ConfigError(f"layout.{name}.height must be a whole multiple of its dx")
+        blocks.append(build_block_2d(x_left, width, cfg["columns"], y_low, y_low + height,
+                                     int(height / dx) + 1))
+        y_low += height
+    if len(blocks) == 2:
+        system = assemble_interface_system(build_layout(blocks[1], blocks[0]), medium)
     else:
-        if (th / tdx).denominator != 1:
-            raise ConfigError("block height must be a whole multiple of dx")
-        block = build_block_2d(x_left, width, tc, y0, y0 + th, int(th / tdx) + 1)
-        system = assemble_single_block_system(block, medium)
+        system = assemble_single_block_system(blocks[0], medium)
 
     time_cfg = raw["time"]
     time_grid = TimeGrid(dt=float(time_cfg["dt"]), n_steps=int(time_cfg["n_steps"]))

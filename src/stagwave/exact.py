@@ -74,24 +74,6 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat, pivots
 
 
-def solve_linear(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular system exactly by Gaussian elimination."""
-    n = len(a)
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n] for row in aug]
-
-
 def solve_min_norm(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """Minimum-2-norm exact solution of A x = b, or None if inconsistent.
 
@@ -108,6 +90,8 @@ def solve_min_norm(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]
     keep = [red[i] for i in range(len(pivots))]
     bmat = [row[:n_cols] for row in keep]
     d = [row[n_cols] for row in keep]
-    gram = [[sum(x * y for x, y in zip(r1, r2)) for r2 in bmat] for r1 in bmat]
-    lam = solve_linear(gram, d)
+    # [B B^T | d] reduces to [I | lambda], since B B^T is nonsingular
+    gram = [[sum(x * y for x, y in zip(r1, r2)) for r2 in bmat] + [di]
+            for r1, di in zip(bmat, d)]
+    lam = [row[-1] for row in rref(gram)[0]]
     return [sum(lam[i] * bmat[i][j] for i in range(len(bmat))) for j in range(n_cols)]

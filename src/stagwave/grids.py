@@ -160,15 +160,6 @@ def build_block_2d(x_left, width, n_cols: int, y_bottom, y_top, n_rows: int,
     return StaggeredBlock2D(gx, gy)
 
 
-def ravel_index(i: int, j: int, shape: tuple[int, int]) -> int:
-    """Column-wise linearization: x-major over columns, y fastest within one."""
-    return i * shape[1] + j
-
-
-def unravel_index(k: int, shape: tuple[int, int]) -> tuple[int, int]:
-    return divmod(k, shape[1])
-
-
 @dataclass(frozen=True)
 class BlockLayout:
     """Two stacked blocks joined by a horizontal nonconforming interface.

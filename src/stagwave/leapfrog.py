@@ -179,15 +179,27 @@ class CflSearchResult:
         return self.dt_max / self.dx
 
 
-def _is_stable(system, dt: float, n_steps: int, growth_factor: float, seed: int) -> bool:
-    rng = np.random.default_rng(seed)
+#: find_cfl's search: trial steps per candidate dt, the norm growth that
+#: marks a candidate unstable, the final bracket width and the initial
+#: bracket (all in units of dx, for unit wave speed), and the seed of the
+#: random initial data
+_CFL_STEPS = 2000
+_CFL_GROWTH = 10.0
+_CFL_BRACKET = 1e-3
+_CFL_LO_RATIO = 0.2
+_CFL_HI_RATIO = 1.2
+_CFL_SEED = 1234
+
+
+def _is_stable(system, dt: float) -> bool:
+    rng = np.random.default_rng(_CFL_SEED)
     prs, vel = system.random_state(rng, amplitude=1e-3)
     state = SimState([np.asarray(p) for p in prs], [np.asarray(v) for v in vel])
     norm0 = np.sqrt(sum(float((f * f).sum()) for f in prs + vel))
-    limit = growth_factor * norm0
-    for it in range(n_steps):
+    limit = _CFL_GROWTH * norm0
+    for it in range(_CFL_STEPS):
         step_forward(system, state, dt)
-        if it % 50 == 49 or it == n_steps - 1:
+        if it % 50 == 49 or it == _CFL_STEPS - 1:
             norm = np.sqrt(sum(float((f * f).sum())
                                for f in state.pressures + state.velocities))
             if not np.isfinite(norm) or norm > limit:
@@ -195,28 +207,24 @@ def _is_stable(system, dt: float, n_steps: int, growth_factor: float, seed: int)
     return True
 
 
-def find_cfl(system, dx: float, c: float = 1.0, *, n_steps: int = 2000,
-             growth_factor: float = 10.0, bracket: float = 1e-3,
-             lo_ratio: float = 0.2, hi_ratio: float = 1.2,
-             seed: int = 1234) -> CflSearchResult:
+def find_cfl(system, dx: float) -> CflSearchResult:
     """Bisect the largest stable time step of the leapfrog integration.
 
     A candidate dt is stable when 2000 steps from small random data stay
-    within a factor `growth_factor` of the initial norm. The returned bracket
-    has width at most `bracket * dx / c`.
+    within a factor 10 of the initial norm. The search starts from the
+    bracket [0.2 dx, 1.2 dx] and returns one of width at most 1e-3 dx.
 
     Raises:
         DomainError: the initial bracket does not straddle the limit.
     """
-    scale = dx / c
-    lo, hi = lo_ratio * scale, hi_ratio * scale
-    if not _is_stable(system, lo, n_steps, growth_factor, seed):
-        raise DomainError("lower trial step is already unstable; lower lo_ratio")
-    if _is_stable(system, hi, n_steps, growth_factor, seed):
-        raise DomainError("upper trial step is stable; raise hi_ratio")
-    while hi - lo > bracket * scale:
+    lo, hi = _CFL_LO_RATIO * dx, _CFL_HI_RATIO * dx
+    if not _is_stable(system, lo):
+        raise DomainError(f"the lower trial step {_CFL_LO_RATIO} dx is already unstable")
+    if _is_stable(system, hi):
+        raise DomainError(f"the upper trial step {_CFL_HI_RATIO} dx is stable")
+    while hi - lo > _CFL_BRACKET * dx:
         mid = 0.5 * (lo + hi)
-        if _is_stable(system, mid, n_steps, growth_factor, seed):
+        if _is_stable(system, mid):
             lo = mid
         else:
             hi = mid

@@ -86,14 +86,6 @@ class ElementalStencilPair:
         return cls(ratio=r, coarse_to_fine=c2f, fine_to_coarse=tuple(f2c))
 
 
-def _row_exact(row: dict[int, Fraction], spacing: int, target: int) -> bool:
-    """Degree-<=2 polynomial exactness at `target` (positions in gcd units)."""
-    for t in range(3):
-        if sum(w * F(k * spacing) ** t for k, w in row.items()) != F(target) ** t:
-            return False
-    return True
-
-
 def pair_exactness_degree(pair: ElementalStencilPair, max_deg: int = 5) -> int:
     """Largest degree reproduced by every row of both operators."""
     m, n = pair.m, pair.n

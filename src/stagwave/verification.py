@@ -57,18 +57,22 @@ def standing_v(x, y, t):
             * np.sin(4 * SQRT2 * np.pi * t))
 
 
-def _standing_state(system: SemiDiscreteSystem, dt: float) -> SimState:
-    """P sampled at t=0, velocities at t=dt/2 (consistent staggered start)."""
-    prs, vel = [], []
+def _standing_mode(system: SemiDiscreteSystem, t_p: float, t_vel: float):
+    """[p, u, v] of the standing mode on each block, p sampled at t_p and
+    the velocities at t_vel."""
     for b in system.blocks:
         blk = b.block
         xp, yp = blk.subgrid_coords("p")
         xu, yu = blk.subgrid_coords("u")
         xv, yv = blk.subgrid_coords("v")
-        prs.append(standing_p(xp, yp, 0.0))
-        vel.append(standing_u(xu, yu, dt / 2))
-        vel.append(standing_v(xv, yv, dt / 2))
-    return SimState(prs, vel)
+        yield [standing_p(xp, yp, t_p), standing_u(xu, yu, t_vel),
+               standing_v(xv, yv, t_vel)]
+
+
+def _standing_state(system: SemiDiscreteSystem, dt: float) -> SimState:
+    """P sampled at t=0, velocities at t=dt/2 (consistent staggered start)."""
+    modes = list(_standing_mode(system, 0.0, dt / 2))
+    return SimState([m[0] for m in modes], [f for m in modes for f in m[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +96,9 @@ def state_error(system: SemiDiscreteSystem, state: SimState, t_p: float,
                 t_vel: float) -> float:
     """Weighted error of a state against the standing mode at the given times."""
     fields, exact, weights = [], [], []
-    for i, b in enumerate(system.blocks):
-        blk = b.block
-        xp, yp = blk.subgrid_coords("p")
-        xu, yu = blk.subgrid_coords("u")
-        xv, yv = blk.subgrid_coords("v")
+    for i, (b, mode) in enumerate(zip(system.blocks, _standing_mode(system, t_p, t_vel))):
         fields += [state.pressures[i], state.velocities[2 * i], state.velocities[2 * i + 1]]
-        exact += [standing_p(xp, yp, t_p), standing_u(xu, yu, t_vel),
-                  standing_v(xv, yv, t_vel)]
+        exact += mode
         weights += b.weights
     return weighted_l2_error(fields, exact, weights)
 
@@ -249,7 +248,7 @@ def with_random_coefficients(system: SemiDiscreteSystem, rng,
     """Copy of a system with random positive material diagonals per block."""
     blocks = [BlockOperators(b.ops, [rng.uniform(low, high, shape) for shape in b.shapes],
                              b.block) for b in system.blocks]
-    return SemiDiscreteSystem(blocks, transfer=system.transfer, coeffs=system.coeffs)
+    return SemiDiscreteSystem(blocks, system.transfers, system.coeffs)
 
 
 def energy_rate_oracle(system: SemiDiscreteSystem, n_states: int = 100,
@@ -284,8 +283,9 @@ def materialize_system(system: SemiDiscreteSystem):
     L_prs maps stacked velocities to stacked pressure rates; L_vel maps
     stacked pressures to stacked velocity rates. Penalty terms are assembled
     from the textbook tensor-product expressions, providing a second route
-    against the sliced matrix-free evaluators. Covers one- and two-axis
-    blocks, bounded or periodic along each axis.
+    against the sliced matrix-free evaluators. Covers stacks of one- and
+    two-axis blocks, bounded or periodic along each axis, with one interface
+    per consecutive pair.
 
     Raises:
         SizeError: any block above the dense cap.
@@ -322,13 +322,12 @@ def materialize_system(system: SemiDiscreteSystem):
             vi += 1
         last_v.append(vi - 1)
 
-    if len(blocks) == 2:
-        bm, bp = blocks
+    for i, t in enumerate(system.transfers):
+        bm, bp = blocks[i], blocks[i + 1]
         ym, yp = bm.ops[-1], bp.ops[-1]
-        t = system.transfer
-        ncm, ncp = (int(np.prod(b.shapes[0][:-1])) for b in blocks)   # columns
-        e_im = _unit(bm.shapes[0][-1], -1)            # bottom block interface row
-        e_ip = _unit(bp.shapes[0][-1], 0)             # top block interface row
+        ncm, ncp = (int(np.prod(b.shapes[0][:-1])) for b in (bm, bp))   # columns
+        e_im = _unit(bm.shapes[0][-1], -1)            # lower block interface row
+        e_ip = _unit(bp.shapes[0][-1], 0)             # upper block interface row
         r_m = np.kron(np.eye(ncm), e_im[None, :])     # restrict P- to interface
         r_p = np.kron(np.eye(ncp), e_ip[None, :])
         pr_m = np.kron(np.eye(ncm), ym.proj_right[None, :])   # project V-
@@ -337,10 +336,10 @@ def materialize_system(system: SemiDiscreteSystem):
         lift_pp = np.kron(np.eye(ncp), (e_ip / yp.a_p[0])[:, None])
         lift_vm = np.kron(np.eye(ncm), (ym.proj_right / ym.a_v)[:, None])
         lift_vp = np.kron(np.eye(ncp), (yp.proj_left / yp.a_v)[:, None])
-        cpm, cpp = (b.coefficients[0].reshape(-1)[:, None] for b in blocks)
-        cvm, cvp = (b.coefficients[-1].reshape(-1)[:, None] for b in blocks)
-        pm, pp = p_rows
-        vm, vp = (v_rows[j] for j in last_v)
+        cpm, cpp = (b.coefficients[0].reshape(-1)[:, None] for b in (bm, bp))
+        cvm, cvp = (b.coefficients[-1].reshape(-1)[:, None] for b in (bm, bp))
+        pm, pp = p_rows[i], p_rows[i + 1]
+        vm, vp = v_rows[last_v[i]], v_rows[last_v[i + 1]]
         # pressure equations: penalize the projected-velocity jump
         L_prs[pm, vp] += c.sigma_p_minus * lift_pm @ t.fine_to_coarse @ pr_p / cpm
         L_prs[pm, vm] += -c.sigma_p_minus * lift_pm @ pr_m / cpm

@@ -13,7 +13,7 @@ from stagwave.errors import DomainError
 from stagwave.grids import BOTH_ENDS_PRIMARY, build_block_2d, build_layout
 from stagwave.leapfrog import SimState, step_forward
 from stagwave.transfer import (ElementalStencilPair, tabulated_elemental_pair,
-                               tile_periodic)
+                               tile_periodic, transfer_pair_for)
 from stagwave.verification import (energy_rate_oracle, flatten_fields,
                                    materialize_system, ratio_system,
                                    uniform_standing_system,
@@ -107,6 +107,33 @@ def test_two_block_conserves_energy(m, n):
 def test_two_block_heterogeneous_conserves_energy(rng):
     system = with_random_coefficients(ratio_system(3, 2), rng)
     assert energy_rate_oracle(system, n_states=100) <= 1e-12
+
+
+def three_block_stack():
+    """Unit width, nine rows per block: 12 coarse columns, then 16 at 4:3,
+    then 32 at 2:1, bottom first."""
+    blocks, y = [], F(0)
+    for cols in (12, 16, 32):
+        h = F(8, cols)
+        blocks.append(assemble_2d_block(build_block_2d(0, 1, cols, y, y + h, 9)))
+        y += h
+    return SemiDiscreteSystem(blocks, [transfer_pair_for(F(4, 3), 12, 16),
+                                       transfer_pair_for(2, 16, 32)])
+
+
+@pytest.mark.parametrize("hetero", [False, True], ids=["unit", "hetero"])
+def test_three_block_stack_conserves_energy(rng, hetero):
+    system = three_block_stack()
+    if hetero:
+        system = with_random_coefficients(system, rng)
+    assert energy_rate_oracle(system, n_states=100) <= 1e-12
+
+
+@pytest.mark.parametrize("n_blocks,n_transfers", [(1, 1), (2, 0), (3, 1), (3, 3)])
+def test_stack_needs_one_transfer_per_interface(n_blocks, n_transfers):
+    stack = three_block_stack()
+    with pytest.raises(DomainError):
+        SemiDiscreteSystem(stack.blocks[:n_blocks], stack.transfers[:1] * n_transfers)
 
 
 def test_two_block_flipped_sign_leaks(rng):
@@ -233,6 +260,7 @@ _SYSTEM_KINDS = {
         [sw.build_periodic_1d(12, 0.1), sw.build_periodic_1d(10, 0.1)])]),
     "2d_sidewalls": lambda: assemble_single_block_system(
         build_block_2d(0, 1, 11, 0, 1, 13, x_alignment=BOTH_ENDS_PRIMARY)),
+    "3_block_stack": three_block_stack,
 }
 
 
@@ -314,6 +342,12 @@ def test_locate_pressure_point():
     assert bi == 1 and iy == 0
     with pytest.raises(DomainError):
         system.locate_pressure_point(F(1, 7), 0)
+
+
+def test_locate_pressure_point_needs_grid_blocks():
+    system = assemble_1d_boundary_system(sw.build_sbp_1d(16, 1 / 15))
+    with pytest.raises(DomainError):
+        system.locate_pressure_point(0, 0)
 
 
 def test_two_block_requires_matching_transfer():

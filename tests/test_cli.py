@@ -7,7 +7,8 @@ import yaml
 from conftest import TINY_CONFIG
 
 from stagwave.cli import main
-from stagwave.config import parse_config
+from stagwave.config import parse_config, validate_config
+from stagwave.errors import ConfigError
 
 
 @pytest.fixture
@@ -57,6 +58,19 @@ def test_invalid_config_exits_1(tmp_path):
     path.write_text(yaml.safe_dump(cfg))
     assert main(["run", str(path)]) == 1
     assert not Path("bad.out").exists()
+
+
+def test_single_block_width_mismatch_exits_1_without_outputs(tmp_path):
+    cfg = yaml.safe_load(TINY_CONFIG)
+    cfg["layout"]["bottom"] = None
+    cfg["layout"]["top"] = {"columns": 100, "dx": 0.008, "height": 0.96}  # 0.8 wide
+    with pytest.raises(ConfigError):
+        validate_config(cfg)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "never"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_domain_error_exits_3(tmp_path):

@@ -5,8 +5,7 @@ import pytest
 
 from stagwave.errors import DomainError, MisalignmentError
 from stagwave.grids import (BOTH_ENDS_PRIMARY, PERIODIC, build_block_2d,
-                            build_grid_1d, build_layout, ravel_index,
-                            unravel_index)
+                            build_grid_1d, build_layout)
 
 
 def test_bounded_grid_midpoint_staggering():
@@ -41,12 +40,6 @@ def test_gap_reconstruction_is_exact():
     total = sum(b - a for a, b in zip(duals, duals[1:]))
     total += (duals[0] - g.x_left) + (g.x_right - duals[-1])
     assert total == g.length
-
-
-def test_ravel_round_trip():
-    shape = (7, 5)
-    for k in range(shape[0] * shape[1]):
-        assert ravel_index(*unravel_index(k, shape), shape) == k
 
 
 def test_block_subgrid_shapes_match_staggering():
