@@ -7,8 +7,8 @@ Subcommands:
              agreement); exit code 4 on any failed check
   cfl        bisect the time-step limit of a named configuration
 
-Exit codes: 0 success, 1 config error, 2 I/O error, 3 domain error,
-4 verification failure.
+Exit codes: 0 success, 1 config error, 2 I/O error or usage error (argparse),
+3 domain error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -68,16 +68,19 @@ def _sha256(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
+    """Run a config; the output directory is made only once the run succeeds."""
     config = parse_config(args.config)
     built = build_run(config)
 
     out_dir = Path(args.out) if args.out else Path(Path(args.config).stem + ".out")
-    out_dir.mkdir(parents=True, exist_ok=args.force)
-    (out_dir / "config.yaml").write_text(config.to_yaml())
-
+    if out_dir.exists() and not args.force:
+        raise FileExistsError(f"{out_dir} exists; pass --force to write into it")
     result = run_sim(built.system, built.time_grid, sources=built.sources,
                      receivers=built.receivers,
                      record_energy=built.outputs["energy"])
+
+    out_dir.mkdir(parents=True, exist_ok=args.force)
+    (out_dir / "config.yaml").write_text(config.to_yaml())
     files = ["config.yaml"]
     if built.outputs["seismogram"]:
         for i in range(len(built.receivers)):
@@ -151,14 +154,13 @@ def cmd_operators(args) -> int:
             q = ops.a_weight * ops.dense_d_v() + (ops.a_weight * ops.dense_d_p()).T
             out.write(f"# wraparound_residual,{_fmt(float(np.abs(q).max()))}\n")
         elif args.kind == "transfer":
-            ratio = Fraction(*map(int, args.ratio.split(":")))
             if args.derive:
-                elem = derive_elemental_pair(ratio, support=args.support)
+                elem = derive_elemental_pair(args.ratio, support=args.support)
             else:
                 try:
-                    elem = tabulated_elemental_pair(ratio)
+                    elem = tabulated_elemental_pair(args.ratio)
                 except UnsupportedRatioError:
-                    elem = derive_elemental_pair(ratio, support=args.support)
+                    elem = derive_elemental_pair(args.ratio, support=args.support)
             k = args.elements
             pair = tile_periodic(elem, elem.n * k, elem.m * k)
             cert = certify_pair(pair)
@@ -314,6 +316,14 @@ def cmd_cfl(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _ratio(text: str) -> Fraction:
+    """argparse type of --ratio: coarse:fine, two positive integers."""
+    coarse, _, fine = text.partition(":")
+    if not (coarse.isdecimal() and fine.isdecimal() and int(coarse) > 0 and int(fine) > 0):
+        raise argparse.ArgumentTypeError(f"expected two positive integers, got {text!r}")
+    return Fraction(int(coarse), int(fine))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stagwave",
@@ -337,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_per.add_argument("--n", type=int, default=8)
     p_per.add_argument("--dx", type=float, default=1.0)
     p_tr = ops_sub.add_parser("transfer")
-    p_tr.add_argument("--ratio", required=True, help="coarse:fine, e.g. 3:2")
+    p_tr.add_argument("--ratio", required=True, type=_ratio, help="coarse:fine, e.g. 3:2")
     p_tr.add_argument("--derive", action="store_true",
                       help="solve the constraint system instead of using tables")
     p_tr.add_argument("--support", type=int, default=None)

@@ -1,4 +1,4 @@
-"""Run configuration: YAML schema, validation, and system construction.
+"""Run configuration: YAML schema, one reader of it, and system construction.
 
 A run config is a single YAML document:
 
@@ -20,16 +20,19 @@ A run config is a single YAML document:
     outputs: {seismogram: true, energy: true, snapshot: false}
     seed: 1234
 
-All cross-references are resolved before any computation; validation failures
-raise ConfigError and produce no output files. Everything is deterministic
-given the config (the seed covers randomized verification helpers only).
+`validate_config` is the only reader of the raw mapping: it reads and checks
+every value once, before any output, and returns typed values. A bool is never
+a number, and an output switch must be a bool. The integer seed is copied into
+the written config and changes nothing; a run is deterministic given the config.
 """
 
 from __future__ import annotations
 
-import copy
+import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -39,48 +42,57 @@ from .errors import ConfigError
 from .exact import to_fraction
 from .grids import build_block_2d, build_layout
 from .leapfrog import ReceiverSpec, SourceSpec, TimeGrid
-from .media import (ConstantMedium, TwoLayerMedium, VerticalLinearMedium,
+from .media import (ConstantMedium, Medium, TwoLayerMedium, VerticalLinearMedium,
                     load_gridded_model)
 
 _MEDIUM_KINDS = ("constant", "two_layer_constant", "vertical_linear", "gridded")
+_OUTPUTS = {"seismogram": True, "energy": True, "snapshot": False}
+_NUMBER = (int, float)
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """The values of a run config, read and checked."""
+
+    blocks: tuple[tuple, ...]          # build_block_2d arguments, bottom first
+    medium: Callable[[], Medium]
+    time_grid: TimeGrid
+    sources: tuple[tuple, ...]         # (x, y, f0, t0, amplitude)
+    receivers: tuple[tuple, ...]       # (x, y)
+    outputs: dict[str, bool]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, normalized run description (raw dict retained for output)."""
+    """A run config: the raw mapping, retained for output, and its values,
+    read and checked when the config is made."""
 
     raw: dict = field(repr=False)
+    spec: RunSpec = field(init=False, repr=False, compare=False)
 
-    @property
-    def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
+    def __post_init__(self):
+        object.__setattr__(self, "spec", validate_config(self.raw))
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.raw, sort_keys=True)
 
 
-def _require(mapping, key, where, types=None):
+def _get(mapping, key, where, types, default=None, positive=False):
+    """mapping[key], checked to be one of `types` (a bool only where bool is
+    named, a float only when finite) and, if `positive`, > 0; a missing key
+    takes `default`, and without one it is an error."""
     if key not in mapping:
-        raise ConfigError(f"{where}: missing key {key!r}")
+        if default is None:
+            raise ConfigError(f"{where}: missing key {key!r}")
+        return default
     value = mapping[key]
-    if types is not None and not isinstance(value, types):
-        raise ConfigError(f"{where}.{key}: expected {types}, got {type(value).__name__}")
+    if (not isinstance(value, types) or (isinstance(value, bool) and bool not in types)
+            or (isinstance(value, float) and not math.isfinite(value))):
+        names = " or ".join(t.__name__ for t in types)
+        raise ConfigError(f"{where}.{key}: expected {names}, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"{where}.{key}: must be positive, got {value!r}")
     return value
-
-
-def _positive(value, where):
-    if not isinstance(value, (int, float)) or not value > 0:
-        raise ConfigError(f"{where}: must be a positive number, got {value!r}")
-    return value
-
-
-def _block_cfg(cfg, where):
-    cols = _require(cfg, "columns", where, int)
-    dx = _positive(_require(cfg, "dx", where), f"{where}.dx")
-    height = _positive(_require(cfg, "height", where), f"{where}.height")
-    if cols < 4:
-        raise ConfigError(f"{where}.columns: need at least 4, got {cols}")
-    return cols, dx, height
 
 
 def parse_config(source) -> RunConfig:
@@ -97,85 +109,113 @@ def parse_config(source) -> RunConfig:
         raise ConfigError(f"not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    validate_config(raw)
     return RunConfig(raw=raw)
 
 
-def _block_names(layout: dict) -> tuple[str, ...]:
-    """The layout's blocks, bottom first: a bottom block is optional."""
-    return ("bottom", "top") if layout.get("bottom") is not None else ("top",)
-
-
-def validate_config(raw: dict) -> None:
-    layout = _require(raw, "layout", "config", dict)
-    width = to_fraction(_positive(_require(layout, "width", "layout"), "layout.width"))
-    spacings = []
-    for name in _block_names(layout):
-        cols, dx, _ = _block_cfg(_require(layout, name, "layout", dict), f"layout.{name}")
-        if to_fraction(dx) * cols != width:
-            raise ConfigError(f"layout.{name}: block width (columns*dx) must equal "
-                              "layout.width")
-        spacings.append(to_fraction(dx))
+def _read_blocks(raw: dict) -> tuple[tuple, ...]:
+    layout = _get(raw, "layout", "config", (dict,))
+    x_left = to_fraction(_get(layout, "x_left", "layout", _NUMBER, 0))
+    width = to_fraction(_get(layout, "width", "layout", _NUMBER, positive=True))
+    y_low = to_fraction(_get(layout, "y_bottom", "layout", _NUMBER, 0))
+    names = ("bottom", "top") if layout.get("bottom") is not None else ("top",)
+    boxes, spacings = [], []
+    for name in names:
+        cfg, where = _get(layout, name, "layout", (dict,)), f"layout.{name}"
+        cols = _get(cfg, "columns", where, (int,))
+        dx = to_fraction(_get(cfg, "dx", where, _NUMBER, positive=True))
+        height = to_fraction(_get(cfg, "height", where, _NUMBER, positive=True))
+        if cols < 4:
+            raise ConfigError(f"{where}.columns: need at least 4, got {cols}")
+        if dx * cols != width:
+            raise ConfigError(f"{where}: block width (columns*dx) must equal layout.width")
+        if (height / dx).denominator != 1:
+            raise ConfigError(f"{where}.height must be a whole multiple of its dx")
+        boxes.append((x_left, width, cols, y_low, y_low + height, int(height / dx) + 1))
+        spacings.append(dx)
+        y_low += height
     if spacings[0] < spacings[-1]:
         raise ConfigError("layout.bottom must be the coarse side (dx >= top dx)")
+    return tuple(boxes)
 
-    medium = _require(raw, "medium", "config", dict)
-    kind = _require(medium, "kind", "medium", str)
-    if kind not in _MEDIUM_KINDS:
-        raise ConfigError(f"medium.kind: unknown kind {kind!r}; one of {_MEDIUM_KINDS}")
+
+def _read_medium(raw: dict) -> Callable[[], Medium]:
+    medium = _get(raw, "medium", "config", (dict,))
+    kind = _get(medium, "kind", "medium", (str,))
+
+    def num(key, cfg=medium, where="medium", positive=True):
+        return float(_get(cfg, key, where, _NUMBER, positive=positive))
+
     if kind == "constant":
-        _positive(_require(medium, "rho", "medium"), "medium.rho")
-        _positive(_require(medium, "c", "medium"), "medium.c")
-    elif kind == "two_layer_constant":
-        _require(medium, "split_y", "medium")
-        for side in ("top", "bottom"):
-            s = _require(medium, side, "medium", dict)
-            _positive(_require(s, "rho", f"medium.{side}"), f"medium.{side}.rho")
-            _positive(_require(s, "c", f"medium.{side}"), f"medium.{side}.c")
-    elif kind == "vertical_linear":
-        _require(medium, "y_bottom", "medium")
-        _require(medium, "y_top", "medium")
-        for key in ("rho_top", "rho_bottom", "c_top", "c_bottom"):
-            _positive(_require(medium, key, "medium"), f"medium.{key}")
-    elif kind == "gridded":
-        for key in ("rho_file", "c_file"):
-            path = _require(medium, key, "medium", str)
+        return partial(ConstantMedium, rho=num("rho"), c=num("c"))
+    if kind == "two_layer_constant":
+        top, bottom = (_get(medium, side, "medium", (dict,)) for side in ("top", "bottom"))
+        return partial(TwoLayerMedium, split_y=num("split_y", positive=False),
+                       rho_top=num("rho", top, "medium.top"), c_top=num("c", top, "medium.top"),
+                       rho_bottom=num("rho", bottom, "medium.bottom"),
+                       c_bottom=num("c", bottom, "medium.bottom"))
+    if kind == "vertical_linear":
+        y_bottom, y_top = num("y_bottom", positive=False), num("y_top", positive=False)
+        if y_bottom == y_top:
+            raise ConfigError("medium.y_top: must differ from medium.y_bottom")
+        return partial(VerticalLinearMedium, y_bottom=y_bottom, y_top=y_top,
+                       **{key: num(key) for key in ("rho_bottom", "rho_top",
+                                                    "c_bottom", "c_top")})
+    if kind == "gridded":
+        files = [_get(medium, key, "medium", (str,)) for key in ("rho_file", "c_file")]
+        for key, path in zip(("rho_file", "c_file"), files):
             if not Path(path).is_file():
                 raise FileNotFoundError(f"medium.{key}: no such file {path!r}")
-        _require(medium, "rows", "medium", int)
-        _require(medium, "cols", "medium", int)
-        _positive(_require(medium, "spacing", "medium"), "medium.spacing")
-        if medium.get("dtype", "float32") not in ("float32", "float64"):
+        origin = dict(enumerate(_get(medium, "origin", "medium", (list,), [0.0, 0.0])))
+        if len(origin) != 2:
+            raise ConfigError("medium.origin: expected [x, y]")
+        dtype = _get(medium, "dtype", "medium", (str,), "float32")
+        if dtype not in ("float32", "float64"):
             raise ConfigError("medium.dtype: float32 or float64")
+        return partial(load_gridded_model, *files,
+                       rows=_get(medium, "rows", "medium", (int,), positive=True),
+                       cols=_get(medium, "cols", "medium", (int,), positive=True),
+                       spacing=num("spacing"), dtype=dtype,
+                       origin=tuple(num(i, origin, "medium.origin", False) for i in (0, 1)))
+    raise ConfigError(f"medium.kind: unknown kind {kind!r}; one of {_MEDIUM_KINDS}")
 
-    time_cfg = _require(raw, "time", "config", dict)
-    _positive(_require(time_cfg, "dt", "time"), "time.dt")
-    n_steps = _require(time_cfg, "n_steps", "time", int)
-    if n_steps < 1:
-        raise ConfigError("time.n_steps: must be at least 1")
 
-    for name, required in (("sources", True), ("receivers", True)):
-        entries = _require(raw, name, "config", list)
-        if required and not entries:
+def validate_config(raw: dict) -> RunSpec:
+    """Read and check every value of a run config; the first bad one raises
+    ConfigError (a missing gridded-model file, FileNotFoundError)."""
+    blocks, medium = _read_blocks(raw), _read_medium(raw)
+
+    time_cfg = _get(raw, "time", "config", (dict,))
+    dt = _get(time_cfg, "dt", "time", _NUMBER, positive=True)
+    n_steps = _get(time_cfg, "n_steps", "time", (int,), positive=True)
+
+    points = {"sources": [], "receivers": []}
+    for name, parsed in points.items():
+        entries = _get(raw, name, "config", (list,))
+        if not entries:
             raise ConfigError(f"{name}: need at least one entry")
         for i, entry in enumerate(entries):
+            where = f"{name}[{i}]"
             if not isinstance(entry, dict):
-                raise ConfigError(f"{name}[{i}]: expected a mapping")
-            _require(entry, "x", f"{name}[{i}]")
-            _require(entry, "y", f"{name}[{i}]")
+                raise ConfigError(f"{where}: expected a mapping")
+            point = (_get(entry, "x", where, _NUMBER), _get(entry, "y", where, _NUMBER))
             if name == "sources":
-                _positive(_require(entry, "f0", f"sources[{i}]"), f"sources[{i}].f0")
-                if entry.get("wavelet", "ricker") != "ricker":
-                    raise ConfigError(f"sources[{i}].wavelet: only 'ricker' is available")
+                if _get(entry, "wavelet", where, (str,), "ricker") != "ricker":
+                    raise ConfigError(f"{where}.wavelet: only 'ricker' is available")
+                point += (float(_get(entry, "f0", where, _NUMBER, positive=True)),
+                          float(_get(entry, "t0", where, _NUMBER, 0.0)),
+                          float(_get(entry, "amplitude", where, _NUMBER, 1.0)))
+            parsed.append(point)
 
-    outputs = raw.get("outputs", {})
-    if not isinstance(outputs, dict):
-        raise ConfigError("outputs: expected a mapping")
+    outputs = _get(raw, "outputs", "config", (dict,), {})
     for key in outputs:
-        if key not in ("seismogram", "energy", "snapshot"):
+        if key not in _OUTPUTS:
             raise ConfigError(f"outputs.{key}: unknown output switch")
-    if "seed" in raw and not isinstance(raw["seed"], int):
-        raise ConfigError("seed: must be an integer")
+    _get(raw, "seed", "config", (int,), 0)   # only copied into the written config
+    return RunSpec(blocks=blocks, medium=medium,
+                   time_grid=TimeGrid(dt=float(dt), n_steps=n_steps),
+                   sources=tuple(points["sources"]), receivers=tuple(points["receivers"]),
+                   outputs={key: _get(outputs, key, "outputs", (bool,), default)
+                            for key, default in _OUTPUTS.items()})
 
 
 @dataclass
@@ -189,66 +229,15 @@ class BuiltRun:
 
 def build_run(config: RunConfig) -> BuiltRun:
     """Construct the system and instrumentation described by a config."""
-    raw = copy.deepcopy(config.raw)
-    layout_cfg = raw["layout"]
-    x_left = to_fraction(layout_cfg.get("x_left", 0))
-    width = to_fraction(layout_cfg["width"])
-    y_low = to_fraction(layout_cfg.get("y_bottom", 0))
-
-    medium = _build_medium(raw["medium"])
-
-    blocks = []
-    for name in _block_names(layout_cfg):
-        cfg = layout_cfg[name]
-        dx, height = to_fraction(cfg["dx"]), to_fraction(cfg["height"])
-        if (height / dx).denominator != 1:
-            raise ConfigError(f"layout.{name}.height must be a whole multiple of its dx")
-        blocks.append(build_block_2d(x_left, width, cfg["columns"], y_low, y_low + height,
-                                     int(height / dx) + 1))
-        y_low += height
+    spec = config.spec
+    medium = spec.medium()
+    blocks = [build_block_2d(*box) for box in spec.blocks]
     if len(blocks) == 2:
         system = assemble_interface_system(build_layout(blocks[1], blocks[0]), medium)
     else:
         system = assemble_single_block_system(blocks[0], medium)
-
-    time_cfg = raw["time"]
-    time_grid = TimeGrid(dt=float(time_cfg["dt"]), n_steps=int(time_cfg["n_steps"]))
-    sources = [
-        SourceSpec(*system.locate_pressure_point(s["x"], s["y"]), f0=float(s["f0"]),
-                   t0=float(s.get("t0", 0.0)), amplitude=float(s.get("amplitude", 1.0)))
-        for s in raw["sources"]
-    ]
-    receivers = [ReceiverSpec(*system.locate_pressure_point(r["x"], r["y"]))
-                 for r in raw["receivers"]]
-    outputs = {"seismogram": True, "energy": True, "snapshot": False}
-    outputs.update(raw.get("outputs", {}))
-    return BuiltRun(system=system, time_grid=time_grid, sources=sources,
-                    receivers=receivers, outputs=outputs)
-
-
-def _build_medium(cfg: dict):
-    kind = cfg["kind"]
-    if kind == "constant":
-        return ConstantMedium(rho=float(cfg["rho"]), c=float(cfg["c"]))
-    if kind == "two_layer_constant":
-        split = cfg.get("split_y")
-        if split is None:
-            raise ConfigError("medium.split_y required for two_layer_constant")
-        return TwoLayerMedium(split_y=float(split),
-                              rho_top=float(cfg["top"]["rho"]), c_top=float(cfg["top"]["c"]),
-                              rho_bottom=float(cfg["bottom"]["rho"]),
-                              c_bottom=float(cfg["bottom"]["c"]))
-    if kind == "vertical_linear":
-        if "y_bottom" not in cfg or "y_top" not in cfg:
-            raise ConfigError("medium.y_bottom and medium.y_top required")
-        return VerticalLinearMedium(
-            y_bottom=float(cfg["y_bottom"]), y_top=float(cfg["y_top"]),
-            rho_bottom=float(cfg["rho_bottom"]), rho_top=float(cfg["rho_top"]),
-            c_bottom=float(cfg["c_bottom"]), c_top=float(cfg["c_top"]))
-    if kind == "gridded":
-        return load_gridded_model(
-            cfg["rho_file"], cfg["c_file"], rows=int(cfg["rows"]), cols=int(cfg["cols"]),
-            spacing=float(cfg["spacing"]),
-            origin=tuple(cfg.get("origin", (0.0, 0.0))),
-            dtype=cfg.get("dtype", "float32"))
-    raise ConfigError(f"unknown medium kind {kind!r}")
+    sources = [SourceSpec(*system.locate_pressure_point(x, y), f0=f0, t0=t0, amplitude=a)
+               for x, y, f0, t0, a in spec.sources]
+    receivers = [ReceiverSpec(*system.locate_pressure_point(x, y)) for x, y in spec.receivers]
+    return BuiltRun(system=system, time_grid=spec.time_grid, sources=sources,
+                    receivers=receivers, outputs=dict(spec.outputs))

@@ -182,14 +182,12 @@ class BlockLayout:
         return self.bottom.grid_x.n_p
 
 
-def build_layout(top: StaggeredBlock2D, bottom: StaggeredBlock2D,
-                 interface_y=None) -> BlockLayout:
+def build_layout(top: StaggeredBlock2D, bottom: StaggeredBlock2D) -> BlockLayout:
     """Validate and assemble a two-block layout.
 
     Args:
         top: fine block, above the interface.
         bottom: coarse block, below the interface.
-        interface_y: optional expected interface position; checked exactly.
 
     Raises:
         DomainError: mismatched widths/origins, interface rows absent, or a
@@ -209,9 +207,6 @@ def build_layout(top: StaggeredBlock2D, bottom: StaggeredBlock2D,
         )
     if bottom.grid_y.x_right != top.grid_y.x_left:
         raise DomainError("bottom block top row and top block bottom row must coincide")
-    y_i = top.grid_y.x_left
-    if interface_y is not None and to_fraction(interface_y) != y_i:
-        raise DomainError(f"interface at {y_i}, expected {interface_y}")
     ratio = bottom.grid_x.dx / top.grid_x.dx
     if ratio < 1:
         raise DomainError("bottom block must be the coarse side (ratio >= 1)")
@@ -220,4 +215,4 @@ def build_layout(top: StaggeredBlock2D, bottom: StaggeredBlock2D,
             f"no matching interface points: {bottom.grid_x.n_p} coarse columns "
             f"do not tile elemental intervals of ratio {ratio.numerator}:{ratio.denominator}"
         )
-    return BlockLayout(top=top, bottom=bottom, interface_y=y_i, ratio=ratio)
+    return BlockLayout(top=top, bottom=bottom, interface_y=top.grid_y.x_left, ratio=ratio)

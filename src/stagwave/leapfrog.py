@@ -19,6 +19,7 @@ dt and added to the fields, so stepping allocates no field-sized arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,6 +131,9 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
 
     Returns:
         RunResult with traces at integer levels and energy at half levels.
+
+    Raises:
+        DomainError: a recorded energy, a trace or the final state is not finite.
     """
     dt, n = time_grid.dt, time_grid.n_steps
     if state is None:
@@ -151,8 +155,12 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
                 h += p
                 h *= 0.5
             energy[it] = system.energy(p_half, state.velocities)
+            if not math.isfinite(energy[it]):
+                raise DomainError(f"non-finite energy at step {it + 1}; dt = {dt} may be unstable")
         for r_i, r in enumerate(receivers):
             traces[r_i, it + 1] = state.pressures[r.block][r.ix, r.iy]
+    if not all(np.isfinite(a).all() for a in (traces, *state.pressures, *state.velocities)):
+        raise DomainError(f"non-finite solution after {n} steps; dt = {dt} may be unstable")
     times = t_start + dt * np.arange(n + 1)
     energy_times = t_start + dt * (np.arange(n) + 0.5)
     return RunResult(times=times, seismograms=traces, energy_times=energy_times,

@@ -438,18 +438,17 @@ class SbpStructureReport:
         return self.structure_residual <= 1e-14 and (self.exact is not False)
 
 
-def _row_degree(row_coeffs, col_coords, target_x, derivative: bool, max_deg: int = 6,
-                rtol: float = 1e-9) -> int:
-    """Largest k such that the row reproduces d/dx x^k (or x^k) at target_x."""
+def _row_degree(row_coeffs, col_coords, target_x, derivative: bool) -> int:
+    """Largest k <= 6 such that the row reproduces d/dx x^k (or x^k) at target_x to 1e-9."""
     deg = -1
-    for k in range(max_deg + 1):
+    for k in range(7):
         approx = sum(c * x**k for c, x in zip(row_coeffs, col_coords))
         if derivative:
             want = 0.0 if k == 0 else k * target_x ** (k - 1)
         else:
             want = 1.0 if k == 0 else target_x**k
         scale = max(1.0, max(abs(x) ** k for x in col_coords))
-        if abs(approx - want) > rtol * scale:
+        if abs(approx - want) > 1e-9 * scale:
             break
         deg = k
     return deg

@@ -86,11 +86,11 @@ class ElementalStencilPair:
         return cls(ratio=r, coarse_to_fine=c2f, fine_to_coarse=tuple(f2c))
 
 
-def pair_exactness_degree(pair: ElementalStencilPair, max_deg: int = 5) -> int:
-    """Largest degree reproduced by every row of both operators."""
+def pair_exactness_degree(pair: ElementalStencilPair) -> int:
+    """Largest degree, up to 5, reproduced by every row of both operators."""
     m, n = pair.m, pair.n
     deg = -1
-    for t in range(max_deg + 1):
+    for t in range(6):
         ok = all(
             sum(w * F(k * m) ** t for k, w in row.items()) == F(r * n) ** t
             for r, row in enumerate(pair.coarse_to_fine)

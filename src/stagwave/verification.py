@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from .assembly import (BlockOperators, SemiDiscreteSystem, assemble_interface_system,
                        assemble_single_block_system)
-from .config import RunConfig, build_run, validate_config
+from .config import RunConfig, build_run
 from .errors import DomainError, SizeError
 from .grids import build_block_2d, build_layout
 from .leapfrog import SimState, TimeGrid, run
@@ -177,9 +177,7 @@ SCENARIOS = {
 def build_scenario(name: str):
     """(system, first source, first receiver) of a SCENARIOS entry, built by
     the same validation and construction as `stagwave run`."""
-    raw = SCENARIOS[name]
-    validate_config(raw)
-    built = build_run(RunConfig(raw=raw))
+    built = build_run(RunConfig(raw=SCENARIOS[name]))
     return built.system, built.sources[0], built.receivers[0]
 
 
@@ -243,10 +241,9 @@ def _check_cap(system: SemiDiscreteSystem):
             )
 
 
-def with_random_coefficients(system: SemiDiscreteSystem, rng,
-                             low: float = 0.5, high: float = 2.0) -> SemiDiscreteSystem:
-    """Copy of a system with random positive material diagonals per block."""
-    blocks = [BlockOperators(b.ops, [rng.uniform(low, high, shape) for shape in b.shapes],
+def with_random_coefficients(system: SemiDiscreteSystem, rng) -> SemiDiscreteSystem:
+    """Copy of a system with material diagonals drawn from U(0.5, 2) per block."""
+    blocks = [BlockOperators(b.ops, [rng.uniform(0.5, 2.0, shape) for shape in b.shapes],
                              b.block) for b in system.blocks]
     return SemiDiscreteSystem(blocks, system.transfers, system.coeffs)
 

@@ -1,13 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from conftest import TINY_CONFIG
 
 from stagwave.cli import main
-from stagwave.config import parse_config, validate_config
+from stagwave.config import build_run, parse_config, validate_config
 from stagwave.errors import ConfigError
 
 
@@ -73,6 +74,59 @@ def test_single_block_width_mismatch_exits_1_without_outputs(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path, value", [
+    ("time.dt", True), ("time.dt", float("inf")), ("layout.top.height", True),
+    ("time.n_steps", True),
+    ("outputs.energy", "no"), ("layout.x_left", "abc"), ("layout.y_bottom", "abc"),
+    ("sources.0.x", [1]), ("receivers.0.y", None), ("sources.0.t0", "a"),
+    ("sources.0.amplitude", "a"), ("medium.split_y", "a"), ("medium.split_y", None),
+])
+def test_malformed_value_exits_1_without_outputs(path, value, tmp_path):
+    cfg = yaml.safe_load(TINY_CONFIG)
+    *parents, last = [int(key) if key.isdigit() else key for key in path.split(".")]
+    entry = cfg
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value
+    with pytest.raises(ConfigError):
+        validate_config(cfg)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "never"
+    assert main(["run", str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("energy", [True, False])
+def test_unstable_dt_exits_3_without_outputs(energy, tmp_path):
+    cfg = yaml.safe_load(TINY_CONFIG)
+    cfg["time"] = {"dt": 0.05, "n_steps": 400}
+    cfg["outputs"]["energy"] = energy
+    path = tmp_path / "unstable.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "never"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_existing_output_directory_needs_force(config_path, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(config_path), "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+    assert main(["run", str(config_path), "--out", str(out), "--force"]) == 0
+
+
+def test_readme_schema_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    schema = readme.split("### Configuration schema", 1)[1]
+    block = schema.split("```yaml\n", 1)[1].split("```", 1)[0]
+    config = parse_config(block)
+    assert config.spec.outputs == {"seismogram": True, "energy": True, "snapshot": False}
+    build_run(config)
+
+
 def test_domain_error_exits_3(tmp_path):
     cfg = yaml.safe_load(TINY_CONFIG)
     cfg["sources"][0]["x"] = 0.017   # not a grid point
@@ -88,7 +142,6 @@ def test_config_round_trip(config_path):
 
 
 def test_snapshot_output(tmp_path):
-    import numpy as np
     cfg = yaml.safe_load(TINY_CONFIG)
     cfg["outputs"] = {"seismogram": False, "energy": False, "snapshot": True}
     path = tmp_path / "snap.yaml"
@@ -125,6 +178,14 @@ def test_operators_transfer_tabulated(capsys):
     assert "-13/288" in out
     assert "adjoint_exact,True" in out
     assert "exactness_degree,2" in out
+
+
+@pytest.mark.parametrize("ratio", ["a:b", "3:0", "3"])
+def test_operators_transfer_malformed_ratio_is_a_usage_error(ratio, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["operators", "transfer", "--ratio", ratio])
+    assert exc.value.code == 2
+    assert "--ratio" in capsys.readouterr().err
 
 
 def test_operators_transfer_derived_ratio(capsys):
