@@ -13,8 +13,8 @@ from .errors import (ConfigError, DomainError, FormatError,
                      InfeasibleStencilError, MisalignmentError,
                      OutOfCoverageError, SizeError, StagwaveError,
                      UnsupportedRatioError, VerificationFailure)
-from .grids import (BlockLayout, StaggeredBlock2D, StaggeredGrid1D,
-                    build_block_2d, build_grid_1d, build_layout)
+from .grids import (StaggeredBlock2D, StaggeredGrid1D, build_block_2d,
+                    build_grid_1d, build_layout)
 from .leapfrog import (ReceiverSpec, SimState, SourceSpec, TimeGrid, find_cfl,
                        ricker, run, step_backward, step_forward)
 from .media import (ConstantMedium, CoefficientDiagonals, GriddedMedium,

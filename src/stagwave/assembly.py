@@ -58,7 +58,7 @@ from numpy.typing import NDArray
 
 from .errors import DomainError
 from .exact import to_fraction
-from .grids import BlockLayout, StaggeredBlock2D, build_block_2d
+from .grids import StaggeredBlock2D, build_block_2d, build_layout
 from .media import Medium, sample_coefficients
 from .sbp1d import SbpOperatorSet1D, build_periodic_1d, build_sbp_1d
 from .transfer import TransferPair, transfer_pair_for
@@ -388,50 +388,54 @@ def assemble_1d_interface_system(left: SbpOperatorSet1D, right: SbpOperatorSet1D
                               [transfer_pair_for(1, 1, 1)], coeffs)
 
 
-def assemble_interface_system(layout: BlockLayout, medium: Medium | None = None,
-                              transfer: TransferPair | None = None,
+def assemble_interface_system(blocks: Sequence[StaggeredBlock2D], medium: Medium | None = None,
+                              transfers: Sequence[TransferPair] | None = None,
                               coeffs: SatCoefficients | None = None) -> SemiDiscreteSystem:
-    """Assemble the system for a two-block layout.
+    """Assemble the system for a bottom-first stack of grid blocks.
 
-    The transfer pair is built from the layout ratio when not supplied, and
-    its shape is checked against the interface first. A conforming split is
-    then glued into the single grid it is: when the ratio is 1:1, both blocks
-    share one y spacing, and the medium samples c_p and c_u on the shared row
-    are exactly equal from both sides, the result is
-    `assemble_single_block_system` on the merged block (the layout's x grid,
-    the y range of both blocks, n_bottom + n_top - 1 rows). Interface penalty
-    coefficients and the transfer pair then have no effect. Every other layout,
-    including a 1:1 split on a material interface, keeps two blocks coupled
-    by interface penalties through the transfer pair.
+    Each interface's transfer pair is built from its ratio unless supplied.
+    Gluing is decided per interface, bottom first. A conforming split is glued
+    into the single grid it is: when the ratio is 1:1, both blocks share one y
+    spacing, and the medium samples c_p and c_u on the shared row are exactly
+    equal from both sides, the two blocks are merged into one (their x grid,
+    the y range of both, n_below + n_above - 1 rows), and that interface's
+    penalty coefficients and transfer pair have no effect. Every other
+    interface, including a 1:1 split on a material interface, keeps its two
+    blocks coupled by interface penalties through the transfer pair.
 
     Raises:
-        DomainError: transfer shape does not match the interface lengths.
+        DomainError: the blocks do not stack (see `build_layout`), the number
+            of supplied transfer pairs is not one per interface, or a pair
+            does not match its interface.
     """
-    if transfer is None:
-        transfer = transfer_pair_for(layout.ratio, layout.n_coarse, layout.n_fine)
-    if (transfer.n_coarse, transfer.n_fine) != (layout.n_coarse, layout.n_fine):
-        raise DomainError(
-            f"transfer pair sized {transfer.n_fine}x{transfer.n_coarse} does not "
-            f"match interface with {layout.n_fine} fine / {layout.n_coarse} coarse points"
-        )
-    bottom, top = (assemble_2d_block(layout.bottom, medium),
-                   assemble_2d_block(layout.top, medium))
-    if _is_conforming(layout, bottom.coefficients, top.coefficients):
-        gx, gy_b, gy_t = layout.top.grid_x, layout.bottom.grid_y, layout.top.grid_y
-        merged = build_block_2d(gx.x_left, gx.length, gx.n_p, gy_b.x_left,
-                                gy_t.x_right, gy_b.n_p + gy_t.n_p - 1)
-        return assemble_single_block_system(merged, medium, coeffs)
-    return SemiDiscreteSystem([bottom, top], [transfer], coeffs)
+    ratios = build_layout(blocks)
+    transfers = [None] * len(ratios) if transfers is None else transfers
+    if len(transfers) != len(ratios):
+        raise DomainError(f"{len(ratios)} interfaces need as many transfer pairs, "
+                          f"got {len(transfers)}")
+    stack, kept = [assemble_2d_block(blocks[0], medium)], []
+    for block, ratio, transfer in zip(blocks[1:], ratios, transfers):
+        below, above = stack[-1], assemble_2d_block(block, medium)
+        if _is_conforming(below, above):
+            gx, gy_b, gy_t = block.grid_x, below.block.grid_y, block.grid_y
+            stack[-1] = assemble_2d_block(build_block_2d(
+                gx.x_left, gx.length, gx.n_p, gy_b.x_left, gy_t.x_right,
+                gy_b.n_p + gy_t.n_p - 1), medium)
+        else:
+            stack.append(above)
+            kept.append(transfer or transfer_pair_for(ratio, below.block.grid_x.n_p,
+                                                      block.grid_x.n_p))
+    return SemiDiscreteSystem(stack, kept, coeffs)
 
 
-def _is_conforming(layout: BlockLayout, below, above) -> bool:
-    """True when a layout is one uniform grid with continuous material on
-    the shared row (v has no points there); `below` and `above` are the
-    blocks' per-field coefficients [c_p, c_u, c_v]."""
-    return (layout.ratio == 1
-            and layout.bottom.grid_y.dx == layout.top.grid_y.dx
-            and np.array_equal(below[0][:, -1], above[0][:, 0])
-            and np.array_equal(below[1][:, -1], above[1][:, 0]))
+def _is_conforming(below: BlockOperators, above: BlockOperators) -> bool:
+    """True when two stacked blocks are one uniform grid with continuous
+    material on the shared row (v has no points there)."""
+    gb, ga = below.block, above.block
+    return (gb.grid_x.dx == ga.grid_x.dx
+            and gb.grid_y.dx == ga.grid_y.dx
+            and np.array_equal(below.coefficients[0][:, -1], above.coefficients[0][:, 0])
+            and np.array_equal(below.coefficients[1][:, -1], above.coefficients[1][:, 0]))
 
 
 def assemble_single_block_system(block: StaggeredBlock2D, medium: Medium | None = None,

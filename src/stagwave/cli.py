@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import (BlockOperators, SemiDiscreteSystem, assemble_1d_boundary_system,
-                       assemble_1d_interface_system)
+                       assemble_1d_interface_system, assemble_single_block_system)
 from .config import build_run, parse_config
 from .errors import (ConfigError, StagwaveError, UnsupportedRatioError,
                      VerificationFailure)
@@ -34,10 +34,9 @@ from .leapfrog import find_cfl, run as run_sim
 from .sbp1d import build_periodic_1d, build_sbp_1d, verify_sbp_structure
 from .transfer import (certify_pair, derive_elemental_pair,
                        tabulated_elemental_pair, tile_periodic)
-from .verification import (assemble_single_block_system, convergence_study,
-                           energy_rate_oracle, long_time_stability_run,
-                           ratio_system, two_grid_agreement,
-                           uniform_standing_system)
+from .verification import (convergence_study, energy_rate_oracle,
+                           long_time_stability_run, ratio_system,
+                           two_grid_agreement, uniform_standing_system)
 
 _EXIT_CONFIG = 1
 _EXIT_IO = 2
@@ -67,6 +66,19 @@ def _sha256(path: Path) -> str:
 # run
 # ---------------------------------------------------------------------------
 
+def _earlier_outputs(out_dir: Path) -> list[Path]:
+    """The entries of out_dir that an earlier run's manifest.json there
+    lists, and that manifest; nothing the manifest omits."""
+    manifest = out_dir / "manifest.json"
+    if not manifest.is_file():
+        return []
+    try:
+        listed = {*json.loads(manifest.read_text())["files"], manifest.name}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FileExistsError(f"{manifest} is not a run manifest; not writing over it") from exc
+    return [path for path in out_dir.iterdir() if path.name in listed]
+
+
 def cmd_run(args) -> int:
     """Run a config; the output directory is made only once the run succeeds."""
     config = parse_config(args.config)
@@ -75,11 +87,14 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out) if args.out else Path(Path(args.config).stem + ".out")
     if out_dir.exists() and not args.force:
         raise FileExistsError(f"{out_dir} exists; pass --force to write into it")
+    stale = _earlier_outputs(out_dir)
     result = run_sim(built.system, built.time_grid, sources=built.sources,
                      receivers=built.receivers,
                      record_energy=built.outputs["energy"])
 
     out_dir.mkdir(parents=True, exist_ok=args.force)
+    for path in stale:
+        path.unlink(missing_ok=True)
     (out_dir / "config.yaml").write_text(config.to_yaml())
     files = ["config.yaml"]
     if built.outputs["seismogram"]:

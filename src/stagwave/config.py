@@ -36,11 +36,10 @@ from typing import Callable
 
 import yaml
 
-from .assembly import SemiDiscreteSystem, assemble_interface_system, \
-    assemble_single_block_system
+from .assembly import SemiDiscreteSystem, assemble_interface_system
 from .errors import ConfigError
 from .exact import to_fraction
-from .grids import build_block_2d, build_layout
+from .grids import build_block_2d
 from .leapfrog import ReceiverSpec, SourceSpec, TimeGrid
 from .media import (ConstantMedium, Medium, TwoLayerMedium, VerticalLinearMedium,
                     load_gridded_model)
@@ -231,11 +230,7 @@ def build_run(config: RunConfig) -> BuiltRun:
     """Construct the system and instrumentation described by a config."""
     spec = config.spec
     medium = spec.medium()
-    blocks = [build_block_2d(*box) for box in spec.blocks]
-    if len(blocks) == 2:
-        system = assemble_interface_system(build_layout(blocks[1], blocks[0]), medium)
-    else:
-        system = assemble_single_block_system(blocks[0], medium)
+    system = assemble_interface_system([build_block_2d(*box) for box in spec.blocks], medium)
     sources = [SourceSpec(*system.locate_pressure_point(x, y), f0=f0, t0=t0, amplitude=a)
                for x, y, f0, t0, a in spec.sources]
     receivers = [ReceiverSpec(*system.locate_pressure_point(x, y)) for x, y in spec.receivers]

@@ -1,4 +1,4 @@
-"""Staggered 1D subgrids, 2D blocks, and the two-block layout.
+"""Staggered 1D subgrids, 2D blocks, and the checks on a stack of blocks.
 
 A 1D staggered grid carries a primary subgrid and a dual subgrid shifted by
 half a spacing. Two alignments occur:
@@ -11,8 +11,8 @@ half a spacing. Two alignments occur:
   dual point so periodic wraparound is seamless. Used horizontally.
 
 A 2D block is the tensor product of a periodic x-grid and a bounded y-grid.
-A layout stacks two blocks sharing a horizontal interface row, with the
-coarser block below.
+A stack is a bottom-first sequence of blocks, each consecutive pair sharing
+a horizontal interface row, with the coarser block below.
 
 Coordinates are stored as exact rationals so that widths, interface
 positions, and spacing ratios can be compared without tolerance.
@@ -20,6 +20,7 @@ positions, and spacing ratios can be compared without tolerance.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
@@ -114,7 +115,7 @@ class StaggeredBlock2D:
       v: (n_x, n_y-1)      -- y-velocity, staggered in y only
 
     A bounded x-grid is admitted for the pressure-free-sidewall variant;
-    layouts with interfaces require the periodic convention.
+    stacks with interfaces require the periodic convention.
     """
 
     grid_x: StaggeredGrid1D
@@ -160,59 +161,40 @@ def build_block_2d(x_left, width, n_cols: int, y_bottom, y_top, n_rows: int,
     return StaggeredBlock2D(gx, gy)
 
 
-@dataclass(frozen=True)
-class BlockLayout:
-    """Two stacked blocks joined by a horizontal nonconforming interface.
+def build_layout(blocks: Sequence[StaggeredBlock2D]) -> tuple[Fraction, ...]:
+    """Validate a bottom-first stack of blocks.
 
-    The bottom block is the coarse side; both blocks own a pressure row
-    exactly on the interface. ``ratio`` is dx_bottom : dx_top >= 1.
-    """
-
-    top: StaggeredBlock2D
-    bottom: StaggeredBlock2D
-    interface_y: Fraction
-    ratio: Fraction
-
-    @property
-    def n_fine(self) -> int:
-        return self.top.grid_x.n_p
-
-    @property
-    def n_coarse(self) -> int:
-        return self.bottom.grid_x.n_p
-
-
-def build_layout(top: StaggeredBlock2D, bottom: StaggeredBlock2D) -> BlockLayout:
-    """Validate and assemble a two-block layout.
-
-    Args:
-        top: fine block, above the interface.
-        bottom: coarse block, below the interface.
+    Returns the spacing ratio dx_below : dx_above >= 1 of each interface,
+    bottom first; a single block has none.
 
     Raises:
-        DomainError: mismatched widths/origins, interface rows absent, or a
-            bottom spacing finer than the top one.
-        MisalignmentError: column counts admit no full elemental tiling, so
-            no periodic set of matching interface points exists.
+        DomainError: a pair with mismatched widths, interface rows absent, or
+            a lower spacing finer than the upper one.
+        MisalignmentError: a pair with shifted origins, or column counts that
+            admit no full elemental tiling, so no periodic set of matching
+            interface points exists.
     """
-    if not (top.x_periodic and bottom.x_periodic):
-        raise DomainError("interface layouts require the periodic x convention")
-    if top.grid_x.x_left != bottom.grid_x.x_left:
-        raise MisalignmentError(
-            "blocks with shifted x origins share no matching interface points"
-        )
-    if top.grid_x.length != bottom.grid_x.length:
-        raise DomainError(
-            f"block widths differ: {top.grid_x.length} vs {bottom.grid_x.length}"
-        )
-    if bottom.grid_y.x_right != top.grid_y.x_left:
-        raise DomainError("bottom block top row and top block bottom row must coincide")
-    ratio = bottom.grid_x.dx / top.grid_x.dx
-    if ratio < 1:
-        raise DomainError("bottom block must be the coarse side (ratio >= 1)")
-    if bottom.grid_x.n_p % ratio.denominator != 0:
-        raise MisalignmentError(
-            f"no matching interface points: {bottom.grid_x.n_p} coarse columns "
-            f"do not tile elemental intervals of ratio {ratio.numerator}:{ratio.denominator}"
-        )
-    return BlockLayout(top=top, bottom=bottom, interface_y=top.grid_y.x_left, ratio=ratio)
+    ratios = []
+    for bottom, top in zip(blocks, blocks[1:]):
+        if not (top.x_periodic and bottom.x_periodic):
+            raise DomainError("interface layouts require the periodic x convention")
+        if top.grid_x.x_left != bottom.grid_x.x_left:
+            raise MisalignmentError(
+                "blocks with shifted x origins share no matching interface points"
+            )
+        if top.grid_x.length != bottom.grid_x.length:
+            raise DomainError(
+                f"block widths differ: {top.grid_x.length} vs {bottom.grid_x.length}"
+            )
+        if bottom.grid_y.x_right != top.grid_y.x_left:
+            raise DomainError("bottom block top row and top block bottom row must coincide")
+        ratio = bottom.grid_x.dx / top.grid_x.dx
+        if ratio < 1:
+            raise DomainError("bottom block must be the coarse side (ratio >= 1)")
+        if bottom.grid_x.n_p % ratio.denominator != 0:
+            raise MisalignmentError(
+                f"no matching interface points: {bottom.grid_x.n_p} coarse columns "
+                f"do not tile elemental intervals of ratio {ratio.numerator}:{ratio.denominator}"
+            )
+        ratios.append(ratio)
+    return tuple(ratios)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import FormatError, OutOfCoverageError
+from .errors import DomainError, FormatError, OutOfCoverageError
 from .grids import StaggeredBlock2D
 
 
@@ -137,8 +137,8 @@ def load_gridded_model(rho_path, c_path, *, rows: int, cols: int, spacing: float
     Each file holds rows*cols values, row-major, of the declared dtype.
 
     Raises:
-        FormatError: file size does not match rows*cols*itemsize.
-        ValueError: non-finite or non-positive values.
+        FormatError: file size does not match rows*cols*itemsize, or the
+            file holds non-finite or non-positive values.
     """
     if dtype not in ("float32", "float64"):
         raise FormatError(f"unsupported value type {dtype!r}")
@@ -155,9 +155,9 @@ def load_gridded_model(rho_path, c_path, *, rows: int, cols: int, spacing: float
             )
         data = np.fromfile(path, dtype=np_dtype).astype(float).reshape(rows, cols)
         if not np.all(np.isfinite(data)):
-            raise ValueError(f"{path}: non-finite values present")
+            raise FormatError(f"{path}: non-finite values present")
         if not np.all(data > 0):
-            raise ValueError(f"{path}: non-positive values present")
+            raise FormatError(f"{path}: non-positive values present")
         return data
 
     return GriddedMedium(rho=read(rho_path), c=read(c_path), spacing=float(spacing),
@@ -186,6 +186,9 @@ def sample_coefficients(medium: Medium, block: StaggeredBlock2D) -> CoefficientD
     the material interface so takes each block's own side; a block may also
     straddle the split, as a glued 1:1 layout does when its shared row lies
     off the split.
+
+    Raises:
+        DomainError: a sampled coefficient is not positive.
     """
     mid = 0.5 * (float(block.grid_y.x_left) + float(block.grid_y.x_right))
 
@@ -207,5 +210,5 @@ def sample_coefficients(medium: Medium, block: StaggeredBlock2D) -> CoefficientD
     )
     for name in ("c_p", "c_u", "c_v"):
         if not np.all(getattr(diag, name) > 0):
-            raise ValueError(f"{name}: non-positive coefficient sampled")
+            raise DomainError(f"{name}: non-positive coefficient sampled")
     return diag

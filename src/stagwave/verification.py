@@ -26,7 +26,7 @@ from .assembly import (BlockOperators, SemiDiscreteSystem, assemble_interface_sy
                        assemble_single_block_system)
 from .config import RunConfig, build_run
 from .errors import DomainError, SizeError
-from .grids import build_block_2d, build_layout
+from .grids import build_block_2d
 from .leapfrog import SimState, TimeGrid, run
 from .sbp1d import SbpOperatorSet1D
 
@@ -117,20 +117,19 @@ def two_block_standing_system(n_bottom: int) -> SemiDiscreteSystem:
     """Unit square split at y = 1/2; coarse below, 2:1 refinement above."""
     bottom = build_block_2d(0, 1, n_bottom, 0, Fraction(1, 2), n_bottom // 2 + 1)
     top = build_block_2d(0, 1, 2 * n_bottom, Fraction(1, 2), 1, n_bottom + 1)
-    layout = build_layout(top, bottom)
-    return assemble_interface_system(layout)
+    return assemble_interface_system([bottom, top])
 
 
 def ratio_system(m: int, n: int, transfer=None, coeffs=None) -> SemiDiscreteSystem:
     """Small two-block system at ratio m:n (nine rows per block), unit
-    coefficients, on the unit width; `transfer` and `coeffs` as in
-    `assemble_interface_system`."""
+    coefficients, on the unit width; `transfer` is the interface's pair
+    (built from m:n when omitted), `coeffs` as in `assemble_interface_system`."""
     dx_c, dx_f = Fraction(1, 6 * n), Fraction(1, 6 * m)
     h_b = 8 * dx_c
     bottom = build_block_2d(0, 1, 6 * n, 0, h_b, 9)
     top = build_block_2d(0, 1, 6 * m, h_b, h_b + 8 * dx_f, 9)
-    return assemble_interface_system(build_layout(top, bottom),
-                                     transfer=transfer, coeffs=coeffs)
+    return assemble_interface_system(
+        [bottom, top], transfers=None if transfer is None else [transfer], coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------

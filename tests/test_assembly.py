@@ -10,10 +10,10 @@ from stagwave.assembly import (BlockOperators, SatCoefficients, SemiDiscreteSyst
                                assemble_interface_system,
                                assemble_single_block_system)
 from stagwave.errors import DomainError
-from stagwave.grids import BOTH_ENDS_PRIMARY, build_block_2d, build_layout
+from stagwave.grids import BOTH_ENDS_PRIMARY, build_block_2d
 from stagwave.leapfrog import SimState, step_forward
 from stagwave.transfer import (ElementalStencilPair, tabulated_elemental_pair,
-                               tile_periodic, transfer_pair_for)
+                               tile_periodic)
 from stagwave.verification import (energy_rate_oracle, flatten_fields,
                                    materialize_system, ratio_system,
                                    uniform_standing_system,
@@ -115,10 +115,9 @@ def three_block_stack():
     blocks, y = [], F(0)
     for cols in (12, 16, 32):
         h = F(8, cols)
-        blocks.append(assemble_2d_block(build_block_2d(0, 1, cols, y, y + h, 9)))
+        blocks.append(build_block_2d(0, 1, cols, y, y + h, 9))
         y += h
-    return SemiDiscreteSystem(blocks, [transfer_pair_for(F(4, 3), 12, 16),
-                                       transfer_pair_for(2, 16, 32)])
+    return assemble_interface_system(blocks)
 
 
 @pytest.mark.parametrize("hetero", [False, True], ids=["unit", "hetero"])
@@ -296,17 +295,17 @@ def test_conforming_split_tracks_single_segment():
     assert np.abs(glued - st_full.pressures[0]).max() <= 2e-7
 
 
-def _one_to_one_layout(top_rows=9):
+def _one_to_one_split(top_rows=9):
     bottom = build_block_2d(0, 1, 12, 0, F(2, 3), 9)
     top = build_block_2d(0, 1, 12, F(2, 3), F(4, 3), top_rows)
-    return build_layout(top, bottom)
+    return [bottom, top]
 
 
 def test_conforming_split_glues_into_single_block(rng):
     from stagwave.media import VerticalLinearMedium
     medium = VerticalLinearMedium(y_bottom=0.0, y_top=4 / 3, rho_bottom=2.0,
                                   rho_top=1.0, c_bottom=3.0, c_top=1.5)
-    glued = assemble_interface_system(_one_to_one_layout(), medium)
+    glued = assemble_interface_system(_one_to_one_split(), medium)
     whole = assemble_single_block_system(build_block_2d(0, 1, 12, 0, F(4, 3), 17),
                                          medium)
     assert len(glued.blocks) == 1
@@ -322,13 +321,41 @@ def test_one_to_one_split_on_material_interface_keeps_penalties():
     from stagwave.media import TwoLayerMedium
     medium = TwoLayerMedium(split_y=2 / 3, rho_top=0.5, c_top=1.0,
                             rho_bottom=1.0, c_bottom=2.0)
-    system = assemble_interface_system(_one_to_one_layout(), medium)
+    system = assemble_interface_system(_one_to_one_split(), medium)
     assert len(system.blocks) == 2
     assert energy_rate_oracle(system, n_states=100) <= 1e-12
 
 
+def test_glue_is_decided_per_interface(rng):
+    """A conforming 1:1 split below a 2:1 interface: the lower pair is glued,
+    the upper one keeps its penalties."""
+    from stagwave.media import VerticalLinearMedium
+    medium = VerticalLinearMedium(y_bottom=0.0, y_top=5 / 3, rho_bottom=2.0,
+                                  rho_top=1.0, c_bottom=3.0, c_top=1.5)
+    top = build_block_2d(0, 1, 24, F(4, 3), F(5, 3), 9)
+    system = assemble_interface_system([*_one_to_one_split(), top], medium)
+    merged = build_block_2d(0, 1, 12, 0, F(4, 3), 17)
+    pair = assemble_interface_system([merged, top], medium)
+    assert len(system.blocks) == 2
+    assert system.blocks[0].block == merged
+    prs, vel = pair.random_state(rng)
+    for got, want in zip(system.pressure_rates(vel), pair.pressure_rates(vel)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(system.velocity_rates(prs), pair.velocity_rates(prs)):
+        np.testing.assert_array_equal(got, want)
+    assert energy_rate_oracle(system, n_states=100) <= 1e-12
+
+
+@pytest.mark.parametrize("n_transfers", [1, 3])
+def test_stack_assembly_needs_one_supplied_transfer_per_interface(n_transfers):
+    stack = three_block_stack()
+    blocks = [b.block for b in stack.blocks]
+    with pytest.raises(DomainError):
+        assemble_interface_system(blocks, transfers=stack.transfers[:1] * n_transfers)
+
+
 def test_one_to_one_split_with_different_y_spacings_keeps_two_blocks():
-    system = assemble_interface_system(_one_to_one_layout(top_rows=11))
+    system = assemble_interface_system(_one_to_one_split(top_rows=11))
     assert len(system.blocks) == 2
     assert system.blocks[0].block.grid_y.dx != system.blocks[1].block.grid_y.dx
 

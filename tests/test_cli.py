@@ -52,6 +52,21 @@ def test_missing_model_file_exits_2_without_outputs(tmp_path):
     assert not out.exists()
 
 
+def test_nonpositive_model_value_exits_3_without_outputs(tmp_path, capsys):
+    rho, c = tmp_path / "neg.bin", tmp_path / "c.bin"
+    np.full(25, -1.0, dtype="<f4").tofile(rho)
+    np.ones(25, dtype="<f4").tofile(c)
+    cfg = yaml.safe_load(TINY_CONFIG)
+    cfg["medium"] = {"kind": "gridded", "rho_file": str(rho), "c_file": str(c),
+                     "rows": 5, "cols": 5, "spacing": 0.24}
+    path = tmp_path / "neg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "never"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_invalid_config_exits_1(tmp_path):
     cfg = yaml.safe_load(TINY_CONFIG)
     del cfg["time"]
@@ -116,6 +131,44 @@ def test_existing_output_directory_needs_force(config_path, tmp_path):
     assert main(["run", str(config_path), "--out", str(out)]) == 2
     assert list(out.iterdir()) == []
     assert main(["run", str(config_path), "--out", str(out), "--force"]) == 0
+
+
+def test_force_replaces_the_files_of_the_earlier_manifest(tmp_path):
+    cfg = yaml.safe_load(TINY_CONFIG)
+    out = tmp_path / "out"
+
+    def run(snapshot):
+        cfg["outputs"]["snapshot"] = snapshot
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["run", str(path), "--out", str(out), "--force"]) == 0
+        return {*json.loads((out / "manifest.json").read_text())["files"], "manifest.json"}
+
+    assert "snapshot_p0.bin" in run(True)
+    listed = run(False)
+    assert {f.name for f in out.iterdir()} == listed
+    # a file no manifest lists is not the run's to delete
+    (out / "notes.txt").write_text("kept")
+    listed = run(True)
+    assert {f.name for f in out.iterdir()} == listed | {"notes.txt"}
+
+
+def test_force_refuses_a_directory_with_an_unreadable_manifest(config_path, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("not a manifest")
+    assert main(["run", str(config_path), "--out", str(out), "--force"]) == 2
+    assert [f.name for f in out.iterdir()] == ["manifest.json"]
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1]
+    code = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "n_steps=5000" in code
+    namespace = {}
+    exec(code.replace("n_steps=5000", "n_steps=20"), namespace)
+    assert np.all(np.isfinite(namespace["result"].seismograms))
 
 
 def test_readme_schema_parses():

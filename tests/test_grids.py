@@ -72,47 +72,45 @@ def test_layout_requires_periodic_x():
     top = build_block_2d(0, "0.96", 121, "0.48", "0.96", 61,
                          x_alignment=BOTH_ENDS_PRIMARY)
     with pytest.raises(DomainError):
-        build_layout(top, bottom)
+        build_layout([bottom, top])
 
 
 def test_layout_accepts_2_to_1():
     bottom = build_block_2d(0, "0.96", 60, 0, "0.48", 31)
     top = build_block_2d(0, "0.96", 120, "0.48", "0.96", 61)
-    layout = build_layout(top, bottom)
-    assert layout.ratio == 2
-    assert layout.interface_y == Fraction("0.48")
+    assert build_layout([bottom, top]) == (2,)
+    assert bottom.grid_y.x_right == top.grid_y.x_left == Fraction("0.48")
 
 
 def test_layout_accepts_6_to_5():
     bottom = build_block_2d(0, "0.96", 100, 0, "0.768", 81)
     top = build_block_2d(0, "0.96", 120, "0.768", "0.96", 25)
-    layout = build_layout(top, bottom)
-    assert layout.ratio == Fraction(6, 5)
+    assert build_layout([bottom, top]) == (Fraction(6, 5),)
 
 
 def test_layout_rejects_width_mismatch():
     bottom = build_block_2d(0, "1.12", 70, 0, "0.48", 31)
     top = build_block_2d(0, "0.96", 120, "0.48", "0.96", 61)
     with pytest.raises(DomainError):
-        build_layout(top, bottom)
+        build_layout([bottom, top])
 
 
 def test_layout_rejects_shifted_origin():
     bottom = build_block_2d("0.008", "0.96", 60, 0, "0.48", 31)
     top = build_block_2d(0, "0.96", 120, "0.48", "0.96", 61)
     with pytest.raises(MisalignmentError):
-        build_layout(top, bottom)
+        build_layout([bottom, top])
 
 
 def test_layout_rejects_fine_bottom():
     bottom = build_block_2d(0, "0.96", 120, 0, "0.48", 61)
     top = build_block_2d(0, "0.96", 60, "0.48", "0.96", 31)
     with pytest.raises(DomainError):
-        build_layout(top, bottom)
+        build_layout([bottom, top])
 
 
 def test_layout_requires_touching_blocks():
     bottom = build_block_2d(0, "0.96", 60, 0, "0.4", 26)
     top = build_block_2d(0, "0.96", 120, "0.48", "0.96", 61)
     with pytest.raises(DomainError):
-        build_layout(top, bottom)
+        build_layout([bottom, top])

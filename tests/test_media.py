@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stagwave.errors import FormatError, OutOfCoverageError
+from stagwave.errors import DomainError, FormatError, OutOfCoverageError
 from stagwave.grids import build_block_2d
 from stagwave.media import (ConstantMedium, GriddedMedium, TwoLayerMedium,
                             VerticalLinearMedium, load_gridded_model,
@@ -98,8 +98,16 @@ def test_loader_rejects_nonpositive_values(tmp_path):
     _write_raw(rho, data, "<f4")
     data[5] = 0.0
     _write_raw(c, data, "<f4")
-    with pytest.raises(ValueError):
+    with pytest.raises(FormatError):
         load_gridded_model(rho, c, rows=3, cols=4, spacing=1.0)
+
+
+def test_nonpositive_sampled_coefficient_is_a_domain_error():
+    # the linear profile, extended below its bottom level, turns negative
+    medium = VerticalLinearMedium(y_bottom=3.0, y_top=4.0, rho_bottom=1.0,
+                                  rho_top=2.0, c_bottom=1.0, c_top=1.0)
+    with pytest.raises(DomainError):
+        sample_coefficients(medium, build_block_2d(0, 1, 12, 0, 1, 13))
 
 
 def test_loader_float64(tmp_path):
