@@ -166,7 +166,7 @@ def cmd_operators(args) -> int:
             ops = build_periodic_1d(args.n, args.dx)
             _dump_matrix(out, "d_p", ops.dense_d_p())
             _dump_matrix(out, "d_v", ops.dense_d_v())
-            q = ops.a_weight * ops.dense_d_v() + (ops.a_weight * ops.dense_d_p()).T
+            q = ops.dx * ops.dense_d_v() + (ops.dx * ops.dense_d_p()).T
             out.write(f"# wraparound_residual,{_fmt(float(np.abs(q).max()))}\n")
         elif args.kind == "transfer":
             if args.derive:
@@ -339,6 +339,18 @@ def _ratio(text: str) -> Fraction:
     return Fraction(int(coarse), int(fine))
 
 
+def _count(text: str) -> int:
+    """argparse type of the count options (--n, --elements, --steps): a
+    positive integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stagwave",
@@ -356,17 +368,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ops = sub.add_parser("operators", help="dump operators and certificates")
     ops_sub = p_ops.add_subparsers(dest="kind", required=True)
     p_sbp = ops_sub.add_parser("sbp1d")
-    p_sbp.add_argument("--n", type=int, default=9)
+    p_sbp.add_argument("--n", type=_count, default=9)
     p_sbp.add_argument("--dx", type=float, default=1.0)
     p_per = ops_sub.add_parser("periodic")
-    p_per.add_argument("--n", type=int, default=8)
+    p_per.add_argument("--n", type=_count, default=8)
     p_per.add_argument("--dx", type=float, default=1.0)
     p_tr = ops_sub.add_parser("transfer")
     p_tr.add_argument("--ratio", required=True, type=_ratio, help="coarse:fine, e.g. 3:2")
     p_tr.add_argument("--derive", action="store_true",
                       help="solve the constraint system instead of using tables")
     p_tr.add_argument("--support", type=int, default=None)
-    p_tr.add_argument("--elements", type=int, default=4,
+    p_tr.add_argument("--elements", type=_count, default=4,
                       help="elemental intervals to tile for the certificate")
     for sp in (p_sbp, p_per, p_tr):
         sp.add_argument("--out", help="write to file instead of stdout")
@@ -375,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run verification suites")
     p_ver.add_argument("suite", choices=["energy", "convergence", "cfl",
                                          "stability", "agreement", "all"])
-    p_ver.add_argument("--steps", type=int, default=50_000,
+    p_ver.add_argument("--steps", type=_count, default=50_000,
                        help="steps for the stability scenarios")
     p_ver.add_argument("--csv", help="also write a machine-readable report")
     p_ver.set_defaults(func=cmd_verify)
@@ -383,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cfl = sub.add_parser("cfl", help="bisect a time-step limit")
     p_cfl.add_argument("configuration",
                        choices=["1d-periodic", "1d-sat", "2d-periodic", "2d-sat"])
-    p_cfl.add_argument("--n", type=int, default=32)
+    p_cfl.add_argument("--n", type=_count, default=32)
     p_cfl.set_defaults(func=cmd_cfl)
     return parser
 

@@ -188,7 +188,8 @@ def sample_coefficients(medium: Medium, block: StaggeredBlock2D) -> CoefficientD
     off the split.
 
     Raises:
-        DomainError: a sampled coefficient is not positive.
+        DomainError: a sampled density or speed, or a coefficient formed
+            from them, is not positive.
     """
     mid = 0.5 * (float(block.grid_y.x_left) + float(block.grid_y.x_right))
 
@@ -199,16 +200,16 @@ def sample_coefficients(medium: Medium, block: StaggeredBlock2D) -> CoefficientD
         return np.meshgrid(xs, ys, indexing="ij")
 
     xp, yp = grids("p")
-    rho_p = medium.rho_at(xp, yp)
-    c_p = medium.c_at(xp, yp)
     xu, yu = grids("u")
     xv, yv = grids("v")
-    diag = CoefficientDiagonals(
-        c_p=1.0 / (rho_p * c_p**2),
-        c_u=medium.rho_at(xu, yu),
-        c_v=medium.rho_at(xv, yv),
-    )
-    for name in ("c_p", "c_u", "c_v"):
-        if not np.all(getattr(diag, name) > 0):
-            raise DomainError(f"{name}: non-positive coefficient sampled")
+    rho_p, c_p = medium.rho_at(xp, yp), medium.c_at(xp, yp)
+    rho_u, rho_v = medium.rho_at(xu, yu), medium.rho_at(xv, yv)
+    # a zero would divide below, and a negative speed enters squared
+    for name, values in (("rho on p", rho_p), ("c on p", c_p),
+                         ("rho on u", rho_u), ("rho on v", rho_v)):
+        if not np.all(values > 0):
+            raise DomainError(f"{name}: non-positive value sampled")
+    diag = CoefficientDiagonals(c_p=1.0 / (rho_p * c_p**2), c_u=rho_u, c_v=rho_v)
+    if not np.all(diag.c_p > 0):
+        raise DomainError("c_p: non-positive coefficient formed")
     return diag

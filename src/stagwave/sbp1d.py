@@ -17,9 +17,12 @@ staggered pair of subgrids:
 * ``PeriodicOperatorSet1D`` -- wrapped interior stencil on a periodic pair;
   the analogous bilinear form vanishes identically.
 
-Both families apply through one in-place kernel each (`apply_d_p`,
-`apply_d_v`): along axis 0 of a 1D or 2D array or axis 1 of a 2D array, into
-an output array, optionally scaled and added to it.
+Every operator of both families applies through one in-place kernel
+(`apply_d_p`, `apply_d_v`): along axis 0 of a 1D or 2D array or axis 1 of a
+2D array, into an output array, optionally scaled and added to it. The kernel
+runs the interior stencil on contiguous rows; the rows it does not cover are
+data, a few small dense products: the two boundary closures of a bounded
+operator, or the rows of a periodic one that wrap around the seam.
 
 Closure coefficients are stored as exact rationals. They are the unique
 solution of the accuracy + structure constraint system once the boundary
@@ -77,10 +80,6 @@ def _as_float(rows) -> NDArray[np.float64]:
     return np.array([[float(c) for c in row] for row in rows])
 
 
-_DV_TOP = _as_float(DV_CLOSURE)
-_DV_BOT = _as_float(_mirror(DV_CLOSURE))
-_DP_TOP = _as_float(DP_CLOSURE)
-_DP_BOT = _as_float(_mirror(DP_CLOSURE))
 _ST = np.array([float(c) for c in INTERIOR_STENCIL])
 #: the periodic rows that wrap: three stencil rows over six consecutive points
 _WRAP = np.array([[*_ST, 0, 0], [0, *_ST, 0], [0, 0, *_ST]])
@@ -109,25 +108,34 @@ class _Kernel:
     """scale * D for one staggered operator, into an output array, along
     axis 0 of a 1D or 2D array or along axis 1 of a 2D array.
 
-    The interior stencil covers output rows lo .. lo+m-1, and row lo reads
-    input rows first .. first+3. Along axis 0 the stencil runs in place in
-    `out` on contiguous blocks of rows. Along axis 1 the rows are columns,
-    which numpy walks with slow, buffered strided loops; there the stencil
-    runs on the flattened input, into `scratch` (laid out like the input),
-    and one copy (or sum) moves the columns whose four points lie in one row
-    into `out`. To add along axis 0, the stencil runs into the first m rows
-    of `scratch` and one contiguous sum moves them into `out`. Subclasses add
-    the edge rows. The scale is folded into the stencil's scalar and into the
-    edge products at call time.
+    D is the interior stencil plus edge rows given as data. The stencil
+    covers output rows lo .. lo+m-1, and row lo reads input rows
+    first .. first+3. Along axis 0 the stencil runs in place in `out` on
+    contiguous blocks of rows. Along axis 1 the rows are columns, which numpy
+    walks with slow, buffered strided loops; there the stencil runs on the
+    flattened input, into `scratch` (laid out like the input), and one copy
+    (or sum) moves the columns whose four points lie in one row into `out`.
+    To add along axis 0, the stencil runs into the first m rows of `scratch`
+    and one contiguous sum moves them into `out`.
+
+    Every other output row belongs to one of `edges`, a list of products
+    (out_rows, in_rows, mat): out[out_rows] = mat @ w[in_rows] along axis 0.
+    A bounded operator has its two closures there, a periodic operator the
+    rows that wrap around the seam. The row indices are built once per axis
+    and `mat` is divided by dx here; the scale is folded into the stencil's
+    scalar and into the edge products at call time.
     """
 
-    def __init__(self, lo: int, first: int, m: int, dx: float):
+    def __init__(self, lo: int, first: int, m: int, dx: float, edges):
         self.s = _ST[0] / dx
         self.out_rows = slice(lo, lo + m)
         self.scratch_rows = slice(0, m)
         self.in_rows = [slice(first + j, first + j + m) for j in range(4)]
         self.cols = (slice(None), self.out_rows)
         self.flat_start = lo - first
+        edges = [(o, i, mat / dx) for o, i, mat in edges]
+        self.edges = (edges, [((slice(None), o), (slice(None), i), mat)
+                              for o, i, mat in edges])   # by axis
 
     def __call__(self, w, out, axis: int, scale: float, add: bool, scratch) -> None:
         s = self.s * scale
@@ -148,59 +156,31 @@ class _Kernel:
                 out[self.cols] += scratch[self.cols]
             else:
                 out[self.cols] = scratch[self.cols]
-        self._edges(w, out, axis, scale, add)
+        for out_rows, in_rows, mat in self.edges[axis]:
+            # a few rows: small temporaries
+            prod = mat @ w[in_rows] if axis == 0 else w[in_rows] @ mat.T
+            if scale != 1.0:
+                prod *= scale
+            if add:
+                out[out_rows] += prod
+            else:
+                out[out_rows] = prod
 
 
-def _product(mat, w, out, axis: int, scale: float, add: bool) -> None:
-    """out (+)= scale * mat applied along `axis` of w (a few rows: small
-    temporaries)."""
-    prod = mat @ w if axis == 0 else w @ mat.T
-    if scale != 1.0:
-        prod *= scale
-    if add:
-        out += prod
-    else:
-        out[...] = prod
-
-
-class _BoundedKernel(_Kernel):
-    """Bounded operator: each closure is a product with the five input rows
+def _bounded_kernel(closure, n_in: int, n_out: int, dx: float) -> _Kernel:
+    """A bounded operator: each closure is a product with the five input rows
     at its end."""
-
-    def __init__(self, top, bottom, n_in: int, n_out: int, dx: float):
-        k = top.shape[0]
-        super().__init__(k, 2, n_out - 2 * k, dx)
-        self.top = top / dx
-        self.bottom = bottom / dx
-        rows = [slice(0, k), slice(0, 5), slice(n_out - k, n_out), slice(n_in - 5, n_in)]
-        self.edge_index = (rows, [(slice(None), r) for r in rows])   # by axis
-
-    def _edges(self, w, out, axis: int, scale: float, add: bool) -> None:
-        o_top, i_top, o_bot, i_bot = self.edge_index[axis]
-        _product(self.top, w[i_top], out[o_top], axis, scale, add)
-        _product(self.bottom, w[i_bot], out[o_bot], axis, scale, add)
+    k = len(closure)
+    return _Kernel(k, 2, n_out - 2 * k, dx, [
+        (slice(0, k), slice(0, 5), _as_float(closure)),
+        (slice(n_out - k, n_out), slice(n_in - 5, n_in), _as_float(_mirror(closure)))])
 
 
-class _PeriodicKernel(_Kernel):
-    """Periodic operator: the three rows that wrap are one product with the
+def _periodic_kernel(n: int, dx: float, lo: int) -> _Kernel:
+    """A periodic operator: the three rows that wrap are one product with the
     six points around the seam."""
-
-    def __init__(self, n: int, dx: float, lo: int):
-        super().__init__(lo, 0, n - 3, dx)
-        self.wrap = _WRAP / dx
-        self.seam = np.array([n - 3, n - 2, n - 1, 0, 1, 2])
-        self.wrapped = np.arange(lo - 3, lo) % n
-
-    def _edges(self, w, out, axis: int, scale: float, add: bool) -> None:
-        seam = np.take(w, self.seam, axis=axis)
-        rows = (slice(None), self.wrapped) if axis else self.wrapped
-        wrapped = seam @ self.wrap.T if axis else self.wrap @ seam
-        if scale != 1.0:
-            wrapped *= scale
-        if add:
-            out[rows] += wrapped
-        else:
-            out[rows] = wrapped
+    seam = np.array([n - 3, n - 2, n - 1, 0, 1, 2])
+    return _Kernel(lo, 0, n - 3, dx, [(np.arange(lo - 3, lo) % n, seam, _WRAP)])
 
 
 def _apply(kernel: _Kernel, values, axis: int, out, scale: float, add: bool, scratch,
@@ -249,13 +229,13 @@ class SbpOperatorSet1D:
     proj_left: NDArray[np.float64]
     proj_right: NDArray[np.float64]
 
-    _d_v: _BoundedKernel = field(init=False, repr=False, compare=False)
-    _d_p: _BoundedKernel = field(init=False, repr=False, compare=False)
+    _d_v: _Kernel = field(init=False, repr=False, compare=False)
+    _d_p: _Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, dx = self.n_p, self.dx
-        object.__setattr__(self, "_d_v", _BoundedKernel(_DV_TOP, _DV_BOT, n - 1, n, dx))
-        object.__setattr__(self, "_d_p", _BoundedKernel(_DP_TOP, _DP_BOT, n, n - 1, dx))
+        object.__setattr__(self, "_d_v", _bounded_kernel(DV_CLOSURE, n - 1, n, dx))
+        object.__setattr__(self, "_d_p", _bounded_kernel(DP_CLOSURE, n, n - 1, dx))
 
     @property
     def n_v(self) -> int:
@@ -343,12 +323,8 @@ def build_sbp_1d(n_p: int, dx: float) -> SbpOperatorSet1D:
     dx = float(dx)
     if not dx > 0:
         raise DomainError(f"dx must be positive, got {dx}")
-    a_p = np.ones(n_p)
-    a_p[:4] = [float(c) for c in AP_CLOSURE]
-    a_p[-4:] = a_p[3::-1]
-    a_v = np.ones(n_p - 1)
-    a_v[:3] = [float(c) for c in AV_CLOSURE]
-    a_v[-3:] = a_v[2::-1]
+    a_p = np.array(_exact_norm(n_p, AP_CLOSURE), dtype=float)
+    a_v = np.array(_exact_norm(n_p - 1, AV_CLOSURE), dtype=float)
     proj_left = np.zeros(n_p - 1)
     proj_left[:3] = [float(c) for c in PROJECTION]
     proj_right = proj_left[::-1].copy()
@@ -362,18 +338,13 @@ class PeriodicOperatorSet1D:
 
     n: int
     dx: float
-    _d_p: _PeriodicKernel = field(init=False, repr=False, compare=False)
-    _d_v: _PeriodicKernel = field(init=False, repr=False, compare=False)
+    _d_p: _Kernel = field(init=False, repr=False, compare=False)
+    _d_v: _Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # d^p row j starts at primary point j - 1, d^v row i at dual point i - 2
-        object.__setattr__(self, "_d_p", _PeriodicKernel(self.n, self.dx, 1))
-        object.__setattr__(self, "_d_v", _PeriodicKernel(self.n, self.dx, 2))
-
-    @property
-    def a_weight(self) -> float:
-        """Uniform diagonal norm entry (primary and dual alike)."""
-        return self.dx
+        object.__setattr__(self, "_d_p", _periodic_kernel(self.n, self.dx, 1))
+        object.__setattr__(self, "_d_v", _periodic_kernel(self.n, self.dx, 2))
 
     @property
     def a_p(self) -> NDArray[np.float64]:
@@ -394,18 +365,19 @@ class PeriodicOperatorSet1D:
         return _apply(self._d_v, values, axis, out, scale, add, scratch, self.n, self.n)
 
     def dense_d_p(self) -> NDArray[np.float64]:
-        mat = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            for k, off in enumerate((-1, 0, 1, 2)):
-                mat[j, (j + off) % self.n] += _ST[k]
-        return mat / self.dx
+        return _circulant(self.n, -1) / self.dx
 
     def dense_d_v(self) -> NDArray[np.float64]:
-        mat = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            for k, off in enumerate((-2, -1, 0, 1)):
-                mat[i, (i + off) % self.n] += _ST[k]
-        return mat / self.dx
+        return _circulant(self.n, -2) / self.dx
+
+
+def _circulant(n: int, first: int) -> NDArray[np.float64]:
+    """Unit-spacing periodic operator whose row i applies the interior
+    stencil to points i+first .. i+first+3, wrapped."""
+    mat = np.zeros((n, n))
+    rows = np.arange(n)[:, None]
+    mat[rows, (rows + first + np.arange(4)) % n] = _ST
+    return mat
 
 
 def build_periodic_1d(n: int, dx: float) -> PeriodicOperatorSet1D:

@@ -278,22 +278,28 @@ class TransferPair:
     def ratio(self) -> Fraction:
         return self.elemental.ratio
 
-    def exact_matrices(self):
-        """Exact tiled operators for zero-tolerance tests."""
-        c2f = _tile_exact(self.elemental.coarse_to_fine, self.elemental.m,
-                          self.elemental.n, self.n_fine, self.n_coarse)
-        f2c = _tile_exact(self.elemental.fine_to_coarse, self.elemental.n,
-                          self.elemental.m, self.n_coarse, self.n_fine)
-        return c2f, f2c
+    def exact_matrices(self) -> tuple[NDArray[np.object_], NDArray[np.object_]]:
+        """Exact tiled operators, of which `coarse_to_fine` and
+        `fine_to_coarse` are the rounded copies: object arrays holding a
+        `Fraction` where a stencil reaches and the integer 0 elsewhere."""
+        return _tile_both(self.elemental, self.n_coarse, self.n_fine)
 
 
-def _tile_exact(rows, rows_per_elem, cols_per_elem, n_rows, n_cols):
-    mat = [[F(0)] * n_cols for _ in range(n_rows)]
-    for e in range(n_rows // rows_per_elem):
-        for r, row in enumerate(rows):
-            for k, w in row.items():
-                mat[e * rows_per_elem + r][(e * cols_per_elem + k) % n_cols] += w
+def _tile_exact(rows, rows_per_elem, cols_per_elem, n_rows, n_cols) -> NDArray[np.object_]:
+    """Tile elemental rows periodically: each weight is scattered to its
+    position in every elemental interval, and weights of stencils that wrap
+    onto one entry are summed exactly."""
+    mat = np.zeros((n_rows, n_cols), dtype=object)
+    starts = np.arange(n_rows // rows_per_elem)
+    for r, row in enumerate(rows):
+        for k, w in row.items():
+            mat[starts * rows_per_elem + r, (starts * cols_per_elem + k) % n_cols] += w
     return mat
+
+
+def _tile_both(elem: ElementalStencilPair, n_coarse: int, n_fine: int):
+    return (_tile_exact(elem.coarse_to_fine, elem.m, elem.n, n_fine, n_coarse),
+            _tile_exact(elem.fine_to_coarse, elem.n, elem.m, n_coarse, n_fine))
 
 
 def tile_periodic(elem: ElementalStencilPair, n_coarse: int, n_fine: int) -> TransferPair:
@@ -305,9 +311,13 @@ def tile_periodic(elem: ElementalStencilPair, n_coarse: int, n_fine: int) -> Tra
         n_fine: fine points; must equal n_coarse * m / n.
 
     Raises:
-        DomainError: counts incompatible with the ratio or not tileable.
+        DomainError: counts not positive, incompatible with the ratio or not
+            tileable.
     """
     m, n = elem.m, elem.n
+    if n_coarse < 1 or n_fine < 1:
+        raise DomainError(f"point counts must be positive, got {n_coarse} coarse "
+                          f"and {n_fine} fine")
     if n_coarse % n != 0:
         raise DomainError(f"{n_coarse} coarse points do not tile elements of {n}")
     if n_fine * n != n_coarse * m:
@@ -315,12 +325,9 @@ def tile_periodic(elem: ElementalStencilPair, n_coarse: int, n_fine: int) -> Tra
             f"side lengths disagree: {n_fine} fine vs {n_coarse} coarse "
             f"points at ratio {m}:{n}"
         )
-    c2f_e = _tile_exact(elem.coarse_to_fine, m, n, n_fine, n_coarse)
-    f2c_e = _tile_exact(elem.fine_to_coarse, n, m, n_coarse, n_fine)
-    c2f = np.array([[float(x) for x in row] for row in c2f_e])
-    f2c = np.array([[float(x) for x in row] for row in f2c_e])
+    c2f, f2c = _tile_both(elem, n_coarse, n_fine)
     return TransferPair(elemental=elem, n_coarse=n_coarse, n_fine=n_fine,
-                        coarse_to_fine=c2f, fine_to_coarse=f2c)
+                        coarse_to_fine=c2f.astype(float), fine_to_coarse=f2c.astype(float))
 
 
 def transfer_pair_for(ratio, n_coarse: int, n_fine: int) -> TransferPair:
@@ -368,10 +375,8 @@ def certify_pair(pair: TransferPair) -> TransferCertificate:
             row_sum_err = max(row_sum_err, abs(sum(row.values()) - 1))
     degree = pair_exactness_degree(elem)
     c2f_e, f2c_e = pair.exact_matrices()
-    nf, nc = pair.n_fine, pair.n_coarse
     scale = F(elem.n, elem.m)  # dx_fine / dx_coarse
-    resid = max(abs(scale * c2f_e[l][k] - f2c_e[k][l])
-                for l in range(nf) for k in range(nc))
+    resid = np.abs(scale * c2f_e.T - f2c_e).max()
     return TransferCertificate(row_sum_error=float(row_sum_err),
                                exactness_degree=degree,
                                adjoint_residual=float(resid),

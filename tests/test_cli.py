@@ -241,6 +241,21 @@ def test_operators_transfer_malformed_ratio_is_a_usage_error(ratio, capsys):
     assert "--ratio" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["operators", "transfer", "--ratio", "2:1", "--elements", "0"],
+    ["operators", "transfer", "--ratio", "2:1", "--elements", "-2"],
+    ["operators", "sbp1d", "--n", "x"],
+    ["operators", "periodic", "--n", "0"],
+    ["cfl", "1d-periodic", "--n", "0"],
+    ["verify", "stability", "--steps", "-1"],
+], ids=["elements-0", "elements-neg", "sbp1d-n-x", "periodic-n-0", "cfl-n-0", "steps-neg"])
+def test_nonpositive_count_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{argv[-2]}: expected a positive integer" in capsys.readouterr().err
+
+
 def test_operators_transfer_derived_ratio(capsys):
     assert main(["operators", "transfer", "--ratio", "7:6"]) == 0
     out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,12 +104,17 @@ def test_loader_rejects_nonpositive_values(tmp_path):
         load_gridded_model(rho, c, rows=3, cols=4, spacing=1.0)
 
 
-def test_nonpositive_sampled_coefficient_is_a_domain_error():
-    # the linear profile, extended below its bottom level, turns negative
-    medium = VerticalLinearMedium(y_bottom=3.0, y_top=4.0, rho_bottom=1.0,
-                                  rho_top=2.0, c_bottom=1.0, c_top=1.0)
-    with pytest.raises(DomainError):
-        sample_coefficients(medium, build_block_2d(0, 1, 12, 0, 1, 13))
+def test_nonpositive_sampled_coefficient_is_a_domain_error(block):
+    # linear profiles extended below their bottom level: a negative density,
+    # a density of exactly 0 at y = 1 (no divide-by-zero warning may come
+    # first), and a speed down to -7 that would enter 1/(rho c^2) squared
+    for y_bottom, y_top, rho_top, c_top in ((3.0, 4.0, 2.0, 1.0), (2.0, 3.0, 2.0, 1.0),
+                                            (0.8, 1.0, 1.0, 3.0)):
+        medium = VerticalLinearMedium(y_bottom=y_bottom, y_top=y_top, rho_bottom=1.0,
+                                      rho_top=rho_top, c_bottom=1.0, c_top=c_top)
+        with warnings.catch_warnings(), pytest.raises(DomainError):
+            warnings.simplefilter("error")
+            sample_coefficients(medium, block)
 
 
 def test_loader_float64(tmp_path):

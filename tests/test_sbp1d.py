@@ -171,7 +171,7 @@ def test_perturbed_closure_detected():
 
 def test_periodic_wraparound_identity_is_exact():
     ops = build_periodic_1d(8, 1.0)
-    q = ops.a_weight * ops.dense_d_v() + (ops.a_weight * ops.dense_d_p()).T
+    q = ops.dx * ops.dense_d_v() + (ops.dx * ops.dense_d_p()).T
     assert np.all(q == 0.0)
 
 

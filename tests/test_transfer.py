@@ -107,6 +107,20 @@ def test_tiling_divisibility_and_length_checks():
         tile_periodic(pair, 61, 90)
     with pytest.raises(DomainError):
         tile_periodic(pair, 60, 100)
+    for n_coarse, n_fine in ((0, 0), (-2, -3)):
+        with pytest.raises(DomainError):
+            tile_periodic(pair, n_coarse, n_fine)
+
+
+def test_wrapped_stencils_are_summed_exactly_then_rounded():
+    # one elemental interval of 6:5: the 11-point coincident row wraps over
+    # 5 coarse points, so several weights land on one entry; summing their
+    # rounded floats instead would change some entries in the last bit
+    tiled = tile_periodic(tabulated_elemental_pair(F(6, 5)), 5, 6)
+    for flt, exact in zip((tiled.coarse_to_fine, tiled.fine_to_coarse),
+                          tiled.exact_matrices()):
+        assert flt.shape == exact.shape
+        assert all(flt[i, j] == float(exact[i, j]) for i, j in np.ndindex(flt.shape))
 
 
 def test_unsupported_ratio_raises():
