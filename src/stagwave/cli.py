@@ -169,13 +169,13 @@ def cmd_operators(args) -> int:
             q = ops.dx * ops.dense_d_v() + (ops.dx * ops.dense_d_p()).T
             out.write(f"# wraparound_residual,{_fmt(float(np.abs(q).max()))}\n")
         elif args.kind == "transfer":
-            if args.derive:
+            if args.derive or args.support is not None:
                 elem = derive_elemental_pair(args.ratio, support=args.support)
             else:
                 try:
                     elem = tabulated_elemental_pair(args.ratio)
                 except UnsupportedRatioError:
-                    elem = derive_elemental_pair(args.ratio, support=args.support)
+                    elem = derive_elemental_pair(args.ratio)
             k = args.elements
             pair = tile_periodic(elem, elem.n * k, elem.m * k)
             cert = certify_pair(pair)
@@ -377,7 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--ratio", required=True, type=_ratio, help="coarse:fine, e.g. 3:2")
     p_tr.add_argument("--derive", action="store_true",
                       help="solve the constraint system instead of using tables")
-    p_tr.add_argument("--support", type=int, default=None)
+    p_tr.add_argument("--support", type=int, default=None,
+                      help="width of the non-coincident stencils (even, >= 4); "
+                           "implies --derive")
     p_tr.add_argument("--elements", type=_count, default=4,
                       help="elemental intervals to tile for the certificate")
     for sp in (p_sbp, p_per, p_tr):

@@ -1,12 +1,16 @@
-"""Exact rational helpers: decimal-faithful Fraction conversion and small
-linear solves used by the stencil derivation.
+"""Exact rational helpers: decimal-faithful Fraction conversion and the
+small linear solves used by the stencil derivation.
 
-All routines operate on ``fractions.Fraction`` so that geometric alignment
-checks and operator identities can be asserted with zero tolerance.
+Values are ``fractions.Fraction`` so that geometric alignment checks and
+operator identities can be asserted with zero tolerance. The solves clear
+denominators and run fraction-free (Bareiss) integer elimination, in which
+every division is exact; they convert to ``Fraction`` only once per unknown,
+at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -49,49 +53,77 @@ def fraction_str(fr: Fraction) -> str:
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns)."""
-    mat = [list(r) for r in rows]
+def _exact_div(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"inexact integer division {num} / {den}")
+    return q
+
+
+def _eliminate(mat: list[list[int]], order: list[int]) -> list[int]:
+    """Fraction-free (Bareiss) forward elimination of an integer matrix, in
+    place, with row swaps mirrored in `order`; returns the pivot columns.
+
+    Every entry stays a minor of the input, so each division by the previous
+    pivot is exact (Bareiss 1968, Sylvester's identity).
+    """
     n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
     pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if mat[i][c] != 0), None)
+    prev = 1
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, n_rows) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(n_rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        order[r], order[pivot] = order[pivot], order[r]
+        top = mat[r]
+        p = top[c]
+        for i in range(r + 1, n_rows):
+            row = mat[i]
+            f = row[c]
+            mat[i] = [0] * (c + 1) + [_exact_div(p * x - f * y, prev)
+                                      for x, y in zip(row[c + 1:], top[c + 1:])]
         pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return mat, pivots
+        prev = p
+    return pivots
 
 
 def solve_min_norm(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """Minimum-2-norm exact solution of A x = b, or None if inconsistent.
 
-    Dependent constraint rows are dropped via RREF of the augmented system;
-    the minimizer is then x = B^T (B B^T)^-1 d over the independent rows B.
+    A and b hold rationals (Fraction or int). Each augmented row is scaled to
+    integers; fraction-free elimination then finds the rank, rejects an
+    inconsistent system, and picks independent original rows B with right
+    side d. The minimizer x = B^T (B B^T)^-1 d follows from one more
+    fraction-free solve, with one Fraction made per unknown at the end.
     """
     if not a:
         return []
     n_cols = len(a[0])
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    red, pivots = rref(aug)
-    if any(p == n_cols for p in pivots):
+    aug = []
+    for row, rhs in zip(a, b):
+        vals = [*row, rhs]
+        scale = math.lcm(*(v.denominator for v in vals))
+        aug.append([v.numerator * (scale // v.denominator) for v in vals])
+    order = list(range(len(aug)))
+    pivots = _eliminate([list(r) for r in aug], order)
+    if pivots and pivots[-1] == n_cols:
         return None
-    keep = [red[i] for i in range(len(pivots))]
-    bmat = [row[:n_cols] for row in keep]
-    d = [row[n_cols] for row in keep]
-    # [B B^T | d] reduces to [I | lambda], since B B^T is nonsingular
-    gram = [[sum(x * y for x, y in zip(r1, r2)) for r2 in bmat] + [di]
-            for r1, di in zip(bmat, d)]
-    lam = [row[-1] for row in rref(gram)[0]]
-    return [sum(lam[i] * bmat[i][j] for i in range(len(bmat))) for j in range(n_cols)]
+    keep = order[:len(pivots)]
+    bmat = [aug[i][:n_cols] for i in keep]
+    d = [aug[i][n_cols] for i in keep]
+    k = len(keep)
+    # [B B^T | d] reduces to an upper triangle whose last pivot is det(B B^T);
+    # back substitution in integers gives y = det * lambda
+    upper = [[sum(x * y for x, y in zip(r1, r2)) for r2 in bmat] + [di]
+             for r1, di in zip(bmat, d)]
+    _eliminate(upper, list(range(k)))
+    det = upper[-1][k - 1] if upper else 1
+    y = [0] * k
+    for i in reversed(range(k)):
+        row = upper[i]
+        y[i] = _exact_div(det * row[k] - sum(row[j] * y[j] for j in range(i + 1, k)),
+                          row[i])
+    return [Fraction(sum(y[i] * bmat[i][j] for i in range(k)), det)
+            for j in range(n_cols)]

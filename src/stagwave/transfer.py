@@ -190,27 +190,32 @@ def _support(pos: int, m: int, width: int) -> list[int]:
 
 
 def _solve_supports(m: int, n: int, supports) -> tuple[dict[int, Fraction], ...] | None:
+    """Minimum-norm coarse->fine weights on the given supports, or None.
+
+    The constraints are integer rows: the fine->coarse rows, whose adjoint
+    weights carry a factor n/m, are multiplied through by m.
+    """
     cols = [(r, k) for r in range(m) for k in supports[r]]
     idx = {ck: i for i, ck in enumerate(cols)}
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for r in range(m):
         for t in range(3):
-            row = [F(0)] * len(cols)
+            row = [0] * len(cols)
             for k in supports[r]:
-                row[idx[(r, k)]] = F(k * m) ** t
+                row[idx[(r, k)]] = (k * m) ** t
             rows.append(row)
-            rhs.append(F(r * n) ** t)
+            rhs.append((r * n) ** t)
     for s in range(n):
         for t in range(3):
-            row = [F(0)] * len(cols)
+            row = [0] * len(cols)
             for r in range(m):
                 for k in supports[r]:
                     if (s - k) % n == 0:
                         e = (s - k) // n
-                        row[idx[(r, k)]] += F(n, m) * F((e * m + r) * n) ** t
+                        row[idx[(r, k)]] += n * ((e * m + r) * n) ** t
             rows.append(row)
-            rhs.append(F(s * m) ** t)
+            rhs.append(m * (s * m) ** t)
     x = solve_min_norm(rows, rhs)
     if x is None:
         return None

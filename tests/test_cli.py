@@ -7,9 +7,11 @@ import yaml
 
 from conftest import TINY_CONFIG
 
+from stagwave import cli
 from stagwave.cli import main
 from stagwave.config import build_run, parse_config, validate_config
 from stagwave.errors import ConfigError
+from stagwave.transfer import derive_elemental_pair
 
 
 @pytest.fixture
@@ -260,6 +262,27 @@ def test_operators_transfer_derived_ratio(capsys):
     assert main(["operators", "transfer", "--ratio", "7:6"]) == 0
     out = capsys.readouterr().out
     assert "adjoint_exact,True" in out
+
+
+def test_operators_transfer_bad_support_exits_3_even_for_a_tabulated_ratio(capsys):
+    assert main(["operators", "transfer", "--ratio", "3:2", "--support", "0"]) == 3
+    assert "support width must be even and >= 4" in capsys.readouterr().err
+
+
+def test_operators_transfer_support_derives_the_tabulated_rows(monkeypatch, capsys):
+    supports = []
+
+    def derive(ratio, support=None):
+        supports.append(support)
+        return derive_elemental_pair(ratio, support=support)
+
+    monkeypatch.setattr(cli, "derive_elemental_pair", derive)
+    assert main(["operators", "transfer", "--ratio", "3:2", "--support", "4"]) == 0
+    derived = capsys.readouterr().out
+    assert supports == [4]
+    assert main(["operators", "transfer", "--ratio", "3:2"]) == 0
+    assert derived == capsys.readouterr().out
+    assert supports == [4]
 
 
 def test_cfl_subcommand(capsys):

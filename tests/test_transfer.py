@@ -74,6 +74,50 @@ def test_derived_pairs_for_unlisted_ratios_certify(m, n):
     assert cert.adjoint_residual == 0.0
 
 
+# exact coarse->fine rows of three untabulated ratios: any solver behind
+# derive_elemental_pair must reproduce them entry by entry
+_PINNED_DERIVED_ROWS = {
+    (7, 6): (
+        {-6: F(-71, 164640), -5: F(13, 27440), -4: F(-3361, 4445280),
+         -3: F(-473, 211680), -2: F(-3163, 296352), -1: F(69863, 889056),
+         0: F(4775, 5488), 1: F(69863, 889056), 2: F(-3163, 296352),
+         3: F(-473, 211680), 4: F(-3361, 4445280), 5: F(13, 27440),
+         6: F(-71, 164640)},
+        {-1: F(-221, 6048), 0: F(2699, 14112), 1: F(12277, 14112), 2: F(-1045, 42336)},
+        {0: F(-3001, 70560), 1: F(7321, 23520), 2: F(2657, 3360), 3: F(-4199, 70560)},
+        {1: F(-3625, 63504), 2: F(10105, 21168), 3: F(13655, 21168), 4: F(-593, 9072)},
+        {2: F(-593, 9072), 3: F(13655, 21168), 4: F(10105, 21168), 5: F(-3625, 63504)},
+        {3: F(-4199, 70560), 4: F(2657, 3360), 5: F(7321, 23520), 6: F(-3001, 70560)},
+        {4: F(-1045, 42336), 5: F(12277, 14112), 6: F(2699, 14112), 7: F(-221, 6048)},
+    ),
+    (5, 3): (
+        {-2: F(-4, 675), -1: F(16, 675), 0: F(217, 225), 1: F(16, 675), 2: F(-4, 675)},
+        {-1: F(-34, 675), 0: F(97, 225), 1: F(31, 45), 2: F(-47, 675)},
+        {0: F(-13, 225), 1: F(67, 75), 2: F(14, 75), 3: F(-1, 45)},
+        {0: F(-1, 45), 1: F(14, 75), 2: F(67, 75), 3: F(-13, 225)},
+        {1: F(-47, 675), 2: F(31, 45), 3: F(97, 225), 4: F(-34, 675)},
+    ),
+    (7, 4): (
+        {-3: F(-1, 7056), -2: F(-23, 6272), -1: F(25, 1568), 0: F(27539, 28224),
+         1: F(25, 1568), 2: F(-23, 6272), 3: F(-1, 7056)},
+        {-1: F(-143, 2688), 0: F(2921, 6272), 1: F(4119, 6272), 2: F(-1303, 18816)},
+        {0: F(-303, 6272), 1: F(843, 896), 2: F(755, 6272), 3: F(-81, 6272)},
+        {0: F(-1709, 56448), 1: F(5165, 18816), 2: F(15571, 18816), 3: F(-4051, 56448)},
+        {1: F(-4051, 56448), 2: F(15571, 18816), 3: F(5165, 18816), 4: F(-1709, 56448)},
+        {1: F(-81, 6272), 2: F(755, 6272), 3: F(843, 896), 4: F(-303, 6272)},
+        {2: F(-1303, 18816), 3: F(4119, 6272), 4: F(2921, 6272), 5: F(-143, 2688)},
+    ),
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(_PINNED_DERIVED_ROWS))
+def test_derived_rows_of_untabulated_ratios_are_pinned(m, n):
+    rows = derive_elemental_pair(F(m, n)).coarse_to_fine
+    expected = _PINNED_DERIVED_ROWS[(m, n)]
+    assert [sorted(row) for row in rows] == [sorted(row) for row in expected]
+    assert rows == expected
+
+
 def test_exactness_degrees_match_accuracy_claims():
     assert pair_exactness_degree(tabulated_elemental_pair(F(2, 1))) == 3
     for r in (F(3, 2), F(4, 3), F(5, 4), F(6, 5)):
