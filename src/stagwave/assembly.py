@@ -196,9 +196,9 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
     the second consumes the two pressure fields and increments the
     last-axis velocity rows near the interface, both in place. Both sides
     exchange restricted/projected traces through the transfer pair, which
-    maps across the other axis; a one-axis block is read as a single column
-    with a 1x1 transfer. The penalty weights, sign included, are computed
-    here once.
+    maps across the other axis and is applied from its elemental stencils
+    (`GatherPlan`); a one-axis block is read as a single column with a 1x1
+    transfer. The penalty weights, sign included, are computed here once.
 
     Raises:
         DomainError: transfer operator shapes do not match the interface.
@@ -216,7 +216,7 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
     lift_p = coeffs.sigma_v_plus * proj_p / y_p.a_v[:3]
     tau_m = coeffs.sigma_p_minus / y_m.a_p[-1]
     tau_p = coeffs.sigma_p_plus / y_p.a_p[0]
-    f2c, c2f = transfer.fine_to_coarse, transfer.coarse_to_fine
+    f2c, c2f = transfer.f2c_plan.apply, transfer.c2f_plan.apply
     # indices along the last axis, for every column; a one-axis field is read
     # as a single column
     col = (slice(None),) if bottom.ndim == 2 else (None,)
@@ -228,14 +228,14 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
     def add_to_pressure(v_m, v_p, dp_m, dp_p):
         v_int_m = v_m[last3] @ proj_m
         v_int_p = v_p[first3] @ proj_p
-        dp_m[last] += tau_m * (f2c @ v_int_p - v_int_m)
-        dp_p[first] += tau_p * (v_int_p - c2f @ v_int_m)
+        dp_m[last] += tau_m * (f2c(v_int_p) - v_int_m)
+        dp_p[first] += tau_p * (v_int_p - c2f(v_int_m))
 
     def add_to_velocity(p_m, p_p, dv_m, dv_p):
         p_int_m = p_m[last]
         p_int_p = p_p[first]
-        _add_rank_one(dv_m, rows_m, f2c @ p_int_p - p_int_m, lift_m)
-        _add_rank_one(dv_p, rows_p, p_int_p - c2f @ p_int_m, lift_p)
+        _add_rank_one(dv_m, rows_m, f2c(p_int_p) - p_int_m, lift_m)
+        _add_rank_one(dv_p, rows_p, p_int_p - c2f(p_int_m), lift_p)
 
     return add_to_pressure, add_to_velocity
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -145,54 +146,56 @@ def _dump_matrix(fh, name, rows):
 
 
 def cmd_operators(args) -> int:
-    out = Path(args.out).open("w") if args.out else sys.stdout
-    try:
-        if args.kind == "sbp1d":
-            ops = build_sbp_1d(args.n, args.dx)
-            report = verify_sbp_structure(ops)
-            _dump_matrix(out, "d_p (unit spacing)", ops.exact_d_p())
-            _dump_matrix(out, "d_v (unit spacing)", ops.exact_d_v())
-            _dump_matrix(out, "a_p (unit spacing)", [ops.exact_a_p()])
-            _dump_matrix(out, "a_v (unit spacing)", [ops.exact_a_v()])
-            from .sbp1d import PROJECTION
-            proj = list(PROJECTION) + [Fraction(0)] * (ops.n_v - 3)
-            _dump_matrix(out, "proj_left", [proj])
-            _dump_matrix(out, "q_first_row", [[-v for v in proj]])
-            out.write(f"# structure_residual,{_fmt(report.structure_residual)}\n")
-            out.write(f"# exact_structure,{report.exact}\n")
-            out.write(f"# dv_row_degrees,{' '.join(map(str, report.dv_row_degrees))}\n")
-            out.write(f"# dp_row_degrees,{' '.join(map(str, report.dp_row_degrees))}\n")
-        elif args.kind == "periodic":
-            ops = build_periodic_1d(args.n, args.dx)
-            _dump_matrix(out, "d_p", ops.dense_d_p())
-            _dump_matrix(out, "d_v", ops.dense_d_v())
-            q = ops.dx * ops.dense_d_v() + (ops.dx * ops.dense_d_p()).T
-            out.write(f"# wraparound_residual,{_fmt(float(np.abs(q).max()))}\n")
-        elif args.kind == "transfer":
-            if args.derive or args.support is not None:
-                elem = derive_elemental_pair(args.ratio, support=args.support)
-            else:
-                try:
-                    elem = tabulated_elemental_pair(args.ratio)
-                except UnsupportedRatioError:
-                    elem = derive_elemental_pair(args.ratio)
-            k = args.elements
-            pair = tile_periodic(elem, elem.n * k, elem.m * k)
-            cert = certify_pair(pair)
-            for r, row in enumerate(elem.coarse_to_fine):
-                _dump_matrix(out, f"coarse_to_fine row {r}",
-                             [[k_ for k_ in sorted(row)], [row[k_] for k_ in sorted(row)]])
-            for s, row in enumerate(elem.fine_to_coarse):
-                _dump_matrix(out, f"fine_to_coarse row {s}",
-                             [[k_ for k_ in sorted(row)], [row[k_] for k_ in sorted(row)]])
-            out.write(f"# row_sum_error,{_fmt(cert.row_sum_error)}\n")
-            out.write(f"# exactness_degree,{cert.exactness_degree}\n")
-            out.write(f"# adjoint_residual,{_fmt(cert.adjoint_residual)}\n")
-            out.write(f"# adjoint_exact,{cert.adjoint_exact}\n")
-        return 0
-    finally:
-        if args.out:
-            out.close()
+    """Dump an operator set; the dump is rendered in full before --out is
+    opened, so a failure leaves an existing file as it was."""
+    out = io.StringIO()
+    if args.kind == "sbp1d":
+        ops = build_sbp_1d(args.n, args.dx)
+        report = verify_sbp_structure(ops)
+        _dump_matrix(out, "d_p (unit spacing)", ops.exact_d_p())
+        _dump_matrix(out, "d_v (unit spacing)", ops.exact_d_v())
+        _dump_matrix(out, "a_p (unit spacing)", [ops.exact_a_p()])
+        _dump_matrix(out, "a_v (unit spacing)", [ops.exact_a_v()])
+        from .sbp1d import PROJECTION
+        proj = list(PROJECTION) + [Fraction(0)] * (ops.n_v - 3)
+        _dump_matrix(out, "proj_left", [proj])
+        _dump_matrix(out, "q_first_row", [[-v for v in proj]])
+        out.write(f"# structure_residual,{_fmt(report.structure_residual)}\n")
+        out.write(f"# exact_structure,{report.exact}\n")
+        out.write(f"# dv_row_degrees,{' '.join(map(str, report.dv_row_degrees))}\n")
+        out.write(f"# dp_row_degrees,{' '.join(map(str, report.dp_row_degrees))}\n")
+    elif args.kind == "periodic":
+        ops = build_periodic_1d(args.n, args.dx)
+        _dump_matrix(out, "d_p", ops.dense_d_p())
+        _dump_matrix(out, "d_v", ops.dense_d_v())
+        q = ops.dx * ops.dense_d_v() + (ops.dx * ops.dense_d_p()).T
+        out.write(f"# wraparound_residual,{_fmt(float(np.abs(q).max()))}\n")
+    elif args.kind == "transfer":
+        if args.derive or args.support is not None:
+            elem = derive_elemental_pair(args.ratio, support=args.support)
+        else:
+            try:
+                elem = tabulated_elemental_pair(args.ratio)
+            except UnsupportedRatioError:
+                elem = derive_elemental_pair(args.ratio)
+        k = args.elements
+        pair = tile_periodic(elem, elem.n * k, elem.m * k)
+        cert = certify_pair(pair)
+        for r, row in enumerate(elem.coarse_to_fine):
+            _dump_matrix(out, f"coarse_to_fine row {r}",
+                         [[k_ for k_ in sorted(row)], [row[k_] for k_ in sorted(row)]])
+        for s, row in enumerate(elem.fine_to_coarse):
+            _dump_matrix(out, f"fine_to_coarse row {s}",
+                         [[k_ for k_ in sorted(row)], [row[k_] for k_ in sorted(row)]])
+        out.write(f"# row_sum_error,{_fmt(cert.row_sum_error)}\n")
+        out.write(f"# exactness_degree,{cert.exactness_degree}\n")
+        out.write(f"# adjoint_residual,{_fmt(cert.adjoint_residual)}\n")
+        out.write(f"# adjoint_exact,{cert.adjoint_exact}\n")
+    if args.out:
+        Path(args.out).write_text(out.getvalue())
+    else:
+        sys.stdout.write(out.getvalue())
+    return 0
 
 
 # ---------------------------------------------------------------------------

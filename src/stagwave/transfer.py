@@ -20,6 +20,11 @@ four-point stencils away from coincident points and a symmetric stencil of
 width 2n+1 on them). `derive_elemental_pair` reproduces every tabulated pair
 and extends the family to arbitrary coprime ratios by solving the exactness
 constraints with a minimal-support search and an exact minimum-norm tiebreak.
+
+A tiled pair (`TransferPair`) applies each direction from the elemental
+stencils: a gather of each interval's input window and one small matrix
+product (`GatherPlan`). The dense n_fine x n_coarse tiles, exact or rounded,
+are built only on demand, for the certificates and the test oracles.
 """
 
 from __future__ import annotations
@@ -270,24 +275,67 @@ def derive_elemental_pair(ratio, support: int | None = None,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class GatherPlan:
+    """One direction of a tiled pair, applied from its elemental stencils.
+
+    Output point e * rows + r is sum_j weights[j, r] * x[index[e, j]]: the
+    gather picks each elemental interval's input window, wrapped around the
+    periodic row, and one matrix product applies all of the interval's rows.
+    """
+
+    index: NDArray[np.intp]          # (elements, window), wrapped modulo the input length
+    weights: NDArray[np.float64]     # (window, rows)
+
+    def apply(self, x) -> NDArray[np.float64]:
+        """The tiled operator applied to the trace x (a fresh array)."""
+        return np.dot(x[self.index], self.weights).ravel()
+
+
+def _gather_plan(rows, cols_per_elem: int, n_elems: int, n_cols: int) -> GatherPlan:
+    """The gather plan of elemental rows tiled over n_elems intervals of
+    cols_per_elem input points each; weights are rounded once."""
+    keys = [k for row in rows for k in row]
+    lo, hi = min(keys), max(keys)
+    weights = np.zeros((hi - lo + 1, len(rows)))
+    for r, row in enumerate(rows):
+        for k, w in row.items():
+            weights[k - lo, r] = float(w)
+    index = (np.arange(n_elems)[:, None] * cols_per_elem + np.arange(lo, hi + 1)) % n_cols
+    return GatherPlan(index=index, weights=weights)
+
+
+@dataclass(frozen=True)
 class TransferPair:
-    """Tiled interface operators between periodic coarse and fine rows."""
+    """Tiled interface operators between periodic coarse and fine rows, held
+    as one gather plan per direction; the dense tiles are built on demand."""
 
     elemental: ElementalStencilPair
     n_coarse: int
     n_fine: int
-    coarse_to_fine: NDArray[np.float64]   # (n_fine, n_coarse)
-    fine_to_coarse: NDArray[np.float64]   # (n_coarse, n_fine)
+    c2f_plan: GatherPlan   # coarse trace -> fine points
+    f2c_plan: GatherPlan   # fine trace -> coarse points
 
     @property
     def ratio(self) -> Fraction:
         return self.elemental.ratio
 
     def exact_matrices(self) -> tuple[NDArray[np.object_], NDArray[np.object_]]:
-        """Exact tiled operators, of which `coarse_to_fine` and
-        `fine_to_coarse` are the rounded copies: object arrays holding a
-        `Fraction` where a stencil reaches and the integer 0 elsewhere."""
-        return _tile_both(self.elemental, self.n_coarse, self.n_fine)
+        """Exact tiled operators, (n_fine, n_coarse) and (n_coarse, n_fine):
+        object arrays holding a `Fraction` where a stencil reaches and the
+        integer 0 elsewhere. Built on each call, for certificates and tests."""
+        elem = self.elemental
+        return (_tile_exact(elem.coarse_to_fine, elem.m, elem.n, self.n_fine, self.n_coarse),
+                _tile_exact(elem.fine_to_coarse, elem.n, elem.m, self.n_coarse, self.n_fine))
+
+    @property
+    def coarse_to_fine(self) -> NDArray[np.float64]:
+        """The exact coarse->fine tile rounded once; built on each access."""
+        return self.exact_matrices()[0].astype(float)
+
+    @property
+    def fine_to_coarse(self) -> NDArray[np.float64]:
+        """The exact fine->coarse tile rounded once; built on each access."""
+        return self.exact_matrices()[1].astype(float)
 
 
 def _tile_exact(rows, rows_per_elem, cols_per_elem, n_rows, n_cols) -> NDArray[np.object_]:
@@ -300,11 +348,6 @@ def _tile_exact(rows, rows_per_elem, cols_per_elem, n_rows, n_cols) -> NDArray[n
         for k, w in row.items():
             mat[starts * rows_per_elem + r, (starts * cols_per_elem + k) % n_cols] += w
     return mat
-
-
-def _tile_both(elem: ElementalStencilPair, n_coarse: int, n_fine: int):
-    return (_tile_exact(elem.coarse_to_fine, elem.m, elem.n, n_fine, n_coarse),
-            _tile_exact(elem.fine_to_coarse, elem.n, elem.m, n_coarse, n_fine))
 
 
 def tile_periodic(elem: ElementalStencilPair, n_coarse: int, n_fine: int) -> TransferPair:
@@ -330,9 +373,10 @@ def tile_periodic(elem: ElementalStencilPair, n_coarse: int, n_fine: int) -> Tra
             f"side lengths disagree: {n_fine} fine vs {n_coarse} coarse "
             f"points at ratio {m}:{n}"
         )
-    c2f, f2c = _tile_both(elem, n_coarse, n_fine)
+    n_elems = n_coarse // n
     return TransferPair(elemental=elem, n_coarse=n_coarse, n_fine=n_fine,
-                        coarse_to_fine=c2f.astype(float), fine_to_coarse=f2c.astype(float))
+                        c2f_plan=_gather_plan(elem.coarse_to_fine, n, n_elems, n_coarse),
+                        f2c_plan=_gather_plan(elem.fine_to_coarse, m, n_elems, n_fine))
 
 
 def transfer_pair_for(ratio, n_coarse: int, n_fine: int) -> TransferPair:

@@ -278,10 +278,11 @@ def materialize_system(system: SemiDiscreteSystem):
 
     L_prs maps stacked velocities to stacked pressure rates; L_vel maps
     stacked pressures to stacked velocity rates. Penalty terms are assembled
-    from the textbook tensor-product expressions, providing a second route
-    against the sliced matrix-free evaluators. Covers stacks of one- and
-    two-axis blocks, bounded or periodic along each axis, with one interface
-    per consecutive pair.
+    from the textbook tensor-product expressions, and the interface
+    transfers from each pair's exact tiles rounded once, not from its gather
+    plans, providing a second route against the sliced matrix-free
+    evaluators. Covers stacks of one- and two-axis blocks, bounded or
+    periodic along each axis, with one interface per consecutive pair.
 
     Raises:
         SizeError: any block above the dense cap.
@@ -336,16 +337,17 @@ def materialize_system(system: SemiDiscreteSystem):
         cvm, cvp = (b.coefficients[-1].reshape(-1)[:, None] for b in (bm, bp))
         pm, pp = p_rows[i], p_rows[i + 1]
         vm, vp = v_rows[last_v[i]], v_rows[last_v[i + 1]]
+        c2f, f2c = (tile.astype(float) for tile in t.exact_matrices())
         # pressure equations: penalize the projected-velocity jump
-        L_prs[pm, vp] += c.sigma_p_minus * lift_pm @ t.fine_to_coarse @ pr_p / cpm
+        L_prs[pm, vp] += c.sigma_p_minus * lift_pm @ f2c @ pr_p / cpm
         L_prs[pm, vm] += -c.sigma_p_minus * lift_pm @ pr_m / cpm
         L_prs[pp, vp] += c.sigma_p_plus * lift_pp @ pr_p / cpp
-        L_prs[pp, vm] += -c.sigma_p_plus * lift_pp @ t.coarse_to_fine @ pr_m / cpp
+        L_prs[pp, vm] += -c.sigma_p_plus * lift_pp @ c2f @ pr_m / cpp
         # velocity equations: penalize the pressure jump
-        L_vel[vm, pp] += c.sigma_v_minus * lift_vm @ t.fine_to_coarse @ r_p / cvm
+        L_vel[vm, pp] += c.sigma_v_minus * lift_vm @ f2c @ r_p / cvm
         L_vel[vm, pm] += -c.sigma_v_minus * lift_vm @ r_m / cvm
         L_vel[vp, pp] += c.sigma_v_plus * lift_vp @ r_p / cvp
-        L_vel[vp, pm] += -c.sigma_v_plus * lift_vp @ t.coarse_to_fine @ r_m / cvp
+        L_vel[vp, pm] += -c.sigma_v_plus * lift_vp @ c2f @ r_m / cvp
 
     return L_vel, L_prs
 

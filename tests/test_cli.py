@@ -285,6 +285,23 @@ def test_operators_transfer_support_derives_the_tabulated_rows(monkeypatch, caps
     assert supports == [4]
 
 
+@pytest.mark.parametrize("argv", [["--ratio", "3:2", "--support", "0"], ["--ratio", "1:2"]],
+                         ids=["support-0", "ratio-1:2"])
+def test_failed_operators_dump_keeps_an_existing_out_file(argv, tmp_path, capsys):
+    target = tmp_path / "x.csv"
+    target.write_bytes(b"# an earlier dump\n1,2\n")
+    assert main(["operators", "transfer", *argv, "--out", str(target)]) == 3
+    assert target.read_bytes() == b"# an earlier dump\n1,2\n"
+    assert "error" in capsys.readouterr().err
+
+
+def test_operators_dump_to_out_file_matches_stdout(tmp_path, capsys):
+    target = tmp_path / "x.csv"
+    assert main(["operators", "transfer", "--ratio", "3:2"]) == 0
+    assert main(["operators", "transfer", "--ratio", "3:2", "--out", str(target)]) == 0
+    assert target.read_text() == capsys.readouterr().out
+
+
 def test_cfl_subcommand(capsys):
     assert main(["cfl", "1d-periodic", "--n", "16"]) == 0
     out = capsys.readouterr().out

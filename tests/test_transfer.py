@@ -1,10 +1,14 @@
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stagwave.assembly import assemble_interface_system
 from stagwave.errors import (DomainError, InfeasibleStencilError,
                              UnsupportedRatioError)
+from stagwave.grids import build_block_2d
 from stagwave.transfer import (ElementalStencilPair, certify_pair,
                                derive_elemental_pair, pair_exactness_degree,
                                tabulated_elemental_pair, tile_periodic,
@@ -165,6 +169,71 @@ def test_wrapped_stencils_are_summed_exactly_then_rounded():
                           tiled.exact_matrices()):
         assert flt.shape == exact.shape
         assert all(flt[i, j] == float(exact[i, j]) for i, j in np.ndindex(flt.shape))
+
+
+@pytest.mark.parametrize("ratio, n_coarse, n_fine", [
+    (F(1), 1, 1), (F(1), 12, 12),
+    (F(2, 1), 12, 24), (F(3, 2), 14, 21), (F(4, 3), 15, 20), (F(5, 4), 16, 20),
+    (F(6, 5), 20, 24),
+    (F(7, 6), 12, 14),                     # derived: no tabulated pair
+    (F(6, 5), 5, 6), (F(2, 1), 1, 2),      # minimal tilings: stencils wrap onto one entry
+], ids=["1:1-1x1", "1:1-12x12", "2:1", "3:2", "4:3", "5:4", "6:5", "7:6-derived",
+        "6:5-5x6", "2:1-1x2"])
+def test_stencil_application_matches_the_exact_tiles(ratio, n_coarse, n_fine):
+    # the gather plans apply the stencils with the wrapped weights summed in
+    # floating point; the dense tiles sum them exactly and round once
+    pair = transfer_pair_for(ratio, n_coarse, n_fine)
+    rng = np.random.default_rng(11)
+    for plan, tile, n_in in ((pair.c2f_plan, pair.coarse_to_fine, n_coarse),
+                             (pair.f2c_plan, pair.fine_to_coarse, n_fine)):
+        for _ in range(5):
+            x = rng.standard_normal(n_in)
+            ref = tile @ x
+            got = plan.apply(x)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def _held_arrays(obj) -> list[np.ndarray]:
+    """Arrays reachable from obj through dataclass fields, sequences, the
+    cells of closures and the instances of bound methods."""
+    found, stack, seen = [], [obj], set()
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found.append(o)
+        elif isinstance(o, (tuple, list)):
+            stack.extend(o)
+        elif dataclasses.is_dataclass(o):
+            stack.extend(getattr(o, f.name) for f in dataclasses.fields(o))
+        elif callable(o):
+            stack.extend(cell.cell_contents for cell in getattr(o, "__closure__", None) or ())
+            stack.append(getattr(o, "__self__", None))
+    return found
+
+
+def test_wide_tiling_holds_no_dense_tile():
+    # the survey's 6:5 interface: dense tiles would be 400 x 480
+    elem = tabulated_elemental_pair(F(6, 5))
+    tracemalloc.start()
+    try:
+        pair = tile_periodic(elem, 400, 480)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    dense = 400 * 480
+    assert max(a.size for a in _held_arrays(pair)) < dense
+    h = F(8, 400)
+    system = assemble_interface_system(
+        [build_block_2d(0, 1, 400, 0, h, 9),
+         build_block_2d(0, 1, 480, h, h + F(8, 480), 9)], transfers=[pair])
+    held = _held_arrays(system._interfaces)
+    assert any(a is pair.f2c_plan.index for a in held)
+    assert max(a.size for a in held) < dense
 
 
 def test_unsupported_ratio_raises():
