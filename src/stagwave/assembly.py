@@ -2,15 +2,15 @@
 interface penalties, and the one system class that couples them.
 
 A block (`BlockOperators`) is the tensor product of one 1D operator set per
-axis, bounded or periodic; its operators are never formed, the 1D
-differences are applied along array axes in place. Fields have one array
-axis per block axis; a 2D field's flattening is the column-wise
-linearization (x-major, y fastest). A system (`SemiDiscreteSystem`) is a
-stack of blocks along their last axis, each consecutive pair coupled
-through its own transfer pair: a 1D segment, 1D segments sharing interface
-points, a 2D block, or 2D blocks refining upward. Its state is a list of
-pressure fields, one per block, and a list of velocity fields, per block
-and then per axis: [V], [VL, VR], [U, V], [U0, V0, U1, V1], and so on.
+axis, periodic on every axis but the last, which alone may be bounded; its
+operators are never formed, the 1D differences are applied along array axes
+in place. Fields have one array axis per block axis; a 2D field's flattening
+is the column-wise linearization (x-major, y fastest). A system
+(`SemiDiscreteSystem`) is a stack of blocks along their last axis, each
+consecutive pair coupled through its own transfer pair: a 1D segment, 1D
+segments sharing interface points, a 2D block, or 2D blocks refining upward.
+Its state is a list of pressure fields, one per block, and a list of velocity
+fields per block, then per axis: [V], [VL, VR], [U, V], [U0, V0, U1, V1], ...
 
 All penalty terms appear after multiplying the governing equations by the
 inverse norm matrices, at which point the norms of the other axes cancel and
@@ -19,9 +19,9 @@ each term reduces to a rank-one update along the penalized axis:
   pressure row at the interface:   sigma/a[row] * (transferred v - own v)
   velocity rows near an end:       sigma * outer(p_row, proj / a_dual)
 
-Bounded axes are pressure-free at both ends, except where a stack's blocks
-meet. There the blocks exchange traces through a norm-compatible transfer
-pair across the other axis (a 1x1 identity for one-axis blocks).
+A bounded last axis is pressure-free at both ends, except where a stack's
+blocks meet. There the blocks exchange traces through a norm-compatible
+transfer pair across the other axis (a 1x1 identity for one-axis blocks).
 
 With the penalty coefficients at their defaults the discrete energy
 
@@ -68,7 +68,7 @@ from .transfer import TransferPair, transfer_pair_for
 class SatCoefficients:
     """Penalty weights; defaults are the energy-conserving choices."""
 
-    # pressure-free ends: axis 0 (1D segments, 2D sidewalls), axis 1
+    # pressure-free ends: left/right of a 1D segment, bottom/top of a 2D block
     sigma_left: float = -1.0
     sigma_right: float = 1.0
     sigma_bottom: float = -1.0
@@ -80,7 +80,7 @@ class SatCoefficients:
     sigma_v_plus: float = -0.5
 
 
-#: SatCoefficients fields of the (low, high) ends of axis 0 and of axis 1
+#: SatCoefficients fields of the (low, high) ends of a last axis 0 or 1
 _END_SIGMAS = (("sigma_left", "sigma_right"), ("sigma_bottom", "sigma_top"))
 
 
@@ -96,9 +96,9 @@ def _rate_from_terms(terms: list[float]) -> float:
 # ---------------------------------------------------------------------------
 
 class BlockOperators:
-    """One block: the tensor product of one 1D operator set per axis
-    (`SbpOperatorSet1D` or `PeriodicOperatorSet1D`), with the norm weight
-    and the material coefficient of each field.
+    """One block: the tensor product of one 1D operator set per axis, with
+    the norm weight and the material coefficient of each field. Every axis
+    but the last is periodic; only the last may be bounded (`DomainError`).
 
     Fields are ordered [p, velocity along axis 0, (velocity along axis 1)];
     a velocity lives on the dual points of its own axis and on the primary
@@ -109,6 +109,8 @@ class BlockOperators:
 
     def __init__(self, ops, coefficients=None, block: StaggeredBlock2D | None = None):
         self.ops = tuple(ops)
+        if any(isinstance(op, SbpOperatorSet1D) for op in self.ops[:-1]):
+            raise DomainError("only a block's last axis may be bounded")
         self.ndim = len(self.ops)
         self.block = block
         weights = self.weights
@@ -131,15 +133,15 @@ class BlockOperators:
 
 def assemble_2d_block(block: StaggeredBlock2D,
                       medium: Medium | None = None) -> BlockOperators:
-    """Build one grid block's operators, x periodic or bounded as the
-    block's grid is and y bounded, sampling the medium if given."""
+    """Build one grid block's operators, x periodic and y bounded, sampling
+    the medium if given."""
     gx, gy = block.grid_x, block.grid_y
-    x_ops = (build_periodic_1d if block.x_periodic else build_sbp_1d)(gx.n_p, gx.dx)
     coefficients = None
     if medium is not None:
         sampled = sample_coefficients(medium, block)
         coefficients = (sampled.c_p, sampled.c_u, sampled.c_v)
-    return BlockOperators((x_ops, build_sbp_1d(gy.n_p, gy.dx)), coefficients, block)
+    return BlockOperators((build_periodic_1d(gx.n_p, gx.dx), build_sbp_1d(gy.n_p, gy.dx)),
+                          coefficients, block)
 
 
 # ---------------------------------------------------------------------------
@@ -156,31 +158,30 @@ def _add_rank_one(field, rows, trace, weights) -> None:
 def free_surface_velocity_sats(ops: BlockOperators, coeffs: SatCoefficients,
                                low: bool, high: bool):
     """Additive velocity penalties that weakly impose p = 0 on a block's
-    pressure-free ends.
+    pressure-free ends: the two outer ends of its last (stacking) axis,
+    when that axis is bounded.
 
-    Every bounded axis is pressure-free at both ends, except the last
-    (stacking) axis, where `low` and `high` select the ends that are not an
-    interface. Axis 0 takes sigma_left/sigma_right, axis 1
+    `low` and `high` select the ends that are not an interface. A last
+    axis 0 (a 1D segment) takes sigma_left/sigma_right, a last axis 1
     sigma_bottom/sigma_top. Returns a callable (p, dvel) that adds the
     penalties to the block's velocity rates dvel (one per axis) in place;
     the weights, sign included, are computed here once.
     """
-    terms = []   # (axis, trace index, row indices, weights)
-    for k, axis_ops in enumerate(ops.ops):
-        if not isinstance(axis_ops, SbpOperatorSet1D):
-            continue
-        lead = (slice(None),) * k
-        stacked = k == ops.ndim - 1
-        sigma_low, sigma_high = (getattr(coeffs, name) for name in _END_SIGMAS[k])
-        if low or not stacked:
-            terms.append((k, lead + (0,), [lead + (j,) for j in range(3)],
+    k = ops.ndim - 1
+    axis_ops = ops.ops[k]
+    lead = (slice(None),) * k
+    sigma_low, sigma_high = (getattr(coeffs, name) for name in _END_SIGMAS[k])
+    terms = []   # (trace index, row indices, weights)
+    if isinstance(axis_ops, SbpOperatorSet1D):
+        if low:
+            terms.append((lead + (0,), [lead + (j,) for j in range(3)],
                           sigma_low * axis_ops.proj_left[:3] / axis_ops.a_v[:3]))
-        if high or not stacked:
-            terms.append((k, lead + (-1,), [lead + (j,) for j in range(-3, 0)],
+        if high:
+            terms.append((lead + (-1,), [lead + (j,) for j in range(-3, 0)],
                           sigma_high * axis_ops.proj_right[-3:] / axis_ops.a_v[-3:]))
 
     def add_terms(p, dvel):
-        for k, trace, rows, weights in terms:
+        for trace, rows, weights in terms:
             _add_rank_one(dvel[k], rows, p[trace], weights)
 
     return add_terms
@@ -295,15 +296,15 @@ class SemiDiscreteSystem:
     def pressure_rates(self, vel):
         """d/dt of the pressure fields given the velocity fields.
 
-        Per block, d_v along the last axis is written and the other axis's
-        is added, each through its own velocity-rate buffer as scratch.
+        Per block, d_v along the last axis is written; along the periodic x
+        axis it is written into the pressure-shaped u-rate buffer and added.
         """
-        for b, dp, i, scratch in zip(self.blocks, self._dp, self._first_vel,
-                                     self._block_dvel):
+        for b, dp, i, dvel in zip(self.blocks, self._dp, self._first_vel,
+                                  self._block_dvel):
             last = b.ndim - 1
-            b.ops[last].apply_d_v(vel[i + last], last, dp, -1.0, scratch=scratch[last])
+            b.ops[last].apply_d_v(vel[i + last], last, dp, -1.0, scratch=dvel[last])
             for k in range(last):
-                b.ops[k].apply_d_v(vel[i + k], k, dp, -1.0, add=True, scratch=scratch[k])
+                dp += b.ops[k].apply_d_v(vel[i + k], k, dvel[k], -1.0)
         for i, m, p, add_to_pressure, _ in self._interfaces:
             add_to_pressure(vel[m], vel[p], self._dp[i], self._dp[i + 1])
         for dp, c in zip(self._dp, self._c_p):
@@ -440,6 +441,6 @@ def _is_conforming(below: BlockOperators, above: BlockOperators) -> bool:
 
 def assemble_single_block_system(block: StaggeredBlock2D, medium: Medium | None = None,
                                  coeffs: SatCoefficients | None = None) -> SemiDiscreteSystem:
-    """Assemble a single-block system: pressure-free top and bottom, with the
-    x direction periodic or pressure-free according to the block's grid."""
+    """Assemble a single-block system: x periodic, top and bottom
+    pressure-free."""
     return SemiDiscreteSystem([assemble_2d_block(block, medium)], coeffs=coeffs)

@@ -88,6 +88,8 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out) if args.out else Path(Path(args.config).stem + ".out")
     if out_dir.exists() and not args.force:
         raise FileExistsError(f"{out_dir} exists; pass --force to write into it")
+    if any(path.exists() and not path.is_dir() for path in (out_dir, *out_dir.parents)):
+        raise NotADirectoryError(f"{out_dir} is or lies under a file that is not a directory")
     stale = _earlier_outputs(out_dir)
     result = run_sim(built.system, built.time_grid, sources=built.sources,
                      receivers=built.receivers,

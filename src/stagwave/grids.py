@@ -10,9 +10,9 @@ half a spacing. Two alignments occur:
   over a length of n*dx; the grid starts on a primary point and ends on a
   dual point so periodic wraparound is seamless. Used horizontally.
 
-A 2D block is the tensor product of a periodic x-grid and a bounded y-grid.
-A stack is a bottom-first sequence of blocks, each consecutive pair sharing
-a horizontal interface row, with the coarser block below.
+A 2D block is the tensor product of a periodic x-grid and a bounded y-grid
+(no other pair). A stack is a bottom-first sequence of blocks, each
+consecutive pair sharing a horizontal interface row, the coarser one below.
 
 Coordinates are stored as exact rationals so that widths, interface
 positions, and spacing ratios can be compared without tolerance.
@@ -107,27 +107,24 @@ def build_grid_1d(x_left, x_right, n_p: int, alignment: Alignment) -> StaggeredG
 
 @dataclass(frozen=True)
 class StaggeredBlock2D:
-    """Tensor-product block: x-grid (periodic by convention) x bounded y-grid.
+    """Tensor-product block: periodic x-grid x bounded y-grid.
 
     Subgrid shapes (columns x rows, stored x-major with y fastest):
       p: (n_x, n_y)        -- pressure
-      u: (n_x_dual, n_y)   -- x-velocity, staggered in x only
+      u: (n_x, n_y)        -- x-velocity, staggered in x only
       v: (n_x, n_y-1)      -- y-velocity, staggered in y only
 
-    A bounded x-grid is admitted for the pressure-free-sidewall variant;
-    stacks with interfaces require the periodic convention.
+    Any other pair of grids raises `DomainError`.
     """
 
     grid_x: StaggeredGrid1D
     grid_y: StaggeredGrid1D
 
     def __post_init__(self):
+        if self.grid_x.alignment != PERIODIC:
+            raise DomainError("block x-grid must be periodic")
         if self.grid_y.alignment != BOTH_ENDS_PRIMARY:
             raise DomainError("block y-grid must place primary points on both ends")
-
-    @property
-    def x_periodic(self) -> bool:
-        return self.grid_x.alignment == PERIODIC
 
     @property
     def p_shape(self) -> tuple[int, int]:
@@ -152,11 +149,11 @@ class StaggeredBlock2D:
         raise ValueError(f"unknown field {field!r}")
 
 
-def build_block_2d(x_left, width, n_cols: int, y_bottom, y_top, n_rows: int,
-                   x_alignment: Alignment = PERIODIC) -> StaggeredBlock2D:
+def build_block_2d(x_left, width, n_cols: int, y_bottom, y_top,
+                   n_rows: int) -> StaggeredBlock2D:
     """Build a block from its bounding box and primary point counts."""
     xl = to_fraction(x_left)
-    gx = build_grid_1d(xl, xl + to_fraction(width), n_cols, x_alignment)
+    gx = build_grid_1d(xl, xl + to_fraction(width), n_cols, PERIODIC)
     gy = build_grid_1d(y_bottom, y_top, n_rows, BOTH_ENDS_PRIMARY)
     return StaggeredBlock2D(gx, gy)
 
@@ -176,8 +173,6 @@ def build_layout(blocks: Sequence[StaggeredBlock2D]) -> tuple[Fraction, ...]:
     """
     ratios = []
     for bottom, top in zip(blocks, blocks[1:]):
-        if not (top.x_periodic and bottom.x_periodic):
-            raise DomainError("interface layouts require the periodic x convention")
         if top.grid_x.x_left != bottom.grid_x.x_left:
             raise MisalignmentError(
                 "blocks with shifted x origins share no matching interface points"

@@ -19,10 +19,10 @@ staggered pair of subgrids:
 
 Every operator of both families applies through one in-place kernel
 (`apply_d_p`, `apply_d_v`): along axis 0 of a 1D or 2D array or axis 1 of a
-2D array, into an output array, optionally scaled and added to it. The kernel
-runs the interior stencil on contiguous rows; the rows it does not cover are
-data, a few small dense products: the two boundary closures of a bounded
-operator, or the rows of a periodic one that wrap around the seam.
+2D array, optionally scaled, into an output array that it overwrites. The
+kernel runs the interior stencil on contiguous rows; the rows it does not
+cover are data, a few small dense products: the two boundary closures of a
+bounded operator, or the rows of a periodic one that wrap around the seam.
 
 Closure coefficients are stored as exact rationals. They are the unique
 solution of the accuracy + structure constraint system once the boundary
@@ -105,8 +105,8 @@ def _interior(w0, w1, w2, w3, out, s: float) -> None:
 
 
 class _Kernel:
-    """scale * D for one staggered operator, into an output array, along
-    axis 0 of a 1D or 2D array or along axis 1 of a 2D array.
+    """scale * D for one staggered operator, written into (never added to) an
+    output array, along axis 0 of a 1D or 2D array or axis 1 of a 2D array.
 
     D is the interior stencil plus edge rows given as data. The stencil
     covers output rows lo .. lo+m-1, and row lo reads input rows
@@ -114,9 +114,7 @@ class _Kernel:
     contiguous blocks of rows. Along axis 1 the rows are columns, which numpy
     walks with slow, buffered strided loops; there the stencil runs on the
     flattened input, into `scratch` (laid out like the input), and one copy
-    (or sum) moves the columns whose four points lie in one row into `out`.
-    To add along axis 0, the stencil runs into the first m rows of `scratch`
-    and one contiguous sum moves them into `out`.
+    moves the columns whose four points lie in one row into `out`.
 
     Every other output row belongs to one of `edges`, a list of products
     (out_rows, in_rows, mat): out[out_rows] = mat @ w[in_rows] along axis 0.
@@ -129,42 +127,29 @@ class _Kernel:
     def __init__(self, lo: int, first: int, m: int, dx: float, edges):
         self.s = _ST[0] / dx
         self.out_rows = slice(lo, lo + m)
-        self.scratch_rows = slice(0, m)
         self.in_rows = [slice(first + j, first + j + m) for j in range(4)]
-        self.cols = (slice(None), self.out_rows)
         self.flat_start = lo - first
         edges = [(o, i, mat / dx) for o, i, mat in edges]
         self.edges = (edges, [((slice(None), o), (slice(None), i), mat)
                               for o, i, mat in edges])   # by axis
 
-    def __call__(self, w, out, axis: int, scale: float, add: bool, scratch) -> None:
+    def __call__(self, w, out, axis: int, scale: float, scratch) -> None:
         s = self.s * scale
         if axis == 0:
             r0, r1, r2, r3 = self.in_rows
-            if add:
-                dest = scratch[self.scratch_rows]
-                _interior(w[r0], w[r1], w[r2], w[r3], dest, s)
-                out[self.out_rows] += dest
-            else:
-                _interior(w[r0], w[r1], w[r2], w[r3], out[self.out_rows], s)
+            _interior(w[r0], w[r1], w[r2], w[r3], out[self.out_rows], s)
         else:
             flat, n = w.reshape(-1), w.size
             start = self.flat_start
             _interior(flat[:n - 3], flat[1:n - 2], flat[2:n - 1], flat[3:],
                       scratch.reshape(-1)[start:start + n - 3], s)
-            if add:
-                out[self.cols] += scratch[self.cols]
-            else:
-                out[self.cols] = scratch[self.cols]
+            out[:, self.out_rows] = scratch[:, self.out_rows]
         for out_rows, in_rows, mat in self.edges[axis]:
             # a few rows: small temporaries
             prod = mat @ w[in_rows] if axis == 0 else w[in_rows] @ mat.T
             if scale != 1.0:
                 prod *= scale
-            if add:
-                out[out_rows] += prod
-            else:
-                out[out_rows] = prod
+            out[out_rows] = prod
 
 
 def _bounded_kernel(closure, n_in: int, n_out: int, dx: float) -> _Kernel:
@@ -183,7 +168,7 @@ def _periodic_kernel(n: int, dx: float, lo: int) -> _Kernel:
     return _Kernel(lo, 0, n - 3, dx, [(np.arange(lo - 3, lo) % n, seam, _WRAP)])
 
 
-def _apply(kernel: _Kernel, values, axis: int, out, scale: float, add: bool, scratch,
+def _apply(kernel: _Kernel, values, axis: int, out, scale: float, scratch,
            n_in: int, n_out: int) -> NDArray[np.float64]:
     """Shared body of every `apply_d_*`: check the arrays, allocate `out` and
     `scratch` where needed, and run the operator's kernel."""
@@ -193,19 +178,17 @@ def _apply(kernel: _Kernel, values, axis: int, out, scale: float, add: bool, scr
     if w.shape[axis] != n_in:
         raise DomainError(f"expected {n_in} values along axis {axis}, got {w.shape[axis]}")
     if out is None:
-        if add:
-            raise DomainError("add=True needs an out array to add to")
         out = np.empty(w.shape[:axis] + (n_out,) + w.shape[axis + 1:])
     elif np.may_share_memory(out, w):
         raise DomainError("out must not share memory with the input")
-    if axis == 1 or add:
+    if axis == 1:
         if scratch is None:
             scratch = np.empty(w.shape)
         elif scratch.shape != w.shape or not scratch.flags.c_contiguous:
             raise DomainError("scratch must be a C-contiguous array shaped like the input")
         elif np.may_share_memory(scratch, w) or np.may_share_memory(scratch, out):
             raise DomainError("scratch must not share memory with the input or out")
-    kernel(w, out, axis, scale, add, scratch)
+    kernel(w, out, axis, scale, scratch)
     return out
 
 
@@ -244,23 +227,23 @@ class SbpOperatorSet1D:
     # -- application: the in-place kernel --
 
     def apply_d_v(self, values, axis: int = 0, out=None, scale: float = 1.0,
-                  add: bool = False, scratch=None) -> NDArray[np.float64]:
+                  scratch=None) -> NDArray[np.float64]:
         """scale * (d^v values) along `axis`: dual values in, primary points out.
 
-        `values` is 1D or 2D. With `out`, the result is written into it (added
-        to it with `add`) and `out` is returned; otherwise a new array is.
-        Along axis 1, and to add along axis 0, `scratch` (a C-contiguous
-        array shaped like `values`, overwritten) saves allocating one. Neither `out` nor `scratch` may
-        share memory with `values`: the kernel would overwrite its own input.
+        `values` is 1D or 2D. With `out`, the result is written into it and
+        `out` is returned; otherwise a new array is. Along axis 1, `scratch`
+        (a C-contiguous array shaped like `values`, overwritten) saves
+        allocating one. Neither `out` nor `scratch` may share memory with
+        `values`: the kernel would overwrite its own input.
         """
-        return _apply(self._d_v, values, axis, out, scale, add, scratch,
+        return _apply(self._d_v, values, axis, out, scale, scratch,
                       self.n_p - 1, self.n_p)
 
     def apply_d_p(self, values, axis: int = 0, out=None, scale: float = 1.0,
-                  add: bool = False, scratch=None) -> NDArray[np.float64]:
+                  scratch=None) -> NDArray[np.float64]:
         """scale * (d^p values) along `axis`: primary values in, dual points
-        out; `out`, `add` and `scratch` as in `apply_d_v`."""
-        return _apply(self._d_p, values, axis, out, scale, add, scratch,
+        out; `out` and `scratch` as in `apply_d_v`."""
+        return _apply(self._d_p, values, axis, out, scale, scratch,
                       self.n_p, self.n_p - 1)
 
     # -- dense and exact materializations (tests, certificates, dumps) --
@@ -354,15 +337,15 @@ class PeriodicOperatorSet1D:
     a_v = a_p
 
     def apply_d_p(self, values, axis: int = 0, out=None, scale: float = 1.0,
-                  add: bool = False, scratch=None) -> NDArray[np.float64]:
-        """scale * (derivative of the primary field) at dual points; `out`,
-        `add` and `scratch` as in `SbpOperatorSet1D.apply_d_v`."""
-        return _apply(self._d_p, values, axis, out, scale, add, scratch, self.n, self.n)
+                  scratch=None) -> NDArray[np.float64]:
+        """scale * (derivative of the primary field) at dual points; `out`
+        and `scratch` as in `SbpOperatorSet1D.apply_d_v`."""
+        return _apply(self._d_p, values, axis, out, scale, scratch, self.n, self.n)
 
     def apply_d_v(self, values, axis: int = 0, out=None, scale: float = 1.0,
-                  add: bool = False, scratch=None) -> NDArray[np.float64]:
+                  scratch=None) -> NDArray[np.float64]:
         """scale * (derivative of the dual field) at primary points."""
-        return _apply(self._d_v, values, axis, out, scale, add, scratch, self.n, self.n)
+        return _apply(self._d_v, values, axis, out, scale, scratch, self.n, self.n)
 
     def dense_d_p(self) -> NDArray[np.float64]:
         return _circulant(self.n, -1) / self.dx

@@ -249,13 +249,13 @@ def derive_elemental_pair(ratio, support: int | None = None,
         InfeasibleStencilError: constraints unsatisfiable within the widths.
     """
     m, n = _ratio_mn(ratio)
+    if support is not None and (support < 4 or support % 2):
+        raise DomainError(f"support width must be even and >= 4, got {support}")
     if m == 1:
         return tabulated_elemental_pair(F(1, 1))
     widths = ([support] if support is not None
               else list(range(4, max_width + 1, 2)))
     for w_nc in widths:
-        if w_nc < 4 or w_nc % 2:
-            raise DomainError(f"support width must be even and >= 4, got {w_nc}")
         for w_c in range(1, 2 * m + 3, 2):
             supports = [
                 _support(r * n, m, w_c if (r * n) % m == 0 else w_nc)

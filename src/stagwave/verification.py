@@ -281,8 +281,8 @@ def materialize_system(system: SemiDiscreteSystem):
     from the textbook tensor-product expressions, and the interface
     transfers from each pair's exact tiles rounded once, not from its gather
     plans, providing a second route against the sliced matrix-free
-    evaluators. Covers stacks of one- and two-axis blocks, bounded or
-    periodic along each axis, with one interface per consecutive pair.
+    evaluators. Covers stacks of one- and two-axis blocks, periodic on every
+    axis but the last, with one interface per consecutive pair.
 
     Raises:
         SizeError: any block above the dense cap.
@@ -307,12 +307,11 @@ def materialize_system(system: SemiDiscreteSystem):
             L_prs[p_rows[i], v_rows[vi]] = -_along(ops.dense_d_v(), k, n_prim) / cp
             d_vel = -ops.dense_d_p()
             if isinstance(ops, SbpOperatorSet1D):
-                # pressure-free ends: both, except where stacked blocks meet
-                stacked = k == b.ndim - 1
-                if not stacked or i == 0:
+                # pressure-free outer ends of the stack (a bounded axis is last)
+                if i == 0:
                     d_vel += sigmas[k][0] * np.outer(ops.proj_left / ops.a_v,
                                                      _unit(n_prim[k], 0))
-                if not stacked or i == len(blocks) - 1:
+                if i == len(blocks) - 1:
                     d_vel += sigmas[k][1] * np.outer(ops.proj_right / ops.a_v,
                                                      _unit(n_prim[k], -1))
             L_vel[v_rows[vi], p_rows[i]] = _along(d_vel, k, n_prim) / cv

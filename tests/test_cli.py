@@ -135,6 +135,21 @@ def test_existing_output_directory_needs_force(config_path, tmp_path):
     assert main(["run", str(config_path), "--out", str(out), "--force"]) == 0
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+def test_output_path_at_or_under_a_regular_file_exits_2_before_stepping(
+        config_path, tmp_path, monkeypatch, force):
+    def no_stepping(*args, **kwargs):
+        raise AssertionError("stepped before checking the output path")
+
+    monkeypatch.setattr(cli, "run_sim", no_stepping)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    for out in (blocker, blocker / "out"):
+        assert main(["run", str(config_path), "--out", str(out), *force]) == 2
+    assert blocker.read_text() == "kept"
+    assert {path.name for path in tmp_path.iterdir()} == {config_path.name, "file"}
+
+
 def test_force_replaces_the_files_of_the_earlier_manifest(tmp_path):
     cfg = yaml.safe_load(TINY_CONFIG)
     out = tmp_path / "out"
@@ -265,8 +280,9 @@ def test_operators_transfer_derived_ratio(capsys):
 
 
 def test_operators_transfer_bad_support_exits_3_even_for_a_tabulated_ratio(capsys):
-    assert main(["operators", "transfer", "--ratio", "3:2", "--support", "0"]) == 3
-    assert "support width must be even and >= 4" in capsys.readouterr().err
+    for ratio, support in (("3:2", "0"), ("1:1", "3")):
+        assert main(["operators", "transfer", "--ratio", ratio, "--support", support]) == 3
+        assert "support width must be even and >= 4" in capsys.readouterr().err
 
 
 def test_operators_transfer_support_derives_the_tabulated_rows(monkeypatch, capsys):

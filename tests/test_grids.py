@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from stagwave.assembly import BlockOperators
 from stagwave.errors import DomainError, MisalignmentError
-from stagwave.grids import (BOTH_ENDS_PRIMARY, PERIODIC, build_block_2d,
-                            build_grid_1d, build_layout)
+from stagwave.grids import (BOTH_ENDS_PRIMARY, PERIODIC, StaggeredBlock2D,
+                            build_block_2d, build_grid_1d, build_layout)
+from stagwave.sbp1d import build_periodic_1d, build_sbp_1d
 
 
 def test_bounded_grid_midpoint_staggering():
@@ -58,21 +60,24 @@ def test_block_requires_bounded_y():
     gy = build_grid_1d(0, 1, 17, BOTH_ENDS_PRIMARY)
     with pytest.raises(DomainError):
         build_block_2d(0, 1, 16, 0, 1, 8)  # y too small
-    from stagwave.grids import StaggeredBlock2D
     with pytest.raises(DomainError):
         StaggeredBlock2D(gx, gx)         # periodic y not allowed
-    block = StaggeredBlock2D(gy, gy)     # bounded x is the sidewall variant
-    assert not block.x_periodic
-    assert block.u_shape == (16, 17)
+    with pytest.raises(DomainError):
+        StaggeredBlock2D(gy, gy)         # bounded x not allowed
+    block = StaggeredBlock2D(gx, gy)
+    assert block.u_shape == block.p_shape == (16, 17)
 
 
 def test_layout_requires_periodic_x():
-    bottom = build_block_2d(0, "0.96", 61, 0, "0.48", 31,
-                            x_alignment=BOTH_ENDS_PRIMARY)
-    top = build_block_2d(0, "0.96", 121, "0.48", "0.96", 61,
-                         x_alignment=BOTH_ENDS_PRIMARY)
+    # only a block's last axis may be bounded: neither a grid block nor a
+    # block of operators admits a bounded x axis
+    gx = build_grid_1d(0, "0.96", 61, BOTH_ENDS_PRIMARY)
+    gy = build_grid_1d(0, "0.48", 31, BOTH_ENDS_PRIMARY)
     with pytest.raises(DomainError):
-        build_layout([bottom, top])
+        StaggeredBlock2D(gx, gy)
+    with pytest.raises(DomainError):
+        BlockOperators([build_sbp_1d(61, 0.016), build_sbp_1d(31, 0.016)])
+    BlockOperators([build_periodic_1d(60, 0.016), build_sbp_1d(31, 0.016)])
 
 
 def test_layout_accepts_2_to_1():

@@ -100,10 +100,14 @@ def test_apply_along_second_axis():
                                field @ ops.dense_d_p().T, rtol=0, atol=1e-13)
 
 
-KERNEL_OPERATORS = [build_sbp_1d(13, 0.37), build_periodic_1d(11, 0.37)]
+# the minimum sizes too: at 9 points the two closure windows overlap, at 4
+# the wrap product covers three of the four rows
+KERNEL_OPERATORS = [build_sbp_1d(13, 0.37), build_periodic_1d(11, 0.37),
+                    build_sbp_1d(9, 0.37), build_periodic_1d(4, 0.37)]
+KERNEL_IDS = ["bounded", "periodic", "bounded-9", "periodic-4"]
 
 
-@pytest.mark.parametrize("ops", KERNEL_OPERATORS, ids=["bounded", "periodic"])
+@pytest.mark.parametrize("ops", KERNEL_OPERATORS, ids=KERNEL_IDS)
 @pytest.mark.parametrize("kind", ["d_p", "d_v"])
 def test_kernel_matches_dense_on_both_axes(ops, kind):
     dense = getattr(ops, f"dense_{kind}")()
@@ -114,20 +118,21 @@ def test_kernel_matches_dense_on_both_axes(ops, kind):
                                rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("ops", KERNEL_OPERATORS, ids=["bounded", "periodic"])
+@pytest.mark.parametrize("ops", KERNEL_OPERATORS, ids=KERNEL_IDS)
 @pytest.mark.parametrize("kind", ["d_p", "d_v"])
 def test_kernel_accumulates_into_nonzero_out(ops, kind):
+    # the kernel writes its output, never adds to it: whatever `out` held
+    # before must not reach the result
     dense = getattr(ops, f"dense_{kind}")()
     apply = getattr(ops, f"apply_{kind}")
     rng = np.random.default_rng(3)
     field = rng.standard_normal((dense.shape[1], 7))
-    start = rng.standard_normal((dense.shape[0], 7))
-    out = start.copy()
-    assert apply(field, 0, out, scale=-1.5, add=True) is out
-    np.testing.assert_allclose(out, start - 1.5 * dense @ field, rtol=0, atol=1e-13)
-    out = start.T.copy()
-    apply(field.T.copy(), 1, out, scale=-1.5, add=True, scratch=np.empty((7, dense.shape[1])))
-    np.testing.assert_allclose(out, (start - 1.5 * dense @ field).T, rtol=0, atol=1e-13)
+    out = rng.standard_normal((dense.shape[0], 7))
+    assert apply(field, 0, out, scale=-1.5) is out
+    np.testing.assert_allclose(out, -1.5 * dense @ field, rtol=0, atol=1e-13)
+    out = rng.standard_normal((7, dense.shape[0]))
+    apply(field.T.copy(), 1, out, scale=-1.5, scratch=np.empty((7, dense.shape[1])))
+    np.testing.assert_allclose(out, (-1.5 * dense @ field).T, rtol=0, atol=1e-13)
 
 
 def test_kernel_rejects_a_scratch_unlike_the_input():
