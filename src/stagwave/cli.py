@@ -32,7 +32,7 @@ from .errors import (ConfigError, StagwaveError, UnsupportedRatioError,
 from .exact import fraction_str
 from .grids import build_block_2d
 from .leapfrog import find_cfl, run as run_sim
-from .sbp1d import build_periodic_1d, build_sbp_1d, verify_sbp_structure
+from .sbp1d import PROJECTION, build_periodic_1d, build_sbp_1d, verify_sbp_structure
 from .transfer import (certify_pair, derive_elemental_pair,
                        tabulated_elemental_pair, tile_periodic)
 from .verification import (convergence_study, energy_rate_oracle,
@@ -82,8 +82,8 @@ def _earlier_outputs(out_dir: Path) -> list[Path]:
 
 def cmd_run(args) -> int:
     """Run a config; the output directory is made only once the run succeeds."""
-    config = parse_config(args.config)
-    built = build_run(config)
+    spec = parse_config(args.config)
+    built = build_run(spec)
 
     out_dir = Path(args.out) if args.out else Path(Path(args.config).stem + ".out")
     if out_dir.exists() and not args.force:
@@ -91,27 +91,26 @@ def cmd_run(args) -> int:
     if any(path.exists() and not path.is_dir() for path in (out_dir, *out_dir.parents)):
         raise NotADirectoryError(f"{out_dir} is or lies under a file that is not a directory")
     stale = _earlier_outputs(out_dir)
-    result = run_sim(built.system, built.time_grid, sources=built.sources,
-                     receivers=built.receivers,
-                     record_energy=built.outputs["energy"])
+    result = run_sim(built.system, spec.time_grid, sources=built.sources,
+                     receivers=built.receivers, record_energy=spec.outputs["energy"])
 
     out_dir.mkdir(parents=True, exist_ok=args.force)
     for path in stale:
         path.unlink(missing_ok=True)
-    (out_dir / "config.yaml").write_text(config.to_yaml())
+    (out_dir / "config.yaml").write_text(spec.to_yaml())
     files = ["config.yaml"]
-    if built.outputs["seismogram"]:
+    if spec.outputs["seismogram"]:
         for i in range(len(built.receivers)):
             name = "seismogram.csv" if len(built.receivers) == 1 else f"seismogram_{i}.csv"
             _write_csv(out_dir / name, "t,p",
                        zip(map(float, result.times), map(float, result.seismograms[i])))
             files.append(name)
-    if built.outputs["energy"]:
+    if spec.outputs["energy"]:
         _write_csv(out_dir / "energy.csv", "step,t,E",
-                   zip(range(built.time_grid.n_steps), map(float, result.energy_times),
+                   zip(range(spec.time_grid.n_steps), map(float, result.energy_times),
                        map(float, result.energy)))
         files.append("energy.csv")
-    if built.outputs["snapshot"]:
+    if spec.outputs["snapshot"]:
         for i, p in enumerate(result.final_state.pressures):
             name = f"snapshot_p{i}.bin"
             p.astype("<f8").tofile(out_dir / name)
@@ -154,14 +153,15 @@ def cmd_operators(args) -> int:
     if args.kind == "sbp1d":
         ops = build_sbp_1d(args.n, args.dx)
         report = verify_sbp_structure(ops)
-        _dump_matrix(out, "d_p (unit spacing)", ops.exact_d_p())
-        _dump_matrix(out, "d_v (unit spacing)", ops.exact_d_v())
-        _dump_matrix(out, "a_p (unit spacing)", [ops.exact_a_p()])
-        _dump_matrix(out, "a_v (unit spacing)", [ops.exact_a_v()])
-        from .sbp1d import PROJECTION
-        proj = list(PROJECTION) + [Fraction(0)] * (ops.n_v - 3)
-        _dump_matrix(out, "proj_left", [proj])
-        _dump_matrix(out, "q_first_row", [[-v for v in proj]])
+        d_p, d_v, a_p, a_v = (ops.exact_d_p(), ops.exact_d_v(), ops.exact_a_p(),
+                              ops.exact_a_v())
+        _dump_matrix(out, "d_p (unit spacing)", d_p)
+        _dump_matrix(out, "d_v (unit spacing)", d_v)
+        _dump_matrix(out, "a_p (unit spacing)", [a_p])
+        _dump_matrix(out, "a_v (unit spacing)", [a_v])
+        _dump_matrix(out, "proj_left", [list(PROJECTION) + [Fraction(0)] * (ops.n_v - 3)])
+        _dump_matrix(out, "q_first_row",   # row 0 of A^p D^v + (A^v D^p)^T
+                     [[a_p[0] * d_v[0][j] + a_v[j] * d_p[j][0] for j in range(ops.n_v)]])
         out.write(f"# structure_residual,{_fmt(report.structure_residual)}\n")
         out.write(f"# exact_structure,{report.exact}\n")
         out.write(f"# dv_row_degrees,{' '.join(map(str, report.dv_row_degrees))}\n")

@@ -20,26 +20,26 @@ A run config is a single YAML document:
     outputs: {seismogram: true, energy: true, snapshot: false}
     seed: 1234
 
-`validate_config` is the only reader of the raw mapping: it reads and checks
-every value once, before any output, and returns typed values. A bool is never
-a number, and an output switch must be a bool. The integer seed is copied into
-the written config and changes nothing; a run is deterministic given the config.
+`parse_config` reads one YAML file. `validate_config`, the only reader of the
+raw mapping, checks every value, then builds the grid blocks and loads the
+medium, all before the system is assembled or anything is written, and returns
+one `RunSpec`. A bool is never a number, and an output switch must be a bool.
+The integer seed is copied into the written config and changes nothing; a run
+is deterministic given the config.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import yaml
 
 from .assembly import SemiDiscreteSystem, assemble_interface_system
 from .errors import ConfigError
 from .exact import to_fraction
-from .grids import build_block_2d
+from .grids import StaggeredBlock2D, build_block_2d
 from .leapfrog import ReceiverSpec, SourceSpec, TimeGrid
 from .media import (ConstantMedium, Medium, TwoLayerMedium, VerticalLinearMedium,
                     load_gridded_model)
@@ -51,26 +51,16 @@ _NUMBER = (int, float)
 
 @dataclass(frozen=True)
 class RunSpec:
-    """The values of a run config, read and checked."""
+    """A run config, read and checked: its grid blocks and medium built, and
+    its raw mapping kept for the written copy."""
 
-    blocks: tuple[tuple, ...]          # build_block_2d arguments, bottom first
-    medium: Callable[[], Medium]
+    blocks: tuple[StaggeredBlock2D, ...]   # bottom first
+    medium: Medium
     time_grid: TimeGrid
-    sources: tuple[tuple, ...]         # (x, y, f0, t0, amplitude)
-    receivers: tuple[tuple, ...]       # (x, y)
+    sources: tuple[tuple, ...]             # (x, y, f0, t0, amplitude)
+    receivers: tuple[tuple, ...]           # (x, y)
     outputs: dict[str, bool]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A run config: the raw mapping, retained for output, and its values,
-    read and checked when the config is made."""
-
-    raw: dict = field(repr=False)
-    spec: RunSpec = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "spec", validate_config(self.raw))
+    raw: dict = field(repr=False, compare=False)
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.raw, sort_keys=True)
@@ -94,24 +84,17 @@ def _get(mapping, key, where, types, default=None, positive=False):
     return value
 
 
-def parse_config(source) -> RunConfig:
-    """Parse and validate a YAML config from a path, file object, or string."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text()
-    elif hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = str(source)
+def parse_config(path) -> RunSpec:
+    """Read one YAML config file and validate it."""
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.safe_load(Path(path).read_text())
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    return RunConfig(raw=raw)
+    return validate_config(raw)
 
 
 def _read_blocks(raw: dict) -> tuple[tuple, ...]:
+    """The `build_block_2d` arguments of each block, bottom first."""
     layout = _get(raw, "layout", "config", (dict,))
     x_left = to_fraction(_get(layout, "x_left", "layout", _NUMBER, 0))
     width = to_fraction(_get(layout, "width", "layout", _NUMBER, positive=True))
@@ -137,7 +120,8 @@ def _read_blocks(raw: dict) -> tuple[tuple, ...]:
     return tuple(boxes)
 
 
-def _read_medium(raw: dict) -> Callable[[], Medium]:
+def _read_medium(raw: dict) -> Medium:
+    """The medium, made once all of its values are checked."""
     medium = _get(raw, "medium", "config", (dict,))
     kind = _get(medium, "kind", "medium", (str,))
 
@@ -145,20 +129,21 @@ def _read_medium(raw: dict) -> Callable[[], Medium]:
         return float(_get(cfg, key, where, _NUMBER, positive=positive))
 
     if kind == "constant":
-        return partial(ConstantMedium, rho=num("rho"), c=num("c"))
+        return ConstantMedium(rho=num("rho"), c=num("c"))
     if kind == "two_layer_constant":
         top, bottom = (_get(medium, side, "medium", (dict,)) for side in ("top", "bottom"))
-        return partial(TwoLayerMedium, split_y=num("split_y", positive=False),
-                       rho_top=num("rho", top, "medium.top"), c_top=num("c", top, "medium.top"),
-                       rho_bottom=num("rho", bottom, "medium.bottom"),
-                       c_bottom=num("c", bottom, "medium.bottom"))
+        return TwoLayerMedium(split_y=num("split_y", positive=False),
+                              rho_top=num("rho", top, "medium.top"),
+                              c_top=num("c", top, "medium.top"),
+                              rho_bottom=num("rho", bottom, "medium.bottom"),
+                              c_bottom=num("c", bottom, "medium.bottom"))
     if kind == "vertical_linear":
         y_bottom, y_top = num("y_bottom", positive=False), num("y_top", positive=False)
         if y_bottom == y_top:
             raise ConfigError("medium.y_top: must differ from medium.y_bottom")
-        return partial(VerticalLinearMedium, y_bottom=y_bottom, y_top=y_top,
-                       **{key: num(key) for key in ("rho_bottom", "rho_top",
-                                                    "c_bottom", "c_top")})
+        return VerticalLinearMedium(y_bottom=y_bottom, y_top=y_top,
+                                    **{key: num(key) for key in ("rho_bottom", "rho_top",
+                                                                 "c_bottom", "c_top")})
     if kind == "gridded":
         files = [_get(medium, key, "medium", (str,)) for key in ("rho_file", "c_file")]
         for key, path in zip(("rho_file", "c_file"), files):
@@ -170,18 +155,21 @@ def _read_medium(raw: dict) -> Callable[[], Medium]:
         dtype = _get(medium, "dtype", "medium", (str,), "float32")
         if dtype not in ("float32", "float64"):
             raise ConfigError("medium.dtype: float32 or float64")
-        return partial(load_gridded_model, *files,
-                       rows=_get(medium, "rows", "medium", (int,), positive=True),
-                       cols=_get(medium, "cols", "medium", (int,), positive=True),
-                       spacing=num("spacing"), dtype=dtype,
-                       origin=tuple(num(i, origin, "medium.origin", False) for i in (0, 1)))
+        return load_gridded_model(
+            *files, rows=_get(medium, "rows", "medium", (int,), positive=True),
+            cols=_get(medium, "cols", "medium", (int,), positive=True),
+            spacing=num("spacing"), dtype=dtype,
+            origin=tuple(num(i, origin, "medium.origin", False) for i in (0, 1)))
     raise ConfigError(f"medium.kind: unknown kind {kind!r}; one of {_MEDIUM_KINDS}")
 
 
-def validate_config(raw: dict) -> RunSpec:
-    """Read and check every value of a run config; the first bad one raises
-    ConfigError (a missing gridded-model file, FileNotFoundError)."""
-    blocks, medium = _read_blocks(raw), _read_medium(raw)
+def validate_config(raw) -> RunSpec:
+    """Check every value of a run config, then load its medium and build its
+    blocks. A bad value raises ConfigError, a missing model file
+    FileNotFoundError, and a model or block the library rejects its error."""
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a mapping")
+    boxes = _read_blocks(raw)
 
     time_cfg = _get(raw, "time", "config", (dict,))
     dt = _get(time_cfg, "dt", "time", _NUMBER, positive=True)
@@ -209,30 +197,29 @@ def validate_config(raw: dict) -> RunSpec:
     for key in outputs:
         if key not in _OUTPUTS:
             raise ConfigError(f"outputs.{key}: unknown output switch")
+    outputs = {key: _get(outputs, key, "outputs", (bool,), default)
+               for key, default in _OUTPUTS.items()}
     _get(raw, "seed", "config", (int,), 0)   # only copied into the written config
-    return RunSpec(blocks=blocks, medium=medium,
+    medium = _read_medium(raw)
+    return RunSpec(blocks=tuple(build_block_2d(*box) for box in boxes), medium=medium,
                    time_grid=TimeGrid(dt=float(dt), n_steps=n_steps),
                    sources=tuple(points["sources"]), receivers=tuple(points["receivers"]),
-                   outputs={key: _get(outputs, key, "outputs", (bool,), default)
-                            for key, default in _OUTPUTS.items()})
+                   outputs=outputs, raw=raw)
 
 
 @dataclass
 class BuiltRun:
+    """What building a run adds to its spec."""
+
     system: SemiDiscreteSystem
-    time_grid: TimeGrid
     sources: list[SourceSpec]
     receivers: list[ReceiverSpec]
-    outputs: dict
 
 
-def build_run(config: RunConfig) -> BuiltRun:
-    """Construct the system and instrumentation described by a config."""
-    spec = config.spec
-    medium = spec.medium()
-    system = assemble_interface_system([build_block_2d(*box) for box in spec.blocks], medium)
+def build_run(spec: RunSpec) -> BuiltRun:
+    """Assemble the system of a run spec and locate its sources and receivers."""
+    system = assemble_interface_system(spec.blocks, spec.medium)
     sources = [SourceSpec(*system.locate_pressure_point(x, y), f0=f0, t0=t0, amplitude=a)
                for x, y, f0, t0, a in spec.sources]
     receivers = [ReceiverSpec(*system.locate_pressure_point(x, y)) for x, y in spec.receivers]
-    return BuiltRun(system=system, time_grid=spec.time_grid, sources=sources,
-                    receivers=receivers, outputs=dict(spec.outputs))
+    return BuiltRun(system=system, sources=sources, receivers=receivers)

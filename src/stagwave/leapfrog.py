@@ -20,7 +20,7 @@ dt and added to the fields, so stepping allocates no field-sized arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -115,7 +115,6 @@ class RunResult:
     energy_times: NDArray[np.float64]          # half-level times, n_steps
     energy: NDArray[np.float64] | None
     final_state: SimState
-    receivers: tuple[ReceiverSpec, ...] = field(default_factory=tuple)
 
 
 def run(system, time_grid: TimeGrid, sources=(), receivers=(),
@@ -164,7 +163,7 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     times = t_start + dt * np.arange(n + 1)
     energy_times = t_start + dt * (np.arange(n) + 0.5)
     return RunResult(times=times, seismograms=traces, energy_times=energy_times,
-                     energy=energy, final_state=state, receivers=receivers)
+                     energy=energy, final_state=state)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ run it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -296,7 +297,7 @@ def build_sbp_1d(n_p: int, dx: float) -> SbpOperatorSet1D:
 
     Args:
         n_p: primary-subgrid point count, at least 9.
-        dx: grid spacing, positive.
+        dx: grid spacing, positive and finite.
 
     Raises:
         DomainError: on size or spacing violations.
@@ -304,8 +305,8 @@ def build_sbp_1d(n_p: int, dx: float) -> SbpOperatorSet1D:
     if n_p < MIN_POINTS_BOUNDED:
         raise DomainError(f"n_p must be >= {MIN_POINTS_BOUNDED}, got {n_p}")
     dx = float(dx)
-    if not dx > 0:
-        raise DomainError(f"dx must be positive, got {dx}")
+    if not 0 < dx < math.inf:
+        raise DomainError(f"dx must be positive and finite, got {dx}")
     a_p = np.array(_exact_norm(n_p, AP_CLOSURE), dtype=float)
     a_v = np.array(_exact_norm(n_p - 1, AV_CLOSURE), dtype=float)
     proj_left = np.zeros(n_p - 1)
@@ -364,12 +365,12 @@ def _circulant(n: int, first: int) -> NDArray[np.float64]:
 
 
 def build_periodic_1d(n: int, dx: float) -> PeriodicOperatorSet1D:
-    """Build the periodic staggered operator set (n >= 4, dx > 0)."""
+    """Build the periodic staggered operator set (n >= 4, finite dx > 0)."""
     if n < MIN_POINTS_PERIODIC:
         raise DomainError(f"n must be >= {MIN_POINTS_PERIODIC}, got {n}")
     dx = float(dx)
-    if not dx > 0:
-        raise DomainError(f"dx must be positive, got {dx}")
+    if not 0 < dx < math.inf:
+        raise DomainError(f"dx must be positive and finite, got {dx}")
     return PeriodicOperatorSet1D(n=n, dx=dx)
 
 
@@ -403,7 +404,7 @@ def _row_degree(row_coeffs, col_coords, target_x, derivative: bool) -> int:
         else:
             want = 1.0 if k == 0 else target_x**k
         scale = max(1.0, max(abs(x) ** k for x in col_coords))
-        if abs(approx - want) > 1e-9 * scale:
+        if not abs(approx - want) <= 1e-9 * scale:   # a NaN error ends the count
             break
         deg = k
     return deg

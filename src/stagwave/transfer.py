@@ -23,7 +23,7 @@ constraints with a minimal-support search and an exact minimum-norm tiebreak.
 
 A tiled pair (`TransferPair`) applies each direction from the elemental
 stencils: a gather of each interval's input window and one small matrix
-product (`GatherPlan`). The dense n_fine x n_coarse tiles, exact or rounded,
+product (`GatherPlan`). The exact n_fine x n_coarse tiles (`exact_matrices`)
 are built only on demand, for the certificates and the test oracles.
 """
 
@@ -326,16 +326,6 @@ class TransferPair:
         elem = self.elemental
         return (_tile_exact(elem.coarse_to_fine, elem.m, elem.n, self.n_fine, self.n_coarse),
                 _tile_exact(elem.fine_to_coarse, elem.n, elem.m, self.n_coarse, self.n_fine))
-
-    @property
-    def coarse_to_fine(self) -> NDArray[np.float64]:
-        """The exact coarse->fine tile rounded once; built on each access."""
-        return self.exact_matrices()[0].astype(float)
-
-    @property
-    def fine_to_coarse(self) -> NDArray[np.float64]:
-        """The exact fine->coarse tile rounded once; built on each access."""
-        return self.exact_matrices()[1].astype(float)
 
 
 def _tile_exact(rows, rows_per_elem, cols_per_elem, n_rows, n_cols) -> NDArray[np.object_]:

@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 
 from .assembly import (BlockOperators, SemiDiscreteSystem, assemble_interface_system,
                        assemble_single_block_system)
-from .config import RunConfig, build_run
+from .config import build_run, validate_config
 from .errors import DomainError, SizeError
 from .grids import build_block_2d
 from .leapfrog import SimState, TimeGrid, run
@@ -176,7 +176,7 @@ SCENARIOS = {
 def build_scenario(name: str):
     """(system, first source, first receiver) of a SCENARIOS entry, built by
     the same validation and construction as `stagwave run`."""
-    built = build_run(RunConfig(raw=SCENARIOS[name]))
+    built = build_run(validate_config(SCENARIOS[name]))
     return built.system, built.sources[0], built.receivers[0]
 
 

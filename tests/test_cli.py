@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,11 @@ from conftest import TINY_CONFIG
 
 from stagwave import cli
 from stagwave.cli import main
+from stagwave import sbp1d
 from stagwave.config import build_run, parse_config, validate_config
-from stagwave.errors import ConfigError
+from stagwave.errors import ConfigError, DomainError, FormatError
+from stagwave.grids import StaggeredBlock2D
+from stagwave.media import Medium, TwoLayerMedium
 from stagwave.transfer import derive_elemental_pair
 
 
@@ -192,9 +196,9 @@ def test_readme_schema_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     schema = readme.split("### Configuration schema", 1)[1]
     block = schema.split("```yaml\n", 1)[1].split("```", 1)[0]
-    config = parse_config(block)
-    assert config.spec.outputs == {"seismogram": True, "energy": True, "snapshot": False}
-    build_run(config)
+    spec = validate_config(yaml.safe_load(block))
+    assert spec.outputs == {"seismogram": True, "energy": True, "snapshot": False}
+    build_run(spec)
 
 
 def test_domain_error_exits_3(tmp_path):
@@ -206,9 +210,48 @@ def test_domain_error_exits_3(tmp_path):
 
 
 def test_config_round_trip(config_path):
-    config = parse_config(config_path)
-    again = parse_config(config.to_yaml())
-    assert again.raw == config.raw
+    spec = parse_config(config_path)
+    again = validate_config(yaml.safe_load(spec.to_yaml()))
+    assert again.raw == spec.raw
+
+
+def test_validate_config_builds_the_blocks_and_the_medium(config_path):
+    spec = parse_config(config_path)
+    assert len(spec.blocks) == 2
+    assert all(isinstance(block, StaggeredBlock2D) for block in spec.blocks)
+    assert [block.p_shape for block in spec.blocks] == [(12, 9), (24, 9)]   # bottom first
+    assert isinstance(spec.medium, Medium)
+    assert spec.medium == TwoLayerMedium(split_y=0.64, rho_top=0.5, c_top=1.0,
+                                         rho_bottom=1.0, c_bottom=2.0)
+    built = build_run(spec)
+    assert [blk.block for blk in built.system.blocks] == list(spec.blocks)
+
+
+def test_short_block_and_bad_model_raise_while_validating(tmp_path):
+    cfg = yaml.safe_load(TINY_CONFIG)
+    cfg["layout"]["top"]["height"] = 0.28   # 8 rows
+    with pytest.raises(DomainError, match="at least 9 primary points"):
+        validate_config(cfg)
+    path = tmp_path / "short.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "never")]) == 3
+    cfg = yaml.safe_load(TINY_CONFIG)
+    (tmp_path / "short.bin").write_bytes(b"\0" * 8)
+    cfg["medium"] = {"kind": "gridded", "rho_file": str(tmp_path / "short.bin"),
+                     "c_file": str(tmp_path / "short.bin"), "rows": 4, "cols": 4,
+                     "spacing": 0.25}
+    with pytest.raises(FormatError):
+        validate_config(cfg)
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("root", ["", "- 1", "3"])
+def test_config_root_must_be_a_mapping(root, tmp_path):
+    path = tmp_path / "root.yaml"
+    path.write_text(root)
+    with pytest.raises(ConfigError, match="root must be a mapping"):
+        parse_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
 def test_snapshot_output(tmp_path):
@@ -240,6 +283,40 @@ def test_operators_sbp_dump(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "exact_structure,True" in out
     assert "-15/8" in out or "-1.875" in out
+
+
+@pytest.mark.parametrize("kind", ["sbp1d", "periodic"])
+@pytest.mark.parametrize("dx", ["inf", "nan", "-1"])
+def test_operators_non_finite_or_nonpositive_dx_exits_3(kind, dx, capsys):
+    assert main(["operators", kind, "--n", "9", "--dx", dx]) == 3
+    captured = capsys.readouterr()
+    assert "dx must be positive and finite" in captured.err
+    assert captured.out == ""
+
+
+def test_operators_sbp_dump_measures_q_first_row(monkeypatch, capsys):
+    def q_first_row():
+        lines = capsys.readouterr().out.splitlines()
+        return lines[lines.index("# q_first_row") + 1]
+
+    assert main(["operators", "sbp1d", "--n", "12"]) == 0
+    assert q_first_row() == "-1.875,1.25,-0.375,0,0,0,0,0,0,0,0"
+    perturbed = list(sbp1d.DV_CLOSURE)
+    perturbed[0] = (F(-2), F(3), F(-1), F(1, 7), F(0))
+    monkeypatch.setattr(sbp1d, "DV_CLOSURE", tuple(perturbed))
+    assert main(["operators", "sbp1d", "--n", "12"]) == 0
+    # q[0][3] = a_p[0] * d_v[0][3] = 7/18 * 1/7
+    assert q_first_row() == "-1.875,1.25,-0.375,1/18,0,0,0,0,0,0,0"
+
+
+def test_operators_periodic_dump(capsys):
+    assert main(["operators", "periodic", "--n", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# d_p" and lines[9] == "# d_v"
+    assert all(len(row.split(",")) == 8 for row in lines[1:9] + lines[10:18])
+    assert lines[18:] == ["# wraparound_residual,0.0"]
+    assert main(["operators", "periodic", "--n", "8", "--dx", "0.37"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "# wraparound_residual,0.0"
 
 
 def test_operators_transfer_tabulated(capsys):

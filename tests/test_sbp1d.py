@@ -165,6 +165,23 @@ def test_build_rejects_bad_sizes():
         build_periodic_1d(3, 1.0)
 
 
+@pytest.mark.parametrize("dx", [float("inf"), float("nan"), -1.0])
+def test_build_rejects_a_non_finite_or_nonpositive_spacing(dx):
+    with pytest.raises(DomainError, match="positive and finite"):
+        build_sbp_1d(9, dx)
+    with pytest.raises(DomainError, match="positive and finite"):
+        build_periodic_1d(8, dx)
+
+
+def test_a_nan_row_is_exact_to_no_degree(ops9):
+    d_v = ops9.dense_d_v()
+    d_v[1, 0] = np.nan
+    report = structure_report(ops9.dense_d_p(), d_v, ops9.a_p, ops9.a_v,
+                              ops9.proj_left, ops9.proj_right)
+    assert report.dv_row_degrees[1] == -1
+    assert report.dv_row_degrees[0] == verify_sbp_structure(ops9).dv_row_degrees[0]
+
+
 def test_perturbed_closure_detected():
     ops = build_sbp_1d(10, 1.0)
     d_p = ops.dense_d_p()

@@ -29,9 +29,8 @@ def test_2_to_1_reverse_row_is_half_transpose():
     # fine offsets -3..3 around the coarse point, zeros at even non-centre
     assert pair.fine_to_coarse[0] == {-3: F(-1, 32), -1: F(9, 32), 0: F(1, 2),
                                       1: F(9, 32), 3: F(-1, 32)}
-    tiled = tile_periodic(pair, 8, 16)
-    np.testing.assert_array_equal(tiled.fine_to_coarse,
-                                  0.5 * tiled.coarse_to_fine.T)
+    c2f, f2c = (tile.astype(float) for tile in tile_periodic(pair, 8, 16).exact_matrices())
+    np.testing.assert_array_equal(f2c, 0.5 * c2f.T)
 
 
 def test_3_to_2_first_row_and_row_sums():
@@ -62,9 +61,9 @@ def test_derivation_with_fixed_support_recovers_2_to_1():
 def test_identity_pair_for_conforming_interface():
     pair = tabulated_elemental_pair(F(1, 1))
     assert pair.coarse_to_fine == ({0: F(1)},)
-    tiled = tile_periodic(pair, 12, 12)
-    np.testing.assert_array_equal(tiled.coarse_to_fine, np.eye(12))
-    np.testing.assert_array_equal(tiled.fine_to_coarse, np.eye(12))
+    c2f, f2c = tile_periodic(pair, 12, 12).exact_matrices()
+    np.testing.assert_array_equal(c2f.astype(float), np.eye(12))
+    np.testing.assert_array_equal(f2c.astype(float), np.eye(12))
 
 
 @pytest.mark.parametrize("m,n", [(3, 1), (5, 2), (7, 6)])
@@ -130,23 +129,20 @@ def test_exactness_degrees_match_accuracy_claims():
 
 def test_tiling_to_experiment_sizes():
     pair = tabulated_elemental_pair(F(2, 1))
-    tiled = tile_periodic(pair, 60, 120)
-    assert tiled.coarse_to_fine.shape == (120, 60)
-    assert tiled.fine_to_coarse.shape == (60, 120)
-    resid = np.abs(0.5 * tiled.coarse_to_fine.T - tiled.fine_to_coarse).max()
+    c2f_e, f2c_e = tile_periodic(pair, 60, 120).exact_matrices()
+    assert c2f_e.shape == (120, 60)
+    assert f2c_e.shape == (60, 120)
+    resid = np.abs(0.5 * c2f_e.astype(float).T - f2c_e.astype(float)).max()
     assert resid == 0.0
-    c2f_e, f2c_e = tiled.exact_matrices()
     assert all(F(1, 2) * c2f_e[l][k] == f2c_e[k][l]
                for l in range(120) for k in range(60))
 
 
 def test_tiled_rows_sum_to_one():
     pair = tabulated_elemental_pair(F(3, 2))
-    tiled = tile_periodic(pair, 100, 150)
-    np.testing.assert_allclose(tiled.coarse_to_fine.sum(axis=1), 1.0,
-                               rtol=0, atol=1e-15)
-    np.testing.assert_allclose(tiled.fine_to_coarse.sum(axis=1), 1.0,
-                               rtol=0, atol=1e-15)
+    for tile in tile_periodic(pair, 100, 150).exact_matrices():
+        np.testing.assert_allclose(tile.astype(float).sum(axis=1), 1.0,
+                                   rtol=0, atol=1e-15)
 
 
 def test_tiling_divisibility_and_length_checks():
@@ -162,13 +158,17 @@ def test_tiling_divisibility_and_length_checks():
 
 def test_wrapped_stencils_are_summed_exactly_then_rounded():
     # one elemental interval of 6:5: the 11-point coincident row wraps over
-    # 5 coarse points, so several weights land on one entry; summing their
-    # rounded floats instead would change some entries in the last bit
-    tiled = tile_periodic(tabulated_elemental_pair(F(6, 5)), 5, 6)
-    for flt, exact in zip((tiled.coarse_to_fine, tiled.fine_to_coarse),
-                          tiled.exact_matrices()):
-        assert flt.shape == exact.shape
-        assert all(flt[i, j] == float(exact[i, j]) for i, j in np.ndindex(flt.shape))
+    # 5 coarse points, so several weights land on one entry; the exact tile
+    # holds their exact sum, and rounding it gives that sum rounded once
+    elem = tabulated_elemental_pair(F(6, 5))
+    tiles = tile_periodic(elem, 5, 6).exact_matrices()
+    for rows, exact in zip((elem.coarse_to_fine, elem.fine_to_coarse), tiles):
+        assert exact.shape[0] == len(rows)
+        flt = exact.astype(float)
+        for i, j in np.ndindex(exact.shape):
+            want = sum((w for k, w in rows[i].items() if k % exact.shape[1] == j), F(0))
+            assert exact[i, j] == want
+            assert flt[i, j] == float(want)
 
 
 @pytest.mark.parametrize("ratio, n_coarse, n_fine", [
@@ -184,8 +184,9 @@ def test_stencil_application_matches_the_exact_tiles(ratio, n_coarse, n_fine):
     # floating point; the dense tiles sum them exactly and round once
     pair = transfer_pair_for(ratio, n_coarse, n_fine)
     rng = np.random.default_rng(11)
-    for plan, tile, n_in in ((pair.c2f_plan, pair.coarse_to_fine, n_coarse),
-                             (pair.f2c_plan, pair.fine_to_coarse, n_fine)):
+    c2f, f2c = (tile.astype(float) for tile in pair.exact_matrices())
+    for plan, tile, n_in in ((pair.c2f_plan, c2f, n_coarse),
+                             (pair.f2c_plan, f2c, n_fine)):
         for _ in range(5):
             x = rng.standard_normal(n_in)
             ref = tile @ x

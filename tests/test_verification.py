@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stagwave.assembly import SatCoefficients, assemble_single_block_system
-from stagwave.config import RunConfig, build_run, parse_config
+from stagwave.config import build_run, parse_config, validate_config
 from stagwave.errors import DomainError, SizeError
 from stagwave.grids import build_block_2d
 from stagwave.verification import (SCENARIOS, build_scenario,
@@ -143,11 +143,12 @@ def test_coarsened_split_agreement_degrades_gracefully():
 
 @pytest.mark.parametrize("name", ["two_layer_2to1", "smooth_gradient_6to5"])
 def test_shipped_config_builds_its_scenario(name, rng):
-    shipped = build_run(parse_config(CONFIGS / f"{name}.yaml"))
-    scenario = build_run(RunConfig(raw=SCENARIOS[name]))
+    shipped_spec = parse_config(CONFIGS / f"{name}.yaml")
+    scenario_spec = validate_config(SCENARIOS[name])
+    shipped, scenario = build_run(shipped_spec), build_run(scenario_spec)
     assert shipped.sources == scenario.sources
     assert shipped.receivers == scenario.receivers
-    assert shipped.time_grid == scenario.time_grid
+    assert shipped_spec.time_grid == scenario_spec.time_grid
     assert build_scenario(name)[1:] == (scenario.sources[0], scenario.receivers[0])
     a, b = shipped.system, scenario.system
     assert [blk.block.p_shape for blk in a.blocks] == [blk.block.p_shape for blk in b.blocks]
