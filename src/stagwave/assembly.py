@@ -38,11 +38,13 @@ heterogeneous media reuse the identical penalty structure.
 Buffer contract: a system allocates one rate buffer per field at
 construction, and computes its penalty and energy weights, signs included,
 then too. `pressure_rates` and `velocity_rates` write into those buffers and
-return them; the caller may scale them in place. A result is valid until the
-next call of either rate method, because `pressure_rates` uses each axis's
-velocity-rate buffer as scratch and `velocity_rates` uses the pressure-rate
-buffer. For the same reason one method's result must not be passed to the
-other; wherever that would overwrite the input (every 2D block), the
+return them; the caller may scale them in place. A `pressure_rates` result
+is valid until the next `pressure_rates` call; a `velocity_rates` result
+until the next call of either method, because `pressure_rates` uses each
+axis's velocity-rate buffer as scratch. `velocity_rates` uses only its own
+buffers (the pressure-shaped u-rate buffer is its scratch), so the operator
+M = -V o P runs as `velocity_rates(pressure_rates(vel))` with no copy. The
+other order would overwrite its input on every 2D block; there the
 difference kernel raises `DomainError` instead.
 """
 
@@ -312,12 +314,14 @@ class SemiDiscreteSystem:
         return self._dp
 
     def velocity_rates(self, prs):
-        """d/dt of the velocity fields given the pressure fields; d_p along
-        every axis, with the block's pressure-rate buffer as scratch."""
-        for b, p, scratch, dvel, fs in zip(self.blocks, prs, self._dp,
-                                           self._block_dvel, self._fs):
-            for k, (axis_ops, dv) in enumerate(zip(b.ops, dvel)):
-                axis_ops.apply_d_p(p, k, dv, -1.0, scratch=scratch)
+        """d/dt of the velocity fields given the pressure fields; per block, d_p
+        along the last axis first, with the pressure-shaped u-rate buffer as
+        scratch, then along the periodic x axis into that buffer."""
+        for b, p, dvel, fs in zip(self.blocks, prs, self._block_dvel, self._fs):
+            last = b.ndim - 1
+            b.ops[last].apply_d_p(p, last, dvel[last], -1.0, scratch=dvel[0])
+            for k in range(last):
+                b.ops[k].apply_d_p(p, k, dvel[k], -1.0)
             fs(p, dvel)
         for i, m, p, _, add_to_velocity in self._interfaces:
             add_to_velocity(prs[i], prs[i + 1], self._dvel[m], self._dvel[p])

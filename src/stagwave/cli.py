@@ -153,15 +153,12 @@ def cmd_operators(args) -> int:
     if args.kind == "sbp1d":
         ops = build_sbp_1d(args.n, args.dx)
         report = verify_sbp_structure(ops)
-        d_p, d_v, a_p, a_v = (ops.exact_d_p(), ops.exact_d_v(), ops.exact_a_p(),
-                              ops.exact_a_v())
-        _dump_matrix(out, "d_p (unit spacing)", d_p)
-        _dump_matrix(out, "d_v (unit spacing)", d_v)
-        _dump_matrix(out, "a_p (unit spacing)", [a_p])
-        _dump_matrix(out, "a_v (unit spacing)", [a_v])
+        _dump_matrix(out, "d_p (unit spacing)", ops.exact_d_p())
+        _dump_matrix(out, "d_v (unit spacing)", ops.exact_d_v())
+        _dump_matrix(out, "a_p (unit spacing)", [ops.exact_a_p()])
+        _dump_matrix(out, "a_v (unit spacing)", [ops.exact_a_v()])
         _dump_matrix(out, "proj_left", [list(PROJECTION) + [Fraction(0)] * (ops.n_v - 3)])
-        _dump_matrix(out, "q_first_row",   # row 0 of A^p D^v + (A^v D^p)^T
-                     [[a_p[0] * d_v[0][j] + a_v[j] * d_p[j][0] for j in range(ops.n_v)]])
+        _dump_matrix(out, "q_first_row", [report.q_first_row])
         out.write(f"# structure_residual,{_fmt(report.structure_residual)}\n")
         out.write(f"# exact_structure,{report.exact}\n")
         out.write(f"# dv_row_degrees,{' '.join(map(str, report.dv_row_degrees))}\n")

@@ -1,5 +1,5 @@
-"""Exact rational helpers: decimal-faithful Fraction conversion and the
-small linear solves used by the stencil derivation.
+"""Exact rational helpers: decimal-faithful Fraction conversion, stencil
+exactness degrees, and the small linear solves of the stencil derivation.
 
 Values are ``fractions.Fraction`` so that geometric alignment checks and
 operator identities can be asserted with zero tolerance. The solves clear
@@ -51,6 +51,20 @@ def fraction_str(fr: Fraction) -> str:
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(shift + 1, "0")
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
+
+
+def exactness_degree(weights, coords, target, derivative: bool = False) -> int:
+    """Largest k <= 6 for which the rational weights reproduce x^k, or its
+    derivative, at `target` exactly (-1 if none). The degree does not change
+    under translation, so it is measured on coordinates relative to `target`;
+    zero weights are skipped."""
+    terms = [(w, x - target) for w, x in zip(weights, coords) if w != 0]
+    deg = -1
+    for k in range(7):
+        if sum(w * x**k for w, x in terms) != (1 if k == int(derivative) else 0):
+            break
+        deg = k
+    return deg
 
 
 def _exact_div(num: int, den: int) -> int:

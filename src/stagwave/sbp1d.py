@@ -26,8 +26,10 @@ bounded operator, or the rows of a periodic one that wrap around the seam.
 
 Closure coefficients are stored as exact rationals. They are the unique
 solution of the accuracy + structure constraint system once the boundary
-projection is restricted to its minimal three-point support. The exact
-structure certificate runs on demand, not at import or build time:
+projection is restricted to its minimal three-point support. The structure
+certificate is exact: it forms Q once in rational arithmetic at unit spacing,
+so it is independent of dx, and measures every row's exactness degree with
+`exact.exactness_degree`. It runs on demand, not at import or build time:
 `verify_sbp_structure`, `stagwave operators sbp1d` and acceptance criterion 1
 run it.
 """
@@ -42,6 +44,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError
+from .exact import exactness_degree
 from .grids import MIN_POINTS_BOUNDED, MIN_POINTS_PERIODIC
 
 F = Fraction
@@ -292,21 +295,27 @@ def _exact_norm(n, closure):
     return w
 
 
+def _spacing(dx) -> float:
+    """dx as a float; it and its reciprocal must be positive and finite."""
+    dx = float(dx)
+    if not 0 < dx < math.inf or 1 / dx == math.inf:
+        raise DomainError(f"dx must be positive and finite, and so must 1/dx, got {dx}")
+    return dx
+
+
 def build_sbp_1d(n_p: int, dx: float) -> SbpOperatorSet1D:
     """Build the bounded staggered SBP operator set.
 
     Args:
         n_p: primary-subgrid point count, at least 9.
-        dx: grid spacing, positive and finite.
+        dx: grid spacing, positive and finite, with a finite reciprocal.
 
     Raises:
         DomainError: on size or spacing violations.
     """
     if n_p < MIN_POINTS_BOUNDED:
         raise DomainError(f"n_p must be >= {MIN_POINTS_BOUNDED}, got {n_p}")
-    dx = float(dx)
-    if not 0 < dx < math.inf:
-        raise DomainError(f"dx must be positive and finite, got {dx}")
+    dx = _spacing(dx)
     a_p = np.array(_exact_norm(n_p, AP_CLOSURE), dtype=float)
     a_v = np.array(_exact_norm(n_p - 1, AV_CLOSURE), dtype=float)
     proj_left = np.zeros(n_p - 1)
@@ -365,13 +374,10 @@ def _circulant(n: int, first: int) -> NDArray[np.float64]:
 
 
 def build_periodic_1d(n: int, dx: float) -> PeriodicOperatorSet1D:
-    """Build the periodic staggered operator set (n >= 4, finite dx > 0)."""
+    """Build the periodic staggered operator set (n >= 4, dx as in build_sbp_1d)."""
     if n < MIN_POINTS_PERIODIC:
         raise DomainError(f"n must be >= {MIN_POINTS_PERIODIC}, got {n}")
-    dx = float(dx)
-    if not 0 < dx < math.inf:
-        raise DomainError(f"dx must be positive and finite, got {dx}")
-    return PeriodicOperatorSet1D(n=n, dx=dx)
+    return PeriodicOperatorSet1D(n=n, dx=_spacing(dx))
 
 
 # ---------------------------------------------------------------------------
@@ -380,85 +386,44 @@ def build_periodic_1d(n: int, dx: float) -> PeriodicOperatorSet1D:
 
 @dataclass(frozen=True)
 class SbpStructureReport:
-    """Certificate of the summation-by-parts structure and row accuracy."""
+    """Exact certificate of the SBP structure and row accuracy, at unit spacing."""
 
-    structure_residual: float       # max |Q - boundary dyads|, float path
-    exact: bool | None              # rational-arithmetic check (None if n/a)
-    q_first_row: NDArray[np.float64]
-    dv_row_degrees: list[int]       # measured polynomial exactness per row
+    structure_residual: float       # max |Q - boundary dyads| / max(max |Q|, 1)
+    exact: bool                     # that residual is exactly zero
+    q_first_row: NDArray[np.object_]   # Q[0], as Fractions
+    dv_row_degrees: list[int]       # polynomial exactness degree of each row
     dp_row_degrees: list[int]
     proj_degrees: tuple[int, int]
 
-    @property
-    def ok(self) -> bool:
-        return self.structure_residual <= 1e-14 and (self.exact is not False)
 
+def structure_report(d_p, d_v, a_p, a_v, proj_left, proj_right) -> SbpStructureReport:
+    """Certificate from rational unit-spacing entries (usable on perturbed
+    inputs).
 
-def _row_degree(row_coeffs, col_coords, target_x, derivative: bool) -> int:
-    """Largest k <= 6 such that the row reproduces d/dx x^k (or x^k) at target_x to 1e-9."""
-    deg = -1
-    for k in range(7):
-        approx = sum(c * x**k for c, x in zip(row_coeffs, col_coords))
-        if derivative:
-            want = 0.0 if k == 0 else k * target_x ** (k - 1)
-        else:
-            want = 1.0 if k == 0 else target_x**k
-        scale = max(1.0, max(abs(x) ** k for x in col_coords))
-        if not abs(approx - want) <= 1e-9 * scale:   # a NaN error ends the count
-            break
-        deg = k
-    return deg
-
-
-def structure_report(d_p, d_v, a_p, a_v, proj_left, proj_right, dx: float = 1.0,
-                     exact: bool | None = None) -> SbpStructureReport:
-    """Certificate from materialized matrices (usable on perturbed inputs).
-
-    Checks that q := diag(a_p) d_v + (diag(a_v) d_p)^T equals the two-dyad
-    boundary form, and measures each row's polynomial exactness degree on the
-    physical grid coordinates.
+    Forms Q := diag(a_p) d_v + (diag(a_v) d_p)^T once, compares it with the
+    two-dyad boundary form -e_L proj_L^T + e_R proj_R^T, and measures each
+    row's polynomial exactness degree on the unit-spacing coordinates.
     """
-    d_p = np.asarray(d_p, float)
-    d_v = np.asarray(d_v, float)
-    a_p = np.asarray(a_p, float)
-    a_v = np.asarray(a_v, float)
-    n = d_v.shape[0]
+    d_p, d_v, a_p, a_v = (np.array(x, dtype=object) for x in (d_p, d_v, a_p, a_v))
     q = a_p[:, None] * d_v + (a_v[:, None] * d_p).T
-    target = np.zeros_like(q)
-    target[0] = -np.asarray(proj_left, float)
-    target[-1] = np.asarray(proj_right, float)
-    scale = max(np.abs(q).max(), 1.0)
-    residual = float(np.abs(q - target).max() / scale)
-
-    xp = dx * np.arange(n)
-    xv = dx * (np.arange(n - 1) + 0.5)
-    dv_deg = [_row_degree(d_v[i], xv, xp[i], derivative=True) for i in range(n)]
-    dp_deg = [_row_degree(d_p[j], xp, xv[j], derivative=True) for j in range(n - 1)]
-    pl_deg = _row_degree(np.asarray(proj_left, float), xv, xp[0], derivative=False)
-    pr_deg = _row_degree(np.asarray(proj_right, float), xv, xp[-1], derivative=False)
-    return SbpStructureReport(structure_residual=residual, exact=exact,
-                              q_first_row=q[0].copy(),
-                              dv_row_degrees=dv_deg, dp_row_degrees=dp_deg,
-                              proj_degrees=(pl_deg, pr_deg))
+    boundary = np.zeros_like(q)
+    boundary[0] = [-c for c in proj_left]
+    boundary[-1] = proj_right
+    err = np.abs(q - boundary).max()
+    n = len(a_p)
+    xp, xv = range(n), [F(2 * j + 1, 2) for j in range(n - 1)]
+    dv_deg = [exactness_degree(row, xv, x, derivative=True) for row, x in zip(d_v, xp)]
+    dp_deg = [exactness_degree(row, xp, x, derivative=True) for row, x in zip(d_p, xv)]
+    return SbpStructureReport(
+        structure_residual=float(err / max(np.abs(q).max(), 1)), exact=bool(err == 0),
+        q_first_row=q[0], dv_row_degrees=dv_deg, dp_row_degrees=dp_deg,
+        proj_degrees=(exactness_degree(proj_left, xv, 0),
+                      exactness_degree(proj_right, xv, n - 1)))
 
 
 def verify_sbp_structure(ops: SbpOperatorSet1D) -> SbpStructureReport:
-    """Full certificate for a built operator set, including the exact check."""
-    dv = ops.exact_d_v()
-    dp = ops.exact_d_p()
-    ap = ops.exact_a_p()
-    av = ops.exact_a_v()
-    n = ops.n_p
-    exact_ok = True
-    for i in range(n):
-        for j in range(n - 1):
-            q = ap[i] * dv[i][j] + av[j] * dp[j][i]
-            want = F(0)
-            if i == 0:
-                want = -(PROJECTION[j] if j < 3 else F(0))
-            elif i == n - 1:
-                want = PROJECTION[n - 2 - j] if j >= n - 4 else F(0)
-            if q != want:
-                exact_ok = False
-    return structure_report(ops.dense_d_p(), ops.dense_d_v(), ops.a_p, ops.a_v,
-                            ops.proj_left, ops.proj_right, dx=ops.dx, exact=exact_ok)
+    """The exact certificate of a built operator set; it does not depend on
+    `ops.dx`."""
+    proj = list(PROJECTION) + [F(0)] * (ops.n_v - 3)
+    return structure_report(ops.exact_d_p(), ops.exact_d_v(), ops.exact_a_p(),
+                            ops.exact_a_v(), proj, proj[::-1])

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError, InfeasibleStencilError, UnsupportedRatioError
-from .exact import solve_min_norm, to_fraction
+from .exact import exactness_degree, solve_min_norm, to_fraction
 
 F = Fraction
 
@@ -92,21 +92,13 @@ class ElementalStencilPair:
 
 
 def pair_exactness_degree(pair: ElementalStencilPair) -> int:
-    """Largest degree, up to 5, reproduced by every row of both operators."""
+    """Largest degree, up to 5, reproduced by every row of both operators
+    (coarse point k lies at k*m gcd units, fine point l at l*n)."""
     m, n = pair.m, pair.n
-    deg = -1
-    for t in range(6):
-        ok = all(
-            sum(w * F(k * m) ** t for k, w in row.items()) == F(r * n) ** t
-            for r, row in enumerate(pair.coarse_to_fine)
-        ) and all(
-            sum(w * F(l * n) ** t for l, w in row.items()) == F(s * m) ** t
-            for s, row in enumerate(pair.fine_to_coarse)
-        )
-        if not ok:
-            break
-        deg = t
-    return deg
+    return min(5, *(exactness_degree(row.values(), [k * m for k in row], r * n)
+                    for r, row in enumerate(pair.coarse_to_fine)),
+               *(exactness_degree(row.values(), [l * n for l in row], s * m)
+                 for s, row in enumerate(pair.fine_to_coarse)))
 
 
 # ---------------------------------------------------------------------------

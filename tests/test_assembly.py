@@ -203,14 +203,17 @@ def test_mixed_product_identity_for_q_y():
                                        sw.build_periodic_1d(10, 0.1)])])],
                          ids=["two_block", "periodic"])
 def test_composing_the_rate_methods_raises(make, rng):
-    # each 2D system's y differences use the other rate method's buffers as
-    # scratch, so feeding one method's result to the other must not run
+    # pressure_rates uses the velocity-rate buffers as scratch, so feeding it
+    # velocity_rates' result must not run; velocity_rates uses only its own
+    # buffers, so -V o P runs on pressure_rates' result with no copy
     system = make()
     prs, vel = system.random_state(rng)
     with pytest.raises(DomainError):
         system.pressure_rates(system.velocity_rates(prs))
-    with pytest.raises(DomainError):
-        system.velocity_rates(system.pressure_rates(vel))
+    l_vel, l_prs = materialize_system(system)
+    vp = flatten_fields(system.velocity_rates(system.pressure_rates(vel)))
+    vp_dense = l_vel @ (l_prs @ flatten_fields(vel))
+    assert np.abs(vp - vp_dense).max() <= 1e-14 * np.abs(vp_dense).max()
 
 
 # ---------------------------------------------------------------------------

@@ -286,12 +286,21 @@ def test_operators_sbp_dump(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["sbp1d", "periodic"])
-@pytest.mark.parametrize("dx", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("dx", ["inf", "nan", "-1", "1e-320"])
 def test_operators_non_finite_or_nonpositive_dx_exits_3(kind, dx, capsys):
     assert main(["operators", kind, "--n", "9", "--dx", dx]) == 3
     captured = capsys.readouterr()
     assert "dx must be positive and finite" in captured.err
     assert captured.out == ""
+
+
+def test_operators_sbp_dump_reads_no_degree_above_four(capsys):
+    # the fourth-order interior rows are exact to degree 4, not beyond
+    assert main(["operators", "sbp1d", "--n", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    degrees = [int(d) for line in lines if "_row_degrees," in line
+               for d in line.split(",")[1].split()]
+    assert len(degrees) == 199 and max(degrees) == 4
 
 
 def test_operators_sbp_dump_measures_q_first_row(monkeypatch, capsys):

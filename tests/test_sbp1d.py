@@ -165,7 +165,7 @@ def test_build_rejects_bad_sizes():
         build_periodic_1d(3, 1.0)
 
 
-@pytest.mark.parametrize("dx", [float("inf"), float("nan"), -1.0])
+@pytest.mark.parametrize("dx", [float("inf"), float("nan"), -1.0, 1e-320])
 def test_build_rejects_a_non_finite_or_nonpositive_spacing(dx):
     with pytest.raises(DomainError, match="positive and finite"):
         build_sbp_1d(9, dx)
@@ -174,21 +174,44 @@ def test_build_rejects_a_non_finite_or_nonpositive_spacing(dx):
 
 
 def test_a_nan_row_is_exact_to_no_degree(ops9):
-    d_v = ops9.dense_d_v()
-    d_v[1, 0] = np.nan
-    report = structure_report(ops9.dense_d_p(), d_v, ops9.a_p, ops9.a_v,
-                              ops9.proj_left, ops9.proj_right)
+    # a row that does not even annihilate constants is exact to no degree
+    d_v = ops9.exact_d_v()
+    d_v[1][0] += 1
+    report = structure_report(ops9.exact_d_p(), d_v, ops9.exact_a_p(), ops9.exact_a_v(),
+                              *_projections(ops9))
     assert report.dv_row_degrees[1] == -1
     assert report.dv_row_degrees[0] == verify_sbp_structure(ops9).dv_row_degrees[0]
 
 
 def test_perturbed_closure_detected():
     ops = build_sbp_1d(10, 1.0)
-    d_p = ops.dense_d_p()
-    d_p[0, 0] += 1e-6
-    report = structure_report(d_p, ops.dense_d_v(), ops.a_p, ops.a_v,
-                              ops.proj_left, ops.proj_right)
+    d_p = ops.exact_d_p()
+    d_p[0][0] += F(1, 10**6)
+    report = structure_report(d_p, ops.exact_d_v(), ops.exact_a_p(), ops.exact_a_v(),
+                              *_projections(ops))
+    assert report.exact is False
     assert report.structure_residual > 1e-8
+
+
+def _projections(ops):
+    proj = list(PROJECTION) + [F(0)] * (ops.n_v - 3)
+    return proj, proj[::-1]
+
+
+def test_interior_rows_are_exact_to_degree_four_on_a_long_grid():
+    report = verify_sbp_structure(build_sbp_1d(100, 1.0))
+    assert report.exact is True
+    assert report.dv_row_degrees[4:-4] == [4] * 92
+    assert report.dp_row_degrees[3:-3] == [4] * 93
+
+
+def test_certificate_does_not_depend_on_the_spacing(ops9):
+    unit, huge = verify_sbp_structure(ops9), verify_sbp_structure(build_sbp_1d(9, 1e308))
+    assert huge.exact is unit.exact is True
+    assert huge.dv_row_degrees == unit.dv_row_degrees
+    assert huge.dp_row_degrees == unit.dp_row_degrees
+    assert huge.proj_degrees == unit.proj_degrees
+    assert list(huge.q_first_row) == list(unit.q_first_row)
 
 
 def test_periodic_wraparound_identity_is_exact():
