@@ -9,8 +9,11 @@ is the column-wise linearization (x-major, y fastest). A system
 (`SemiDiscreteSystem`) is a stack of blocks along their last axis, each
 consecutive pair coupled through its own transfer pair: a 1D segment, 1D
 segments sharing interface points, a 2D block, or 2D blocks refining upward.
-Its state is a list of pressure fields, one per block, and a list of velocity
-fields per block, then per axis: [V], [VL, VR], [U, V], [U0, V0, U1, V1], ...
+Its state is two flat vectors, each field laid end to end in its flattening:
+p holds the pressure field of each block, v the velocity fields per block, then
+per axis: [V], [VL, VR], [U, V], [U0, V0, U1, V1], ... Only the system knows
+that layout; `pressure_fields` and `velocity_fields` give a vector's fields as
+views.
 
 All penalty terms appear after multiplying the governing equations by the
 inverse norm matrices, at which point the norms of the other axes cancel and
@@ -35,17 +38,18 @@ Material coefficients divide the assembled right-hand side at the very end
 (they multiply the time derivatives on the left of the governing system), so
 heterogeneous media reuse the identical penalty structure.
 
-Buffer contract: a system allocates one rate buffer per field at
-construction, and computes its penalty and energy weights, signs included,
-then too. `pressure_rates` and `velocity_rates` write into those buffers and
-return them; the caller may scale them in place. A `pressure_rates` result
-is valid until the next `pressure_rates` call; a `velocity_rates` result
-until the next call of either method, because `pressure_rates` uses each
-axis's velocity-rate buffer as scratch. `velocity_rates` uses only its own
-buffers (the pressure-shaped u-rate buffer is its scratch), so the operator
-M = -V o P runs as `velocity_rates(pressure_rates(vel))` with no copy. The
-other order would overwrite its input on every 2D block; there the
-difference kernel raises `DomainError` instead.
+Buffer contract: a system allocates its two rate vectors at construction,
+and computes its penalty and energy weights, signs included, then too.
+`pressure_rates` and `velocity_rates` write into those vectors through their
+field views and return them; the caller may scale them in place. A
+`pressure_rates` result is valid until the next `pressure_rates` call; a
+`velocity_rates` result until the next call of either method, because
+`pressure_rates` uses each axis's velocity-rate field as scratch.
+`velocity_rates` uses only its own fields (the pressure-shaped u-rate field
+is its scratch), so the operator M = -V o P runs as
+`velocity_rates(pressure_rates(v))` with no copy. The other order would
+overwrite its input on every 2D block; there the difference kernel raises
+`DomainError` instead.
 """
 
 from __future__ import annotations
@@ -84,13 +88,6 @@ class SatCoefficients:
 
 #: SatCoefficients fields of the (low, high) ends of a last axis 0 or 1
 _END_SIGMAS = (("sigma_left", "sigma_right"), ("sigma_bottom", "sigma_top"))
-
-
-def _rate_from_terms(terms: list[float]) -> float:
-    """|sum of per-field energy-rate terms| / sum of their magnitudes."""
-    total = sum(terms)
-    scale = sum(abs(t) for t in terms)
-    return abs(total) / scale if scale > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +244,30 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
 # the system
 # ---------------------------------------------------------------------------
 
+def _layout(shapes):
+    """(size, [(slice, shape)]) of fields laid end to end in one vector."""
+    stops = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    return stops[-1], [(slice(a, b), shape) for a, b, shape in zip(stops, stops[1:], shapes)]
+
+
+def _views(vector, layout):
+    """The fields of a vector laid out by `layout`, as views."""
+    size, parts = layout
+    if np.shape(vector) != (size,):
+        raise DomainError(f"expected a vector of {size} values, got shape {np.shape(vector)}")
+    return [vector[s].reshape(shape) for s, shape in parts]
+
+
 class SemiDiscreteSystem:
     """Complete spatial operator for a stack of blocks, each consecutive
     pair coupled through its own transfer pair.
 
     Blocks are ordered bottom-first (left-first for one-axis blocks) and
     stack along their last axis; `transfers[i]` couples block i to block
-    i + 1. Pressure fields live at integer time levels, velocity fields at
-    half levels; `pressure_rates` consumes velocities and `velocity_rates`
-    consumes pressures, which is exactly the split the staggered leapfrog
-    needs. The rates are written into buffers the system owns (see the
+    i + 1. Pressures live at integer time levels, velocities at half levels;
+    `pressure_rates` consumes the velocity vector and `velocity_rates` the
+    pressure vector, which is exactly the split the staggered leapfrog
+    needs. The rates are written into vectors the system owns (see the
     module docstring for how long they are valid).
 
     Raises:
@@ -273,9 +284,13 @@ class SemiDiscreteSystem:
         self.blocks = blocks = list(blocks)
         self.transfers = tuple(transfers)
         self.coeffs = coeffs or SatCoefficients()
-        self._dp, self._dvel = self.zero_state()
+        self._p_layout = _layout([b.shapes[0] for b in blocks])
+        self._v_layout = _layout([shape for b in blocks for shape in b.shapes[1:]])
+        self._p_rate, self._v_rate = self.zero_state()
+        self._dp = self.pressure_fields(self._p_rate)
+        self._dvel = self.velocity_fields(self._v_rate)
         # per block: the index of its first velocity field, its velocity-rate
-        # buffers and its free-surface penalties
+        # fields and its free-surface penalties
         self._first_vel = [sum(b.ndim for b in blocks[:i]) for i in range(len(blocks))]
         self._block_dvel = [self._dvel[i:i + b.ndim] for i, b in zip(self._first_vel, blocks)]
         self._fs = [free_surface_velocity_sats(b, self.coeffs, low=i == 0,
@@ -295,72 +310,84 @@ class SemiDiscreteSystem:
 
     # -- leapfrog protocol ---------------------------------------------------
 
-    def pressure_rates(self, vel):
-        """d/dt of the pressure fields given the velocity fields.
+    def pressure_rates(self, v):
+        """d/dt of the pressure vector given the velocity vector.
 
         Per block, d_v along the last axis is written; along the periodic x
-        axis it is written into the pressure-shaped u-rate buffer and added.
+        axis it is written into the pressure-shaped u-rate field and added.
         """
+        vel = self.velocity_fields(v)
         for b, dp, i, dvel in zip(self.blocks, self._dp, self._first_vel,
                                   self._block_dvel):
             last = b.ndim - 1
             b.ops[last].apply_d_v(vel[i + last], last, dp, -1.0, scratch=dvel[last])
             for k in range(last):
                 dp += b.ops[k].apply_d_v(vel[i + k], k, dvel[k], -1.0)
-        for i, m, p, add_to_pressure, _ in self._interfaces:
-            add_to_pressure(vel[m], vel[p], self._dp[i], self._dp[i + 1])
+        for i, lower, upper, add_to_pressure, _ in self._interfaces:
+            add_to_pressure(vel[lower], vel[upper], self._dp[i], self._dp[i + 1])
         for dp, c in zip(self._dp, self._c_p):
             dp /= c
-        return self._dp
+        return self._p_rate
 
-    def velocity_rates(self, prs):
-        """d/dt of the velocity fields given the pressure fields; per block, d_p
-        along the last axis first, with the pressure-shaped u-rate buffer as
-        scratch, then along the periodic x axis into that buffer."""
-        for b, p, dvel, fs in zip(self.blocks, prs, self._block_dvel, self._fs):
+    def velocity_rates(self, p):
+        """d/dt of the velocity vector given the pressure vector; per block,
+        d_p along the last axis first, with the pressure-shaped u-rate field
+        as scratch, then along the periodic x axis into that field."""
+        prs = self.pressure_fields(p)
+        for b, field, dvel, fs in zip(self.blocks, prs, self._block_dvel, self._fs):
             last = b.ndim - 1
-            b.ops[last].apply_d_p(p, last, dvel[last], -1.0, scratch=dvel[0])
+            b.ops[last].apply_d_p(field, last, dvel[last], -1.0, scratch=dvel[0])
             for k in range(last):
-                b.ops[k].apply_d_p(p, k, dvel[k], -1.0)
-            fs(p, dvel)
-        for i, m, p, _, add_to_velocity in self._interfaces:
-            add_to_velocity(prs[i], prs[i + 1], self._dvel[m], self._dvel[p])
+                b.ops[k].apply_d_p(field, k, dvel[k], -1.0)
+            fs(field, dvel)
+        for i, lower, upper, _, add_to_velocity in self._interfaces:
+            add_to_velocity(prs[i], prs[i + 1], self._dvel[lower], self._dvel[upper])
         for dv, c in zip(self._dvel, self._c_vel):
             dv /= c
-        return self._dvel
+        return self._v_rate
+
+    # -- state vectors --------------------------------------------------------
+
+    def pressure_fields(self, p):
+        """The pressure field of each block in the vector p, as views."""
+        return _views(p, self._p_layout)
+
+    def velocity_fields(self, v):
+        """The velocity fields in the vector v, in state order, as views."""
+        return _views(v, self._v_layout)
+
+    def zero_state(self):
+        """(p, v), both zero."""
+        return np.zeros(self._p_layout[0]), np.zeros(self._v_layout[0])
+
+    def random_state(self, rng, amplitude=1.0):
+        """(p, v) drawn from amplitude * N(0, 1), p first."""
+        return (amplitude * rng.standard_normal(self._p_layout[0]),
+                amplitude * rng.standard_normal(self._v_layout[0]))
 
     # -- diagnostics ----------------------------------------------------------
 
-    def energy(self, prs, vel) -> float:
+    def energy(self, p, v) -> float:
         """The discrete energy 1/2 sum_fields x^T (C . A) x."""
-        e = 0.0
-        for f, cw in zip([*prs, *vel], self._cw_p + self._cw_vel):
-            e += float(np.vdot(f * f, cw))
-        return 0.5 * e
+        fields = self.pressure_fields(p) + self.velocity_fields(v)
+        return 0.5 * sum(float(np.vdot(f * f, cw))
+                         for f, cw in zip(fields, self._cw_p + self._cw_vel))
 
-    def energy_rate(self, prs, vel) -> float:
-        """Relative instantaneous rate of change of the discrete energy."""
-        terms = [float(np.vdot(p * dp, cw))
-                 for p, dp, cw in zip(prs, self.pressure_rates(vel), self._cw_p)]
-        terms += [float(np.vdot(v * dv, cw))
-                  for v, dv, cw in zip(vel, self.velocity_rates(prs), self._cw_vel)]
-        return _rate_from_terms(terms)
+    def energy_rate(self, p, v) -> float:
+        """Relative instantaneous rate of change of the discrete energy:
+        |sum of the per-field terms x^T (C . A) dx/dt| / sum of their sizes."""
+        self.pressure_rates(v)
+        terms = [float(np.vdot(x * rate, cw))
+                 for x, rate, cw in zip(self.pressure_fields(p), self._dp, self._cw_p)]
+        self.velocity_rates(p)
+        terms += [float(np.vdot(x * rate, cw))
+                  for x, rate, cw in zip(self.velocity_fields(v), self._dvel, self._cw_vel)]
+        scale = sum(abs(t) for t in terms)
+        return abs(sum(terms)) / scale if scale > 0 else 0.0
 
-    def _fields(self, make):
-        """(pressures, velocities) in state order, each field made by
-        make(shape)."""
-        return ([make(b.shapes[0]) for b in self.blocks],
-                [make(shape) for b in self.blocks for shape in b.shapes[1:]])
-
-    def zero_state(self):
-        return self._fields(np.zeros)
-
-    def random_state(self, rng, amplitude=1.0):
-        return self._fields(lambda shape: amplitude * rng.standard_normal(shape))
-
-    def locate_pressure_point(self, x, y) -> tuple[int, int, int]:
-        """(block index, ix, iy) of the pressure point at exactly (x, y) of
-        a grid block."""
+    def locate_pressure_point(self, x, y) -> int:
+        """Index in the pressure vector of the point at exactly (x, y) of a
+        grid block."""
         if any(b.block is None for b in self.blocks):
             raise DomainError("pressure points are located on grid blocks only")
         fx, fy = to_fraction(x), to_fraction(y)
@@ -371,7 +398,7 @@ class SemiDiscreteSystem:
             qy = (fy - gy.x_left) / gy.dx
             if qx.denominator == 1 and 0 <= qx < gx.n_p \
                     and qy.denominator == 1 and 0 <= qy <= gy.n_p - 1:
-                hits.append((bi, int(qx), int(qy)))
+                hits.append(self._p_layout[1][bi][0].start + int(qx) * gy.n_p + int(qy))
         if not hits:
             raise DomainError(f"({x}, {y}) is not a pressure grid point of any block")
         return hits[-1]  # interface rows belong to both; prefer the top block

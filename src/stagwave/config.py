@@ -219,7 +219,7 @@ class BuiltRun:
 def build_run(spec: RunSpec) -> BuiltRun:
     """Assemble the system of a run spec and locate its sources and receivers."""
     system = assemble_interface_system(spec.blocks, spec.medium)
-    sources = [SourceSpec(*system.locate_pressure_point(x, y), f0=f0, t0=t0, amplitude=a)
+    sources = [SourceSpec(system.locate_pressure_point(x, y), f0=f0, t0=t0, amplitude=a)
                for x, y, f0, t0, a in spec.sources]
-    receivers = [ReceiverSpec(*system.locate_pressure_point(x, y)) for x, y in spec.receivers]
+    receivers = [ReceiverSpec(system.locate_pressure_point(x, y)) for x, y in spec.receivers]
     return BuiltRun(system=system, sources=sources, receivers=receivers)

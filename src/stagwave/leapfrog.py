@@ -1,20 +1,21 @@
 """Staggered leapfrog time integration, point sources, receivers, and the
 empirical time-step-limit search.
 
-Pressure fields live at integer time levels, velocity fields half a step
-ahead. One step advances pressure first (using the mid-interval velocities)
-and then the velocities (using the fresh pressure); a backward step reverses
-the sub-step order, which makes the integrator exactly time-reversible up to
-roundoff.
+A state is two flat vectors laid out by the system: the pressures at an
+integer time level and the velocities half a step ahead. One step advances
+pressure first (using the mid-interval velocities) and then the velocities
+(using the fresh pressure); a backward step reverses the sub-step order,
+which makes the integrator exactly time-reversible up to roundoff.
 
-Sources are collocated on single pressure points and injected as
-dt * amplitude * wavelet(t + dt/2) during the pressure update, matching the
-half-level sampling of the scheme. The discrete energy is recorded at half
-levels with the pressure averaged over the two adjacent integer levels, in
-one buffer reused every step.
+Sources and receivers sit on single pressure points, named by their index in
+the pressure vector. Sources are injected as dt * amplitude * wavelet(t + dt/2)
+during the pressure update, matching the half-level sampling of the scheme.
+The discrete energy is recorded at half levels with the pressure averaged
+over the two adjacent integer levels, in one vector reused every step.
 
-A step updates the fields in place: the system's rate buffers are scaled by
-dt and added to the fields, so stepping allocates no field-sized arrays.
+A step updates the state in place: each rate vector the system returns is
+scaled by dt and added to its state vector, so stepping allocates no
+field-sized arrays.
 """
 
 from __future__ import annotations
@@ -48,11 +49,9 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Collocated Ricker point source on a pressure grid point."""
+    """Collocated Ricker point source at an index of the pressure vector."""
 
-    block: int
-    ix: int
-    iy: int
+    index: int
     f0: float
     t0: float = 0.0
     amplitude: float = 1.0
@@ -63,48 +62,43 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class ReceiverSpec:
-    """Pressure record location on a grid point."""
+    """Pressure record location: an index of the pressure vector."""
 
-    block: int
-    ix: int
-    iy: int
+    index: int
 
 
 @dataclass
 class SimState:
-    """Solution snapshot: pressures at time t_p, velocities at t_p + dt/2."""
+    """Solution snapshot: the pressure vector at time t_p, the velocity
+    vector at t_p + dt/2."""
 
-    pressures: list[NDArray[np.float64]]
-    velocities: list[NDArray[np.float64]]
+    p: NDArray[np.float64]
+    v: NDArray[np.float64]
     t_p: float = 0.0
 
 
 def step_forward(system, state: SimState, dt: float, sources=()):
-    """Advance one step: pressure to t+dt, then velocities to t+3dt/2.
-
-    The rates the system returns are scaled in place (`dp *= dt`) before they
-    are added to the fields.
-    """
+    """Advance one step: pressure to t+dt, then velocities to t+3dt/2."""
     t_half = state.t_p + 0.5 * dt
-    for p, dp in zip(state.pressures, system.pressure_rates(state.velocities)):
-        dp *= dt
-        p += dp
+    dp = system.pressure_rates(state.v)
+    dp *= dt
+    state.p += dp
     for s in sources:
-        state.pressures[s.block][s.ix, s.iy] += dt * s.value(t_half)
-    for v, dv in zip(state.velocities, system.velocity_rates(state.pressures)):
-        dv *= dt
-        v += dv
+        state.p[s.index] += dt * s.value(t_half)
+    dv = system.velocity_rates(state.p)
+    dv *= dt
+    state.v += dv
     state.t_p += dt
 
 
 def step_backward(system, state: SimState, dt: float):
     """Exact inverse of a source-free forward step."""
-    for v, dv in zip(state.velocities, system.velocity_rates(state.pressures)):
-        dv *= dt
-        v -= dv
-    for p, dp in zip(state.pressures, system.pressure_rates(state.velocities)):
-        dp *= dt
-        p -= dp
+    dv = system.velocity_rates(state.p)
+    dv *= dt
+    state.v -= dv
+    dp = system.pressure_rates(state.v)
+    dp *= dt
+    state.p -= dp
     state.t_p -= dt
 
 
@@ -138,27 +132,23 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     if state is None:
         state = SimState(*system.zero_state())
     t_start = state.t_p
-    receivers = tuple(receivers)
-    traces = np.zeros((len(receivers), n + 1))
-    for r_i, r in enumerate(receivers):
-        traces[r_i, 0] = state.pressures[r.block][r.ix, r.iy]
+    at = np.array([r.index for r in receivers], dtype=np.intp)
+    traces = np.zeros((len(at), n + 1))
+    traces[:, 0] = state.p[at]
     energy = np.zeros(n) if record_energy else None
-    p_half = [np.empty_like(p) for p in state.pressures] if record_energy else None
+    p_half = np.empty_like(state.p) if record_energy else None
     for it in range(n):
         if record_energy:
-            for h, p in zip(p_half, state.pressures):
-                np.copyto(h, p)
+            np.copyto(p_half, state.p)
         step_forward(system, state, dt, sources)
         if record_energy:
-            for h, p in zip(p_half, state.pressures):
-                h += p
-                h *= 0.5
-            energy[it] = system.energy(p_half, state.velocities)
+            p_half += state.p
+            p_half *= 0.5
+            energy[it] = system.energy(p_half, state.v)
             if not math.isfinite(energy[it]):
                 raise DomainError(f"non-finite energy at step {it + 1}; dt = {dt} may be unstable")
-        for r_i, r in enumerate(receivers):
-            traces[r_i, it + 1] = state.pressures[r.block][r.ix, r.iy]
-    if not all(np.isfinite(a).all() for a in (traces, *state.pressures, *state.velocities)):
+        traces[:, it + 1] = state.p[at]
+    if not all(np.isfinite(a).all() for a in (traces, state.p, state.v)):
         raise DomainError(f"non-finite solution after {n} steps; dt = {dt} may be unstable")
     times = t_start + dt * np.arange(n + 1)
     energy_times = t_start + dt * (np.arange(n) + 0.5)
@@ -200,15 +190,12 @@ _CFL_SEED = 1234
 
 def _is_stable(system, dt: float) -> bool:
     rng = np.random.default_rng(_CFL_SEED)
-    prs, vel = system.random_state(rng, amplitude=1e-3)
-    state = SimState([np.asarray(p) for p in prs], [np.asarray(v) for v in vel])
-    norm0 = np.sqrt(sum(float((f * f).sum()) for f in prs + vel))
-    limit = _CFL_GROWTH * norm0
+    state = SimState(*system.random_state(rng, amplitude=1e-3))
+    limit = _CFL_GROWTH * np.sqrt(state.p @ state.p + state.v @ state.v)
     for it in range(_CFL_STEPS):
         step_forward(system, state, dt)
         if it % 50 == 49 or it == _CFL_STEPS - 1:
-            norm = np.sqrt(sum(float((f * f).sum())
-                               for f in state.pressures + state.velocities))
+            norm = np.sqrt(state.p @ state.p + state.v @ state.v)
             if not np.isfinite(norm) or norm > limit:
                 return False
     return True

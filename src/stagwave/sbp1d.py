@@ -296,10 +296,11 @@ def _exact_norm(n, closure):
 
 
 def _spacing(dx) -> float:
-    """dx as a float; it and its reciprocal must be positive and finite."""
+    """dx as a float; it and 3/dx, the largest closure entry over dx, must be
+    positive and finite."""
     dx = float(dx)
-    if not 0 < dx < math.inf or 1 / dx == math.inf:
-        raise DomainError(f"dx must be positive and finite, and so must 1/dx, got {dx}")
+    if not 0 < dx < math.inf or 3 / dx == math.inf:
+        raise DomainError(f"dx must be positive and finite, and so must 3/dx, got {dx}")
     return dx
 
 
@@ -308,7 +309,7 @@ def build_sbp_1d(n_p: int, dx: float) -> SbpOperatorSet1D:
 
     Args:
         n_p: primary-subgrid point count, at least 9.
-        dx: grid spacing, positive and finite, with a finite reciprocal.
+        dx: grid spacing, positive and finite, with 3/dx finite.
 
     Raises:
         DomainError: on size or spacing violations.

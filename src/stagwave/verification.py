@@ -58,21 +58,21 @@ def standing_v(x, y, t):
 
 
 def _standing_mode(system: SemiDiscreteSystem, t_p: float, t_vel: float):
-    """[p, u, v] of the standing mode on each block, p sampled at t_p and
-    the velocities at t_vel."""
-    for b in system.blocks:
-        blk = b.block
-        xp, yp = blk.subgrid_coords("p")
-        xu, yu = blk.subgrid_coords("u")
-        xv, yv = blk.subgrid_coords("v")
-        yield [standing_p(xp, yp, t_p), standing_u(xu, yu, t_vel),
-               standing_v(xv, yv, t_vel)]
+    """The standing mode's fields in state order: p of each block sampled at
+    t_p, then u and v of each block at t_vel."""
+    blocks = [b.block for b in system.blocks]
+    return ([standing_p(*blk.subgrid_coords("p"), t_p) for blk in blocks]
+            + [f(*blk.subgrid_coords(name), t_vel) for blk in blocks
+               for f, name in ((standing_u, "u"), (standing_v, "v"))])
 
 
 def _standing_state(system: SemiDiscreteSystem, dt: float) -> SimState:
     """P sampled at t=0, velocities at t=dt/2 (consistent staggered start)."""
-    modes = list(_standing_mode(system, 0.0, dt / 2))
-    return SimState([m[0] for m in modes], [f for m in modes for f in m[1:]])
+    state = SimState(*system.zero_state())
+    fields = system.pressure_fields(state.p) + system.velocity_fields(state.v)
+    for field, exact in zip(fields, _standing_mode(system, 0.0, dt / 2)):
+        field[...] = exact
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +95,10 @@ def weighted_l2_error(fields, exact_fields, weights) -> float:
 def state_error(system: SemiDiscreteSystem, state: SimState, t_p: float,
                 t_vel: float) -> float:
     """Weighted error of a state against the standing mode at the given times."""
-    fields, exact, weights = [], [], []
-    for i, (b, mode) in enumerate(zip(system.blocks, _standing_mode(system, t_p, t_vel))):
-        fields += [state.pressures[i], state.velocities[2 * i], state.velocities[2 * i + 1]]
-        exact += mode
-        weights += b.weights
-    return weighted_l2_error(fields, exact, weights)
+    fields = system.pressure_fields(state.p) + system.velocity_fields(state.v)
+    weights = [b.weights for b in system.blocks]
+    return weighted_l2_error(fields, _standing_mode(system, t_p, t_vel),
+                             [w[0] for w in weights] + [x for w in weights for x in w[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +253,7 @@ def energy_rate_oracle(system: SemiDiscreteSystem, n_states: int = 100,
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_states):
-        prs, vel = system.random_state(rng)
-        worst = max(worst, system.energy_rate(prs, vel))
+        worst = max(worst, system.energy_rate(*system.random_state(rng)))
     return worst
 
 
@@ -276,8 +273,8 @@ def _along(mat, axis: int, shape) -> NDArray[np.float64]:
 def materialize_system(system: SemiDiscreteSystem):
     """Dense (L_vel, L_prs) built independently from Kronecker products.
 
-    L_prs maps stacked velocities to stacked pressure rates; L_vel maps
-    stacked pressures to stacked velocity rates. Penalty terms are assembled
+    L_prs maps the velocity vector to the pressure rates; L_vel maps the
+    pressure vector to the velocity rates. Penalty terms are assembled
     from the textbook tensor-product expressions, and the interface
     transfers from each pair's exact tiles rounded once, not from its gather
     plans, providing a second route against the sliced matrix-free
@@ -349,11 +346,6 @@ def materialize_system(system: SemiDiscreteSystem):
         L_vel[vp, pm] += -c.sigma_v_plus * lift_vp @ c2f @ r_m / cvp
 
     return L_vel, L_prs
-
-
-def flatten_fields(fields):
-    """Stack fields into one vector in the column-wise linearization."""
-    return np.concatenate([np.asarray(f).reshape(-1) for f in fields])
 
 
 # ---------------------------------------------------------------------------

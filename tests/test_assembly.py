@@ -14,9 +14,8 @@ from stagwave.grids import build_block_2d
 from stagwave.leapfrog import SimState, step_forward
 from stagwave.transfer import (ElementalStencilPair, tabulated_elemental_pair,
                                tile_periodic)
-from stagwave.verification import (energy_rate_oracle, flatten_fields,
-                                   materialize_system, ratio_system,
-                                   uniform_standing_system,
+from stagwave.verification import (energy_rate_oracle, materialize_system,
+                                   ratio_system, uniform_standing_system,
                                    with_random_coefficients)
 
 F = Fraction
@@ -42,8 +41,8 @@ def test_1d_boundary_zero_pressure_trivial_case(rng):
     ops = sw.build_sbp_1d(16, 1 / 15)
     system = assemble_1d_boundary_system(ops)
     v = rng.standard_normal(15)
-    assert np.all(system.velocity_rates([np.zeros(16)])[0] == 0.0)
-    np.testing.assert_array_equal(system.pressure_rates([v])[0], -ops.apply_d_v(v))
+    assert np.all(system.velocity_rates(np.zeros(16)) == 0.0)
+    np.testing.assert_array_equal(system.pressure_rates(v), -ops.apply_d_v(v))
 
 
 def test_1d_interface_system_conserves_energy():
@@ -76,11 +75,12 @@ def test_2d_single_block_zero_penalties_leak(rng):
 def test_2d_single_block_interior_pressure_rows_skip_penalties(rng):
     system = assemble_single_block_system(build_block_2d(0, 1, 12, 0, 1, 13))
     b = system.blocks[0]
-    p = rng.standard_normal(b.block.p_shape)
-    p[:, 0] = 0.0
-    p[:, -1] = 0.0
-    du, dv = system.velocity_rates([p])
-    np.testing.assert_array_equal(dv, -b.ops[1].apply_d_p(p, axis=1))
+    p, _ = system.random_state(rng)
+    (field,) = system.pressure_fields(p)
+    field[:, 0] = 0.0
+    field[:, -1] = 0.0
+    du, dv = system.velocity_fields(system.velocity_rates(p))
+    np.testing.assert_array_equal(dv, -b.ops[1].apply_d_p(field, axis=1))
 
 
 def test_2d_single_block_pressure_rates_sum_both_axes(rng):
@@ -88,10 +88,11 @@ def test_2d_single_block_pressure_rates_sum_both_axes(rng):
     # buffer and added to D_y v: bit for bit the sum of the two differences
     system = uniform_standing_system(12)
     x, y = system.blocks[0].ops
-    _, (u, v) = system.random_state(rng)
+    _, vel = system.random_state(rng)
+    u, v = system.velocity_fields(vel)
+    (dp,) = system.pressure_fields(system.pressure_rates(vel))
     np.testing.assert_array_equal(
-        system.pressure_rates([u, v])[0],
-        y.apply_d_v(v, 1, scale=-1.0) + x.apply_d_v(u, 0, scale=-1.0))
+        dp, y.apply_d_v(v, 1, scale=-1.0) + x.apply_d_v(u, 0, scale=-1.0))
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5)])
@@ -207,12 +208,12 @@ def test_composing_the_rate_methods_raises(make, rng):
     # velocity_rates' result must not run; velocity_rates uses only its own
     # buffers, so -V o P runs on pressure_rates' result with no copy
     system = make()
-    prs, vel = system.random_state(rng)
+    p, v = system.random_state(rng)
     with pytest.raises(DomainError):
-        system.pressure_rates(system.velocity_rates(prs))
+        system.pressure_rates(system.velocity_rates(p))
     l_vel, l_prs = materialize_system(system)
-    vp = flatten_fields(system.velocity_rates(system.pressure_rates(vel)))
-    vp_dense = l_vel @ (l_prs @ flatten_fields(vel))
+    vp = system.velocity_rates(system.pressure_rates(v))
+    vp_dense = l_vel @ (l_prs @ v)
     assert np.abs(vp - vp_dense).max() <= 1e-14 * np.abs(vp_dense).max()
 
 
@@ -226,22 +227,20 @@ def test_matrix_free_equals_dense_two_block(rng, hetero):
     if hetero:
         system = with_random_coefficients(system, rng)
     l_vel, l_prs = materialize_system(system)
-    prs, vel = system.random_state(rng)
-    dp = flatten_fields(system.pressure_rates(vel))
-    dv = flatten_fields(system.velocity_rates(prs))
-    dp_dense = l_prs @ flatten_fields(vel)
-    dv_dense = l_vel @ flatten_fields(prs)
+    p, v = system.random_state(rng)
+    dp = system.pressure_rates(v)
+    dv = system.velocity_rates(p)
+    dp_dense = l_prs @ v
+    dv_dense = l_vel @ p
     assert np.abs(dp - dp_dense).max() <= 1e-14 * np.abs(dp_dense).max()
     assert np.abs(dv - dv_dense).max() <= 1e-14 * np.abs(dv_dense).max()
 
 
 def _assert_matrix_free_equals_dense(system, rng):
     l_vel, l_prs = materialize_system(system)
-    prs, vel = system.random_state(rng)
-    dp = flatten_fields(system.pressure_rates(vel))
-    dv = flatten_fields(system.velocity_rates(prs))
-    assert np.abs(dp - l_prs @ flatten_fields(vel)).max() <= 1e-13
-    assert np.abs(dv - l_vel @ flatten_fields(prs)).max() <= 1e-13
+    p, v = system.random_state(rng)
+    assert np.abs(system.pressure_rates(v) - l_prs @ v).max() <= 1e-13
+    assert np.abs(system.velocity_rates(p) - l_vel @ p).max() <= 1e-13
 
 
 def test_matrix_free_equals_dense_single_block(rng):
@@ -277,18 +276,16 @@ def test_conforming_split_tracks_single_segment():
     split = assemble_1d_interface_system(sw.build_sbp_1d(33, 1 / 64),
                                          sw.build_sbp_1d(33, 1 / 64))
     x_full = np.arange(65) / 64
-    st_full = SimState([np.sin(np.pi * x_full)], [np.zeros(64)])
-    st_split = SimState([np.sin(np.pi * np.arange(33) / 64),
-                         np.sin(np.pi * (0.5 + np.arange(33) / 64))],
-                        [np.zeros(32), np.zeros(32)])
+    st_full = SimState(np.sin(np.pi * x_full), np.zeros(64))
+    st_split = SimState(*split.zero_state())
+    left, right = split.pressure_fields(st_split.p)
+    left[:] = np.sin(np.pi * np.arange(33) / 64)
+    right[:] = np.sin(np.pi * (0.5 + np.arange(33) / 64))
     for _ in range(100):
         step_forward(full, st_full, dt)
         step_forward(split, st_split, dt)
-    glued = np.concatenate([
-        st_split.pressures[0][:-1],
-        [0.5 * (st_split.pressures[0][-1] + st_split.pressures[1][0])],
-        st_split.pressures[1][1:]])
-    assert np.abs(glued - st_full.pressures[0]).max() <= 2e-7
+    glued = np.concatenate([left[:-1], [0.5 * (left[-1] + right[0])], right[1:]])
+    assert np.abs(glued - st_full.p).max() <= 2e-7
 
 
 def _one_to_one_split(top_rows=9):
@@ -306,11 +303,9 @@ def test_conforming_split_glues_into_single_block(rng):
                                          medium)
     assert len(glued.blocks) == 1
     assert glued.blocks[0].block.p_shape == whole.blocks[0].block.p_shape == (12, 17)
-    prs, vel = whole.random_state(rng)
-    for got, want in zip(glued.pressure_rates(vel), whole.pressure_rates(vel)):
-        np.testing.assert_array_equal(got, want)
-    for got, want in zip(glued.velocity_rates(prs), whole.velocity_rates(prs)):
-        np.testing.assert_array_equal(got, want)
+    p, v = whole.random_state(rng)
+    np.testing.assert_array_equal(glued.pressure_rates(v), whole.pressure_rates(v))
+    np.testing.assert_array_equal(glued.velocity_rates(p), whole.velocity_rates(p))
 
 
 def test_one_to_one_split_on_material_interface_keeps_penalties():
@@ -334,11 +329,9 @@ def test_glue_is_decided_per_interface(rng):
     pair = assemble_interface_system([merged, top], medium)
     assert len(system.blocks) == 2
     assert system.blocks[0].block == merged
-    prs, vel = pair.random_state(rng)
-    for got, want in zip(system.pressure_rates(vel), pair.pressure_rates(vel)):
-        np.testing.assert_array_equal(got, want)
-    for got, want in zip(system.velocity_rates(prs), pair.velocity_rates(prs)):
-        np.testing.assert_array_equal(got, want)
+    p, v = pair.random_state(rng)
+    np.testing.assert_array_equal(system.pressure_rates(v), pair.pressure_rates(v))
+    np.testing.assert_array_equal(system.velocity_rates(p), pair.velocity_rates(p))
     assert energy_rate_oracle(system, n_states=100) <= 1e-12
 
 
@@ -357,14 +350,27 @@ def test_one_to_one_split_with_different_y_spacings_keeps_two_blocks():
 
 
 def test_locate_pressure_point():
+    # flat indices into the pressure vector: block 0 is 6 x 9 points, so
+    # (ix, iy) of block 0 is 9 ix + iy and block 1 starts at 54
     system = ratio_system(2, 1)
-    assert system.locate_pressure_point(0, 0) == (0, 0, 0)
-    assert system.locate_pressure_point(F(1, 6), F(7, 6)) == (0, 1, 7)
+    assert system.locate_pressure_point(0, 0) == 0
+    assert system.locate_pressure_point(F(1, 6), F(7, 6)) == 16
     # the interface row belongs to both blocks; the top one wins
-    bi, _, iy = system.locate_pressure_point(0, F(4, 3))
-    assert bi == 1 and iy == 0
+    assert system.locate_pressure_point(0, F(4, 3)) == 54
+    bottom, top = system.pressure_fields(np.arange(54 + 12 * 9))
+    assert bottom[1, 7] == 16 and top[0, 0] == 54
     with pytest.raises(DomainError):
         system.locate_pressure_point(F(1, 7), 0)
+
+
+def test_state_vectors_of_the_wrong_length_are_rejected():
+    system = ratio_system(2, 1)
+    p, v = system.zero_state()
+    for call, vector in ((system.pressure_rates, v[:-1]),
+                         (system.velocity_rates, np.append(p, 0.0)),
+                         (system.pressure_fields, v), (system.velocity_fields, p)):
+        with pytest.raises(DomainError, match="expected a vector"):
+            call(vector)
 
 
 def test_locate_pressure_point_needs_grid_blocks():
@@ -385,11 +391,7 @@ def test_constant_medium_reduces_to_scaled_unit_system(rng):
     rho, c = 2.0, 0.5
     het = assemble_single_block_system(block, ConstantMedium(rho=rho, c=c))
     unit = assemble_single_block_system(block)
-    prs, vel = unit.random_state(rng)
-    dp_h = het.pressure_rates(vel)[0]
-    dp_u = unit.pressure_rates(vel)[0]
-    np.testing.assert_allclose(dp_h, dp_u * (rho * c * c), rtol=1e-14)
-    du_h, dv_h = het.velocity_rates(prs)
-    du_u, dv_u = unit.velocity_rates(prs)
-    np.testing.assert_allclose(du_h, du_u / rho, rtol=1e-14)
-    np.testing.assert_allclose(dv_h, dv_u / rho, rtol=1e-14)
+    p, v = unit.random_state(rng)
+    np.testing.assert_allclose(het.pressure_rates(v), unit.pressure_rates(v) * (rho * c * c),
+                               rtol=1e-14)
+    np.testing.assert_allclose(het.velocity_rates(p), unit.velocity_rates(p) / rho, rtol=1e-14)

@@ -29,15 +29,15 @@ def test_zero_state_zero_source_stays_zero():
     system = uniform_standing_system(12)
     result = run(system, TimeGrid(1e-3, 20))
     assert np.all(result.seismograms == 0) if result.seismograms.size else True
-    assert all(np.all(p == 0) for p in result.final_state.pressures)
-    assert all(np.all(v == 0) for v in result.final_state.velocities)
+    assert np.all(result.final_state.p == 0)
+    assert np.all(result.final_state.v == 0)
 
 
 def _source_run(amplitude, n_steps=50):
     system = uniform_standing_system(12)
-    src = SourceSpec(*system.locate_pressure_point(0.25, 0.25), f0=20.0,
+    src = SourceSpec(system.locate_pressure_point(0.25, 0.25), f0=20.0,
                      t0=0.05, amplitude=amplitude)
-    rec = ReceiverSpec(*system.locate_pressure_point(0.75, 0.75))
+    rec = ReceiverSpec(system.locate_pressure_point(0.75, 0.75))
     return run(system, TimeGrid(1e-3, n_steps), sources=[src], receivers=[rec])
 
 
@@ -59,17 +59,14 @@ def test_zero_amplitude_source_gives_zero_traces():
 
 def test_time_reversibility(rng):
     system = uniform_standing_system(16)
-    prs, vel = system.random_state(rng)
-    ref_p = [p.copy() for p in prs]
-    ref_v = [v.copy() for v in vel]
-    state = SimState(prs, vel)
+    p, v = system.random_state(rng)
+    state = SimState(p.copy(), v.copy())
     for _ in range(200):
         step_forward(system, state, 1e-4)
     for _ in range(200):
         step_backward(system, state, 1e-4)
-    err = max(np.abs(a - b).max() for a, b in
-              zip(state.pressures + state.velocities, ref_p + ref_v))
-    scale = max(np.abs(a).max() for a in ref_p + ref_v)
+    err = max(np.abs(state.p - p).max(), np.abs(state.v - v).max())
+    scale = max(np.abs(p).max(), np.abs(v).max())
     assert err <= 1e-10 * scale
 
 
@@ -85,7 +82,7 @@ def test_standing_mode_short_run_error():
 
 def test_trace_and_energy_sampling_counts():
     system = uniform_standing_system(12)
-    rec = ReceiverSpec(*system.locate_pressure_point(0.5, 0.5))
+    rec = ReceiverSpec(system.locate_pressure_point(0.5, 0.5))
     result = run(system, TimeGrid(1e-3, 17), receivers=[rec], record_energy=True)
     assert result.seismograms.shape == (1, 18)
     assert result.energy.shape == (17,)
@@ -123,7 +120,7 @@ def test_step_allocates_no_field_sized_arrays(rng):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - start < min(p.nbytes for p in state.pressures), name
+        assert peak - start < min(f.nbytes for f in system.pressure_fields(state.p)), name
 
 
 def test_find_cfl_periodic_1d():

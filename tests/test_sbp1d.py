@@ -165,7 +165,7 @@ def test_build_rejects_bad_sizes():
         build_periodic_1d(3, 1.0)
 
 
-@pytest.mark.parametrize("dx", [float("inf"), float("nan"), -1.0, 1e-320])
+@pytest.mark.parametrize("dx", [float("inf"), float("nan"), -1.0, 1e-320, 1e-308])
 def test_build_rejects_a_non_finite_or_nonpositive_spacing(dx):
     with pytest.raises(DomainError, match="positive and finite"):
         build_sbp_1d(9, dx)
