@@ -38,13 +38,14 @@ Material coefficients divide the assembled right-hand side at the very end
 (they multiply the time derivatives on the left of the governing system), so
 heterogeneous media reuse the identical penalty structure.
 
-Buffer contract: a system allocates its two rate vectors at construction,
-and computes its penalty and energy weights, signs included, then too.
-`pressure_rates` and `velocity_rates` write into those vectors through their
-field views and return them; the caller may scale them in place. A
-`pressure_rates` result is valid until the next `pressure_rates` call; a
-`velocity_rates` result until the next call of either method, because
-`pressure_rates` uses each axis's velocity-rate field as scratch.
+Buffer contract: a system allocates its two rate vectors at construction, and
+computes its penalty weights, signs included, and its energy weights c . w, as
+vectors laid out like p and v, then too. The rate methods write through field
+views into the rate vectors and return them; the caller may scale them in
+place. A `pressure_rates` result is valid until the next `pressure_rates` or
+`energy` call; a `velocity_rates` result until the next call of any of the
+three: `pressure_rates` uses each axis's velocity-rate field as scratch, and
+`energy` overwrites both rate vectors.
 `velocity_rates` uses only its own fields (the pressure-shaped u-rate field
 is its scratch), so the operator M = -V o P runs as
 `velocity_rates(pressure_rates(v))` with no copy. The other order would
@@ -112,13 +113,10 @@ class BlockOperators:
             raise DomainError("only a block's last axis may be bounded")
         self.ndim = len(self.ops)
         self.block = block
-        weights = self.weights
-        self.shapes = [w.shape for w in weights]
+        self.shapes = [w.shape for w in self.weights]
         if coefficients is None:
             coefficients = [np.ones(shape) for shape in self.shapes]
         self.coefficients = list(coefficients)
-        #: c * w per field: the weights of the discrete energy
-        self.energy_weights = [c * w for c, w in zip(self.coefficients, weights)]
 
     @property
     def weights(self) -> list[NDArray[np.float64]]:
@@ -305,8 +303,11 @@ class SemiDiscreteSystem:
             for i, transfer in enumerate(self.transfers)]
         self._c_p = [b.coefficients[0] for b in blocks]
         self._c_vel = [c for b in blocks for c in b.coefficients[1:]]
-        self._cw_p = [b.energy_weights[0] for b in blocks]
-        self._cw_vel = [w for b in blocks for w in b.energy_weights[1:]]
+        self._cw_p, self._cw_v = self.zero_state()   # c * w: the energy weights
+        cw_vel = self.velocity_fields(self._cw_v)
+        for b, cw_p, i in zip(blocks, self.pressure_fields(self._cw_p), self._first_vel):
+            for c, w, cw in zip(b.coefficients, b.weights, [cw_p, *cw_vel[i:i + b.ndim]]):
+                np.multiply(c, w, out=cw)
 
     # -- leapfrog protocol ---------------------------------------------------
 
@@ -368,20 +369,24 @@ class SemiDiscreteSystem:
     # -- diagnostics ----------------------------------------------------------
 
     def energy(self, p, v) -> float:
-        """The discrete energy 1/2 sum_fields x^T (C . A) x."""
-        fields = self.pressure_fields(p) + self.velocity_fields(v)
-        return 0.5 * sum(float(np.vdot(f * f, cw))
-                         for f, cw in zip(fields, self._cw_p + self._cw_vel))
+        """The discrete energy 1/2 sum_fields x^T (C . A) x: p and v squared
+        into the two rate vectors, then one dot with the weights each."""
+        if (np.shape(p), np.shape(v)) != (self._p_rate.shape, self._v_rate.shape):
+            raise DomainError(f"expected a vector of {self._p_rate.size} and one of "
+                              f"{self._v_rate.size} values, got {np.shape(p)} and {np.shape(v)}")
+        np.multiply(p, p, out=self._p_rate)
+        np.multiply(v, v, out=self._v_rate)
+        return 0.5 * float(np.dot(self._p_rate, self._cw_p) + np.dot(self._v_rate, self._cw_v))
 
     def energy_rate(self, p, v) -> float:
         """Relative instantaneous rate of change of the discrete energy:
         |sum of the per-field terms x^T (C . A) dx/dt| / sum of their sizes."""
         self.pressure_rates(v)
-        terms = [float(np.vdot(x * rate, cw))
-                 for x, rate, cw in zip(self.pressure_fields(p), self._dp, self._cw_p)]
+        terms = [float(np.vdot(x * rate, cw)) for x, rate, cw in
+                 zip(self.pressure_fields(p), self._dp, self.pressure_fields(self._cw_p))]
         self.velocity_rates(p)
-        terms += [float(np.vdot(x * rate, cw))
-                  for x, rate, cw in zip(self.velocity_fields(v), self._dvel, self._cw_vel)]
+        terms += [float(np.vdot(x * rate, cw)) for x, rate, cw in
+                  zip(self.velocity_fields(v), self._dvel, self.velocity_fields(self._cw_v))]
         scale = sum(abs(t) for t in terms)
         return abs(sum(terms)) / scale if scale > 0 else 0.0
 

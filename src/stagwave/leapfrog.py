@@ -126,11 +126,14 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
         RunResult with traces at integer levels and energy at half levels.
 
     Raises:
-        DomainError: a recorded energy, a trace or the final state is not finite.
+        DomainError: a source or receiver index is outside the pressure
+            vector, or a recorded energy, a trace or the final state is not finite.
     """
     dt, n = time_grid.dt, time_grid.n_steps
     if state is None:
         state = SimState(*system.zero_state())
+    if any(not 0 <= x.index < state.p.size for x in (*sources, *receivers)):
+        raise DomainError(f"a source/receiver index is outside the {state.p.size} pressure points")
     t_start = state.t_p
     at = np.array([r.index for r in receivers], dtype=np.intp)
     traces = np.zeros((len(at), n + 1))

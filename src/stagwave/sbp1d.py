@@ -23,6 +23,8 @@ Every operator of both families applies through one in-place kernel
 kernel runs the interior stencil on contiguous rows; the rows it does not
 cover are data, a few small dense products: the two boundary closures of a
 bounded operator, or the rows of a periodic one that wrap around the seam.
+On an axis of at most 90 primary points (the crossover measured at 70-90) every
+row is data: one BLAS product with the kernel's matrix replaces the stencil.
 
 Closure coefficients are stored as exact rationals. They are the unique
 solution of the accuracy + structure constraint system once the boundary
@@ -84,6 +86,8 @@ def _as_float(rows) -> NDArray[np.float64]:
     return np.array([[float(c) for c in row] for row in rows])
 
 
+#: the longest axis, in primary points, whose operators apply as one matrix
+DENSE_MAX_POINTS = 90
 _ST = np.array([float(c) for c in INTERIOR_STENCIL])
 #: the periodic rows that wrap: three stencil rows over six consecutive points
 _WRAP = np.array([[*_ST, 0, 0], [0, *_ST, 0], [0, 0, *_ST]])
@@ -136,6 +140,7 @@ class _Kernel:
         edges = [(o, i, mat / dx) for o, i, mat in edges]
         self.edges = (edges, [((slice(None), o), (slice(None), i), mat)
                               for o, i, mat in edges])   # by axis
+        self.scale = self.mat = None
 
     def __call__(self, w, out, axis: int, scale: float, scratch) -> None:
         s = self.s * scale
@@ -143,6 +148,8 @@ class _Kernel:
             r0, r1, r2, r3 = self.in_rows
             _interior(w[r0], w[r1], w[r2], w[r3], out[self.out_rows], s)
         else:
+            if scratch is None:
+                scratch = np.empty(w.shape)
             flat, n = w.reshape(-1), w.size
             start = self.flat_start
             _interior(flat[:n - 3], flat[1:n - 2], flat[2:n - 1], flat[3:],
@@ -154,6 +161,13 @@ class _Kernel:
             if scale != 1.0:
                 prod *= scale
             out[out_rows] = prod
+
+    def dense(self, scale: float, n_in: int, n_out: int) -> NDArray[np.float64]:
+        """scale * D as a matrix, the kernel applied to the identity (kept for the last scale)."""
+        if self.scale != scale:
+            self.scale, self.mat = scale, np.empty((n_out, n_in))
+            self(np.eye(n_in), self.mat, 0, scale, None)
+        return self.mat
 
 
 def _bounded_kernel(closure, n_in: int, n_out: int, dx: float) -> _Kernel:
@@ -174,8 +188,8 @@ def _periodic_kernel(n: int, dx: float, lo: int) -> _Kernel:
 
 def _apply(kernel: _Kernel, values, axis: int, out, scale: float, scratch,
            n_in: int, n_out: int) -> NDArray[np.float64]:
-    """Shared body of every `apply_d_*`: check the arrays, allocate `out` and
-    `scratch` where needed, and run the operator's kernel."""
+    """Shared body of every `apply_d_*`: check the arrays, allocate `out` where
+    needed, and run the kernel, or on a short axis its matrix as one product."""
     w = np.asarray(values, dtype=float)
     if w.ndim > 2 or axis not in range(w.ndim):
         raise DomainError(f"cannot apply along axis {axis} of a {w.ndim}D array")
@@ -185,14 +199,17 @@ def _apply(kernel: _Kernel, values, axis: int, out, scale: float, scratch,
         out = np.empty(w.shape[:axis] + (n_out,) + w.shape[axis + 1:])
     elif np.may_share_memory(out, w):
         raise DomainError("out must not share memory with the input")
-    if axis == 1:
-        if scratch is None:
-            scratch = np.empty(w.shape)
-        elif scratch.shape != w.shape or not scratch.flags.c_contiguous:
+    if axis == 1 and scratch is not None:
+        if scratch.shape != w.shape or not scratch.flags.c_contiguous:
             raise DomainError("scratch must be a C-contiguous array shaped like the input")
-        elif np.may_share_memory(scratch, w) or np.may_share_memory(scratch, out):
+        if np.may_share_memory(scratch, w) or np.may_share_memory(scratch, out):
             raise DomainError("scratch must not share memory with the input or out")
-    kernel(w, out, axis, scale, scratch)
+    if max(n_in, n_out) > DENSE_MAX_POINTS:
+        kernel(w, out, axis, scale, scratch)
+    elif axis == 0:
+        np.matmul(kernel.dense(scale, n_in, n_out), w, out=out)
+    else:
+        np.matmul(w, kernel.dense(scale, n_in, n_out).T, out=out)
     return out
 
 

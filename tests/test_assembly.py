@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +15,9 @@ from stagwave.grids import build_block_2d
 from stagwave.leapfrog import SimState, step_forward
 from stagwave.transfer import (ElementalStencilPair, tabulated_elemental_pair,
                                tile_periodic)
-from stagwave.verification import (energy_rate_oracle, materialize_system,
-                                   ratio_system, uniform_standing_system,
-                                   with_random_coefficients)
+from stagwave.verification import (SCENARIOS, build_scenario, energy_rate_oracle,
+                                   materialize_system, ratio_system,
+                                   uniform_standing_system, with_random_coefficients)
 
 F = Fraction
 
@@ -363,11 +364,32 @@ def test_locate_pressure_point():
         system.locate_pressure_point(F(1, 7), 0)
 
 
+ENERGY_SYSTEMS = {**{name: lambda name=name: build_scenario(name)[0] for name in SCENARIOS},
+                  **{f"{m}:{n}": lambda m=m, n=n: ratio_system(m, n)
+                     for m, n in ((2, 1), (3, 2), (6, 5), (7, 6))}}
+
+
+@pytest.mark.parametrize("make", ENERGY_SYSTEMS.values(), ids=ENERGY_SYSTEMS.keys())
+def test_energy_matches_a_per_field_sum(make):
+    # the energy is two dots over weight vectors laid out like the state; the
+    # reference sums c * w * x^2 field by field from each block's own weights
+    system = make()
+    p, v = system.random_state(np.random.default_rng(11))
+    fields = system.pressure_fields(p) + system.velocity_fields(v)
+    weights = ([b.coefficients[0] * b.weights[0] for b in system.blocks]
+               + [c * w for b in system.blocks
+                  for c, w in zip(b.coefficients[1:], b.weights[1:])])
+    want = 0.5 * math.fsum(float((f * f * w).sum()) for f, w in zip(fields, weights))
+    assert system.energy(p, v) == pytest.approx(want, rel=1e-14, abs=0)
+
+
 def test_state_vectors_of_the_wrong_length_are_rejected():
     system = ratio_system(2, 1)
     p, v = system.zero_state()
     for call, vector in ((system.pressure_rates, v[:-1]),
                          (system.velocity_rates, np.append(p, 0.0)),
+                         (lambda x: system.energy(x, v), p[:1]),
+                         (lambda x: system.energy(p, x), v[:-1]),
                          (system.pressure_fields, v), (system.velocity_fields, p)):
         with pytest.raises(DomainError, match="expected a vector"):
             call(vector)

@@ -103,24 +103,50 @@ def test_energy_record_is_bounded_sampling_ripple():
     assert devs[1] <= 0.7 * devs[0]
 
 
-def test_step_allocates_no_field_sized_arrays(rng):
-    # the rates are written into buffers the system owns and the fields are
-    # updated in place, so a step's transient memory stays below one field;
-    # both shipped interfaces, 2:1 and 6:5, are held to it
+def _assert_no_field_sized_arrays(rng, call):
+    """Run call(system, state, source) 20 times after 3 warm-up calls on both
+    shipped interfaces, 2:1 and 6:5, and hold its transient memory below the
+    smallest pressure field."""
     for name in ("two_layer_2to1", "smooth_gradient_6to5"):
         system, source, _ = build_scenario(name)
         state = SimState(*system.random_state(rng))
         for _ in range(3):
-            step_forward(system, state, 1e-3, [source])
+            call(system, state, source)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             for _ in range(20):
-                step_forward(system, state, 1e-3, [source])
+                call(system, state, source)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - start < min(f.nbytes for f in system.pressure_fields(state.p)), name
+
+
+def test_step_allocates_no_field_sized_arrays(rng):
+    # the rates are written into buffers the system owns and the fields are
+    # updated in place
+    _assert_no_field_sized_arrays(
+        rng, lambda system, state, source: step_forward(system, state, 1e-3, [source]))
+
+
+def test_energy_allocates_no_field_sized_arrays(rng):
+    # the squares go into the system's rate vectors, not into temporaries
+    _assert_no_field_sized_arrays(
+        rng, lambda system, state, source: system.energy(state.p, state.v))
+
+
+@pytest.mark.parametrize("where", ["source", "receiver"])
+@pytest.mark.parametrize("index", ["-1", "n_p"])
+def test_run_rejects_an_index_outside_the_pressure_vector(where, index):
+    # a negative index would wrap to the end, one past the end would raise a
+    # bare IndexError; both are refused before the first step
+    system = uniform_standing_system(12)
+    at = -1 if index == "-1" else system.zero_state()[0].size
+    specs = {"sources": [SourceSpec(at, f0=20.0)]} if where == "source" else \
+        {"receivers": [ReceiverSpec(at)]}
+    with pytest.raises(sw.DomainError, match="outside"):
+        run(system, TimeGrid(1e-3, 5), **specs)
 
 
 def test_find_cfl_periodic_1d():

@@ -84,13 +84,14 @@ def test_spacing_scaling_is_entrywise():
 
 
 def test_banded_apply_matches_dense_materialization():
-    ops = build_sbp_1d(13, 0.5)
-    np.testing.assert_array_equal(ops.apply_d_p(np.eye(13), axis=0), ops.dense_d_p())
-    np.testing.assert_array_equal(ops.apply_d_v(np.eye(12), axis=0), ops.dense_d_v())
-    rng = np.random.default_rng(0)
-    p = rng.standard_normal(13)
-    np.testing.assert_allclose(ops.apply_d_p(p), ops.dense_d_p() @ p,
-                               rtol=0, atol=1e-13)
+    # at 13 points the operator applies as one matrix, at 97 as the stencil
+    for n, dx in ((13, 0.5), (97, 1.0)):
+        ops = build_sbp_1d(n, dx)
+        np.testing.assert_array_equal(ops.apply_d_p(np.eye(n), axis=0), ops.dense_d_p())
+        np.testing.assert_array_equal(ops.apply_d_v(np.eye(n - 1), axis=0), ops.dense_d_v())
+        p = np.random.default_rng(0).standard_normal(n)
+        np.testing.assert_allclose(ops.apply_d_p(p), ops.dense_d_p() @ p,
+                                   rtol=0, atol=1e-13)
 
 
 def test_apply_along_second_axis():
@@ -101,10 +102,14 @@ def test_apply_along_second_axis():
 
 
 # the minimum sizes too: at 9 points the two closure windows overlap, at 4
-# the wrap product covers three of the four rows
+# the wrap product covers three of the four rows; axes of at most 90 points
+# apply as one matrix, longer ones through the stencil
 KERNEL_OPERATORS = [build_sbp_1d(13, 0.37), build_periodic_1d(11, 0.37),
-                    build_sbp_1d(9, 0.37), build_periodic_1d(4, 0.37)]
-KERNEL_IDS = ["bounded", "periodic", "bounded-9", "periodic-4"]
+                    build_sbp_1d(9, 0.37), build_periodic_1d(4, 0.37),
+                    build_sbp_1d(90, 0.37), build_sbp_1d(91, 0.37),
+                    build_periodic_1d(90, 0.37), build_periodic_1d(91, 0.37)]
+KERNEL_IDS = ["bounded", "periodic", "bounded-9", "periodic-4",
+              "bounded-90", "bounded-91", "periodic-90", "periodic-91"]
 
 
 @pytest.mark.parametrize("ops", KERNEL_OPERATORS, ids=KERNEL_IDS)
