@@ -5,7 +5,11 @@ Values are ``fractions.Fraction`` so that geometric alignment checks and
 operator identities can be asserted with zero tolerance. The solves clear
 denominators and run fraction-free (Bareiss) integer elimination, in which
 every division is exact; they convert to ``Fraction`` only once per unknown,
-at the end.
+at the end. A minimum-norm solve eliminates once: back substitution in the
+echelon rows gives a particular solution and a null-space basis, and the
+minimizer is the particular solution less its projection onto the null
+space, which takes one more solve of only nullity x nullity (or of rank x
+rank through the row space, when that is smaller).
 """
 
 from __future__ import annotations
@@ -57,21 +61,20 @@ def exactness_degree(weights, coords, target, derivative: bool = False) -> int:
     """Largest k <= 6 for which the rational weights reproduce x^k, or its
     derivative, at `target` exactly (-1 if none). The degree does not change
     under translation, so it is measured on coordinates relative to `target`;
-    zero weights are skipped."""
+    zero weights are skipped. Weights and offsets are scaled to integers by
+    their common denominators, so every moment is an integer sum."""
     terms = [(w, x - target) for w, x in zip(weights, coords) if w != 0]
+    w_den = math.lcm(*(w.denominator for w, _ in terms))
+    x_den = math.lcm(*(x.denominator for _, x in terms))
+    ints = [(w.numerator * (w_den // w.denominator), x.numerator * (x_den // x.denominator))
+            for w, x in terms]
     deg = -1
     for k in range(7):
-        if sum(w * x**k for w, x in terms) != (1 if k == int(derivative) else 0):
+        want = w_den * x_den**k if k == int(derivative) else 0
+        if sum(w * x**k for w, x in ints) != want:
             break
         deg = k
     return deg
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"inexact integer division {num} / {den}")
-    return q
 
 
 def _eliminate(mat: list[list[int]], order: list[int]) -> list[int]:
@@ -79,38 +82,103 @@ def _eliminate(mat: list[list[int]], order: list[int]) -> list[int]:
     place, with row swaps mirrored in `order`; returns the pivot columns.
 
     Every entry stays a minor of the input, so each division by the previous
-    pivot is exact (Bareiss 1968, Sylvester's identity).
+    pivot is exact (Bareiss 1968, Sylvester's identity); each updated row is
+    checked anyway, and an inexact division raises ArithmeticError. The last
+    pivot is the determinant of the pivot rows on the pivot columns.
+
+    A step whose pivot column is zero in a row would only rescale that row
+    by p / prev. Such steps are skipped: the rescalings telescope, so a row
+    last updated at pivot q is brought up to date by dividing its next update
+    by q instead of prev (or, when it becomes the pivot row, by multiplying
+    it by prev / q). The pivot rows come out exactly as in plain Bareiss.
     """
     n_rows = len(mat)
     pivots: list[int] = []
     prev = 1
+    at = [1] * n_rows                 # the pivot each row was last updated at
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
         pivot = next((i for i in range(r, n_rows) if mat[i][c]), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        order[r], order[pivot] = order[pivot], order[r]
+        for seq in (mat, order, at):
+            seq[r], seq[pivot] = seq[pivot], seq[r]
         top = mat[r]
+        if at[r] != prev:
+            top[c:] = _exact_combination(top[c:], prev, 0, [], at[r])
         p = top[c]
+        tail = top[c + 1:]
         for i in range(r + 1, n_rows):
             row = mat[i]
-            f = row[c]
-            mat[i] = [0] * (c + 1) + [_exact_div(p * x - f * y, prev)
-                                      for x, y in zip(row[c + 1:], top[c + 1:])]
+            if row[c]:
+                row[c + 1:] = _exact_combination(row[c + 1:], p, row[c], tail, at[i])
+                row[c] = 0
+                at[i] = p
         pivots.append(c)
         prev = p
     return pivots
+
+
+def _exact_combination(rest: list[int], p: int, f: int, tail: list[int], d: int) -> list[int]:
+    """(p * rest - f * tail) / d, raising ArithmeticError unless every
+    division is exact. The floor-division remainders all take the sign of
+    d, so they are all zero exactly when the sums agree."""
+    if f:
+        new = [(p * x - f * y) // d for x, y in zip(rest, tail)]
+    else:
+        new = [p * x // d for x in rest]
+    if p * sum(rest) - f * sum(tail) != d * sum(new):
+        raise ArithmeticError(f"inexact integer division by {d}")
+    return new
+
+
+def _back_substitute(mat: list[list[int]], pivots: list[int], rhs: list[int],
+                     n_cols: int) -> tuple[list[int], int]:
+    """(det * x, det) for the echelon rows of `_eliminate` with right side
+    `rhs` (one value per pivot row) and every non-pivot unknown zero, det
+    being the last pivot. By Cramer's rule det * x is an integer vector, so
+    each division by a pivot is exact."""
+    det = mat[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * n_cols
+    for i in reversed(range(len(pivots))):
+        row = mat[i]
+        acc = det * rhs[i] - sum(row[c] * y[c] for c in pivots[i + 1:])
+        q, rem = divmod(acc, row[pivots[i]])
+        if rem:
+            raise ArithmeticError(f"inexact integer division by {row[pivots[i]]}")
+        y[pivots[i]] = q
+    return y, det
+
+
+def _dot(u: list[int], v: list[int]) -> int:
+    return sum(x * y for x, y in zip(u, v) if x and y)
+
+
+def _gram_solve(vecs: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
+    """(det * z, det) for the Gram system (V V^T) z = rhs of independent
+    integer vectors V, by one more fraction-free elimination."""
+    k = len(vecs)
+    gram = [[_dot(u, v) for v in vecs] + [r] for u, r in zip(vecs, rhs)]
+    pivots = _eliminate(gram, list(range(k)))
+    return _back_substitute(gram, pivots, [row[k] for row in gram], k)
 
 
 def solve_min_norm(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """Minimum-2-norm exact solution of A x = b, or None if inconsistent.
 
     A and b hold rationals (Fraction or int). Each augmented row is scaled to
-    integers; fraction-free elimination then finds the rank, rejects an
-    inconsistent system, and picks independent original rows B with right
-    side d. The minimizer x = B^T (B B^T)^-1 d follows from one more
-    fraction-free solve, with one Fraction made per unknown at the end.
+    integers, and one fraction-free elimination finds the rank r and rejects
+    an inconsistent system. The minimizer is the solution in the row space
+    of A, found through the smaller of two Gram systems:
+
+    - nullity d <= r (the derived 7:6, 8:7 and 11:10 pairs have d = 1):
+      back substitution in the echelon rows gives a particular solution y
+      (free unknowns zero) and a null-space basis N, both as integer vectors,
+      and x = y - N (N^T N)^-1 N^T y needs only the d x d solve;
+    - d > r: x = B^T (B B^T)^-1 c on r independent original rows B, right
+      side c, which needs only the r x r solve.
+
+    One Fraction is made per unknown, at the end.
     """
     if not a:
         return []
@@ -120,24 +188,27 @@ def solve_min_norm(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]
         vals = [*row, rhs]
         scale = math.lcm(*(v.denominator for v in vals))
         aug.append([v.numerator * (scale // v.denominator) for v in vals])
+    original = [list(row) for row in aug]
     order = list(range(len(aug)))
-    pivots = _eliminate([list(r) for r in aug], order)
+    pivots = _eliminate(aug, order)
     if pivots and pivots[-1] == n_cols:
         return None
-    keep = order[:len(pivots)]
-    bmat = [aug[i][:n_cols] for i in keep]
-    d = [aug[i][n_cols] for i in keep]
-    k = len(keep)
-    # [B B^T | d] reduces to an upper triangle whose last pivot is det(B B^T);
-    # back substitution in integers gives y = det * lambda
-    upper = [[sum(x * y for x, y in zip(r1, r2)) for r2 in bmat] + [di]
-             for r1, di in zip(bmat, d)]
-    _eliminate(upper, list(range(k)))
-    det = upper[-1][k - 1] if upper else 1
-    y = [0] * k
-    for i in reversed(range(k)):
-        row = upper[i]
-        y[i] = _exact_div(det * row[k] - sum(row[j] * y[j] for j in range(i + 1, k)),
-                          row[i])
-    return [Fraction(sum(y[i] * bmat[i][j] for i in range(k)), det)
+    rank = len(pivots)
+    if n_cols - rank > rank:
+        rows = [original[i] for i in order[:rank]]
+        z, det_g = _gram_solve([row[:n_cols] for row in rows], [row[n_cols] for row in rows])
+        return [Fraction(sum(zi * row[j] for zi, row in zip(z, rows)), det_g)
+                for j in range(n_cols)]
+    upper = aug[:rank]
+    y, det = _back_substitute(upper, pivots, [row[n_cols] for row in upper], n_cols)
+    is_pivot = set(pivots)
+    basis = []
+    for f in (c for c in range(n_cols) if c not in is_pivot):
+        v, _ = _back_substitute(upper, pivots, [-row[f] for row in upper], n_cols)
+        v[f] = det
+        basis.append(v)
+    if not basis:
+        return [Fraction(v, det) for v in y]
+    z, det_g = _gram_solve(basis, [_dot(v, y) for v in basis])
+    return [Fraction(det_g * y[j] - sum(zf * v[j] for zf, v in zip(z, basis)), det * det_g)
             for j in range(n_cols)]

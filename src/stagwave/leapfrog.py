@@ -21,6 +21,7 @@ field-sized arrays.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,15 @@ def step_backward(system, state: SimState, dt: float):
     state.t_p -= dt
 
 
+def _check_index(index, n_p: int) -> None:
+    """Refuse a source or receiver index that is not an integer in [0, n_p).
+    A bool is refused too: numpy would read True as a mask over every point."""
+    if isinstance(index, bool) or not hasattr(index, "__index__"):
+        raise DomainError(f"a source/receiver index must be an integer, got {index!r}")
+    if not 0 <= operator.index(index) < n_p:
+        raise DomainError(f"a source/receiver index is outside the {n_p} pressure points")
+
+
 @dataclass
 class RunResult:
     times: NDArray[np.float64]                 # integer-level times, n_steps+1
@@ -126,14 +136,15 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
         RunResult with traces at integer levels and energy at half levels.
 
     Raises:
-        DomainError: a source or receiver index is outside the pressure
-            vector, or a recorded energy, a trace or the final state is not finite.
+        DomainError: a source or receiver index is not an integer (a bool
+            is refused) or is outside the pressure vector, or a recorded
+            energy, a trace or the final state is not finite.
     """
     dt, n = time_grid.dt, time_grid.n_steps
     if state is None:
         state = SimState(*system.zero_state())
-    if any(not 0 <= x.index < state.p.size for x in (*sources, *receivers)):
-        raise DomainError(f"a source/receiver index is outside the {state.p.size} pressure points")
+    for x in (*sources, *receivers):
+        _check_index(x.index, state.p.size)
     t_start = state.t_p
     at = np.array([r.index for r in receivers], dtype=np.intp)
     traces = np.zeros((len(at), n + 1))

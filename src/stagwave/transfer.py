@@ -20,15 +20,21 @@ four-point stencils away from coincident points and a symmetric stencil of
 width 2n+1 on them). `derive_elemental_pair` reproduces every tabulated pair
 and extends the family to arbitrary coprime ratios by solving the exactness
 constraints with a minimal-support search and an exact minimum-norm tiebreak.
+The candidate supports are nested, so feasibility is monotone along the
+search and the first feasible candidate is proved first by exact solves at
+it and just before it; a rank screen modulo a prime only guesses where that
+boundary lies (7:6 takes two exact solves, not seven).
 
 A tiled pair (`TransferPair`) applies each direction from the elemental
 stencils: a gather of each interval's input window and one small matrix
-product (`GatherPlan`). The exact n_fine x n_coarse tiles (`exact_matrices`)
-are built only on demand, for the certificates and the test oracles.
+product (`GatherPlan`). The certificate works on the tiled stencil nonzeros
+alone; the exact n_fine x n_coarse tiles (`exact_matrices`) are built only
+on demand, as test oracles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -186,11 +192,12 @@ def _support(pos: int, m: int, width: int) -> list[int]:
     return list(range(left - k + 1, left + width - k + 1))
 
 
-def _solve_supports(m: int, n: int, supports) -> tuple[dict[int, Fraction], ...] | None:
-    """Minimum-norm coarse->fine weights on the given supports, or None.
+def _constraints(m: int, n: int, supports) -> tuple[list[list[int]], list[int]]:
+    """Integer constraint rows and right sides on the given supports, one
+    unknown per (row r, coarse index k) in row-major order.
 
-    The constraints are integer rows: the fine->coarse rows, whose adjoint
-    weights carry a factor n/m, are multiplied through by m.
+    The fine->coarse rows, whose adjoint weights carry a factor n/m, are
+    multiplied through by m.
     """
     cols = [(r, k) for r in range(m) for k in supports[r]]
     idx = {ck: i for i, ck in enumerate(cols)}
@@ -213,11 +220,104 @@ def _solve_supports(m: int, n: int, supports) -> tuple[dict[int, Fraction], ...]
                         row[idx[(r, k)]] += n * ((e * m + r) * n) ** t
             rows.append(row)
             rhs.append(m * (s * m) ** t)
-    x = solve_min_norm(rows, rhs)
+    return rows, rhs
+
+
+def _solve_supports(m: int, n: int, supports) -> tuple[dict[int, Fraction], ...] | None:
+    """Minimum-norm coarse->fine weights on the given supports, or None."""
+    x = solve_min_norm(*_constraints(m, n, supports))
     if x is None:
         return None
-    return tuple({k: x[idx[(r, k)]] for k in supports[r] if x[idx[(r, k)]] != 0}
-                 for r in range(m))
+    it = iter(x)
+    return tuple({k: w for k, w in zip(supports[r], it) if w != 0} for r in range(m))
+
+
+# a prime below 2^31: products of two residues stay exact in int64
+_SCREEN_PRIME = 2_147_483_647
+
+
+def _screen_level(m: int, n: int, supports) -> int | None:
+    """Guess the narrowest feasible coincident width on one level: the index
+    w of the first window of 2w + 1 coarse points, centred like the
+    coincident row of `supports` (the level's widest candidate), at which
+    the constraint system is consistent modulo a prime; None if none is.
+
+    One elimination serves the whole level: the unknowns of the other rows
+    come first and the coincident row's follow from the centre outwards, so
+    each candidate's unknowns are a leading block, and a candidate is
+    consistent when the eliminated right side vanishes below the pivots of
+    its block. A rank modulo a prime falls below the rational rank when the
+    prime divides the minors, so the answer is only a guess: it chooses
+    where the exact search starts.
+    """
+    p = _SCREEN_PRIME
+    rows, rhs = _constraints(m, n, supports)
+    n_c = len(supports[0])                       # row 0's unknowns come first
+    h = n_c // 2
+    centre_out = [h, *(h + s * d for d in range(1, h + 1) for s in (-1, 1))]
+    order = [*range(n_c, len(rows[0])), *centre_out]
+    mat = np.array([[row[j] for j in order] + [b] for row, b in zip(rows, rhs)],
+                   dtype=np.int64) % p
+    n_fixed = len(order) - n_c
+    r = 0
+    for c in range(len(order)):
+        nz = np.flatnonzero(mat[r:, c])
+        if nz.size:
+            mat[[r, r + nz[0]]] = mat[[r + nz[0], r]]
+            mat[r] = mat[r] * pow(int(mat[r, c]), -1, p) % p
+            below = r + 1 + np.flatnonzero(mat[r + 1:, c])
+            mat[below] = (mat[below] - np.outer(mat[below, c], mat[r])) % p
+            r += 1
+        done = c + 1 - n_fixed                   # coincident unknowns eliminated
+        if done > 0 and done % 2 and not mat[r:, -1].any():
+            return done // 2
+    return None
+
+
+def _first_feasible(n_levels: int, n_widths: int, solve, guess):
+    """First (level, width) in lexicographic order at which `solve` returns
+    something other than None, with that result; None if there is none.
+
+    Feasibility must be monotone: a candidate's supports contain those of
+    every candidate at an earlier or equal level and an equal or smaller
+    width, so a solution of the smaller system, padded with zeros, solves the
+    larger one. Then (l, w) is first exactly when it is feasible, (l, w - 1)
+    is not (if w > 0), and the widest candidate of level l - 1, which contains
+    every candidate of the earlier levels, is not (if l > 0). The search
+    establishes those facts by calls of `solve` alone, each candidate solved
+    at most once, starting from `guess` (any candidate, or None): with a
+    right guess on the first level that takes two calls, and a wrong guess
+    costs calls, never the answer.
+    """
+    known: dict[tuple[int, int], object] = {}
+
+    def feasible(level: int, width: int) -> bool:
+        if (level, width) not in known:
+            known[level, width] = solve(level, width)
+        return known[level, width] is not None
+
+    widest = n_widths - 1
+    if guess is not None and feasible(*guess):
+        level, hi = guess
+    else:
+        # an infeasible widest candidate rules out its level and all earlier ones
+        level = guess[0] if guess is not None else 0
+        while level < n_levels and not feasible(level, widest):
+            level += 1
+        if level == n_levels:
+            return None
+        hi = widest
+    while level > 0 and feasible(level - 1, widest):
+        level, hi = level - 1, widest
+    lo = max((w for (l, w), x in known.items() if l == level and x is None), default=-1)
+    probe = hi - 1          # the guess's predecessor first, then bisection
+    while hi - lo > 1:
+        if feasible(level, probe):
+            hi = probe
+        else:
+            lo = probe
+        probe = (lo + hi) // 2
+    return level, hi, known[level, hi]
 
 
 def derive_elemental_pair(ratio, support: int | None = None,
@@ -226,10 +326,19 @@ def derive_elemental_pair(ratio, support: int | None = None,
 
     Solves, in exact rationals, the degree-<=2 exactness constraints for every
     coarse->fine row together with the exactness of the adjoint-defined
-    fine->coarse rows. Supports grow from the shortest candidates (four-point
-    stencils between coarse points, odd symmetric stencils on coincident
-    points) until the system is feasible; the minimum-norm solution is then
-    unique and inherits the reflection symmetry of the grid configuration.
+    fine->coarse rows. The candidate supports are four-point and wider even
+    stencils between coarse points (width w_nc) with an odd symmetric stencil
+    on the coincident point (width w_c); the pair comes from the first
+    feasible candidate in (w_nc, w_c) order, where the minimum-norm solution
+    is unique and inherits the reflection symmetry of the grid configuration.
+
+    The supports are nested: the coincident window is centred and the other
+    windows grow on both sides, so feasibility is monotone in both widths and
+    the first feasible candidate is proved first by exact solves at it and at
+    its predecessors (`_first_feasible`). A screen modulo a prime
+    (`_screen_level`, one elimination per w_nc) only guesses where to look:
+    the returned pair depends on exact solves alone, and a wrong guess costs
+    extra exact solves, not a different pair.
 
     Args:
         ratio: coarse:fine spacing ratio, m > n >= 1 coprime (1:1 allowed).
@@ -247,19 +356,26 @@ def derive_elemental_pair(ratio, support: int | None = None,
         return tabulated_elemental_pair(F(1, 1))
     widths = ([support] if support is not None
               else list(range(4, max_width + 1, 2)))
-    for w_nc in widths:
-        for w_c in range(1, 2 * m + 3, 2):
-            supports = [
-                _support(r * n, m, w_c if (r * n) % m == 0 else w_nc)
-                for r in range(m)
-            ]
-            rows = _solve_supports(m, n, supports)
-            if rows is not None:
-                return ElementalStencilPair.from_coarse_rows(F(m, n), rows)
-    raise InfeasibleStencilError(
-        f"no degree-2 exact, norm-compatible pair for ratio {m}:{n} "
-        f"within support widths {widths}"
-    )
+    coincident = list(range(1, 2 * m + 3, 2))
+
+    def supports(level: int, width: int) -> list[list[int]]:
+        return [_support(r * n, m, coincident[width] if (r * n) % m == 0 else widths[level])
+                for r in range(m)]
+
+    guess = None
+    for level in range(len(widths)):
+        width = _screen_level(m, n, supports(level, len(coincident) - 1))
+        if width is not None:
+            guess = (level, width)
+            break
+    found = _first_feasible(len(widths), len(coincident),
+                            lambda l, w: _solve_supports(m, n, supports(l, w)), guess)
+    if found is None:
+        raise InfeasibleStencilError(
+            f"no degree-2 exact, norm-compatible pair for ratio {m}:{n} "
+            f"within support widths {widths}"
+        )
+    return ElementalStencilPair.from_coarse_rows(F(m, n), found[2])
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +430,32 @@ class TransferPair:
     def exact_matrices(self) -> tuple[NDArray[np.object_], NDArray[np.object_]]:
         """Exact tiled operators, (n_fine, n_coarse) and (n_coarse, n_fine):
         object arrays holding a `Fraction` where a stencil reaches and the
-        integer 0 elsewhere. Built on each call, for certificates and tests."""
-        elem = self.elemental
-        return (_tile_exact(elem.coarse_to_fine, elem.m, elem.n, self.n_fine, self.n_coarse),
-                _tile_exact(elem.fine_to_coarse, elem.n, elem.m, self.n_coarse, self.n_fine))
+        integer 0 elsewhere. Built on each call, as test oracles."""
+        mats = (np.zeros((self.n_fine, self.n_coarse), dtype=object),
+                np.zeros((self.n_coarse, self.n_fine), dtype=object))
+        for mat, entries in zip(mats, _tiled_entries(self)):
+            for key, w in entries.items():
+                mat[key] = w
+        return mats
 
 
-def _tile_exact(rows, rows_per_elem, cols_per_elem, n_rows, n_cols) -> NDArray[np.object_]:
-    """Tile elemental rows periodically: each weight is scattered to its
-    position in every elemental interval, and weights of stencils that wrap
-    onto one entry are summed exactly."""
-    mat = np.zeros((n_rows, n_cols), dtype=object)
-    starts = np.arange(n_rows // rows_per_elem)
-    for r, row in enumerate(rows):
-        for k, w in row.items():
-            mat[starts * rows_per_elem + r, (starts * cols_per_elem + k) % n_cols] += w
-    return mat
+def _tiled_entries(pair: TransferPair) -> tuple[dict[tuple[int, int], Fraction], ...]:
+    """The stencil nonzeros of both tiled operators, c2f then f2c, as
+    {(row, column): exact weight}: each elemental weight is placed in every
+    elemental interval, and weights of stencils that wrap onto one entry are
+    summed exactly."""
+    elem = pair.elemental
+    tiles = []
+    for rows, cols_per_elem, n_cols in ((elem.coarse_to_fine, elem.n, pair.n_coarse),
+                                        (elem.fine_to_coarse, elem.m, pair.n_fine)):
+        entries: dict[tuple[int, int], Fraction] = {}
+        for e in range(pair.n_coarse // elem.n):
+            for r, row in enumerate(rows):
+                for k, w in row.items():
+                    key = (e * len(rows) + r, (e * cols_per_elem + k) % n_cols)
+                    entries[key] = entries[key] + w if key in entries else w
+        tiles.append(entries)
+    return tuple(tiles)
 
 
 def tile_periodic(elem: ElementalStencilPair, n_coarse: int, n_fine: int) -> TransferPair:
@@ -398,16 +524,29 @@ class TransferCertificate:
 
 
 def certify_pair(pair: TransferPair) -> TransferCertificate:
-    """Row sums, measured exactness degree, and the adjoint-relation residual."""
+    """Row sums, measured exactness degree, and the adjoint-relation residual.
+
+    The residual is taken over the tiled operators' stencil nonzeros (the
+    union of both patterns, each weight summed exactly where stencils wrap),
+    so it equals the dense max |dx_f c2f^T - dx_c f2c| without forming
+    either tile, and it checks the fine->coarse rows as given rather than
+    assuming they came from the adjoint relation.
+    """
     elem = pair.elemental
     row_sum_err = F(0)
     for rows in (elem.coarse_to_fine, elem.fine_to_coarse):
         for row in rows:
             row_sum_err = max(row_sum_err, abs(sum(row.values()) - 1))
     degree = pair_exactness_degree(elem)
-    c2f_e, f2c_e = pair.exact_matrices()
-    scale = F(elem.n, elem.m)  # dx_fine / dx_coarse
-    resid = np.abs(scale * c2f_e.T - f2c_e).max()
+    c2f, f2c = _tiled_entries(pair)
+    # dx_fine / dx_coarse = n/m; every difference as an integer over den
+    m, n = elem.m, elem.n
+    den = m * math.lcm(*(w.denominator for w in (*c2f.values(), *f2c.values())))
+    diff = {(j, i): n * w.numerator * (den // (m * w.denominator))
+            for (i, j), w in c2f.items()}
+    for key, w in f2c.items():
+        diff[key] = diff.get(key, 0) - w.numerator * (den // w.denominator)
+    resid = F(max(map(abs, diff.values()), default=0), den)
     return TransferCertificate(row_sum_error=float(row_sum_err),
                                exactness_degree=degree,
                                adjoint_residual=float(resid),

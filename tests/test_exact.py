@@ -70,3 +70,66 @@ def test_random_rank_deficient_systems_are_solved_exactly_at_minimum_norm():
         assert _in_row_space(a, x)
         solved += 1
     assert solved >= 20 and inconsistent >= 5
+
+
+def _solve_square(mat, rhs):
+    """Gauss-Jordan in Fractions for a nonsingular square system."""
+    aug = [list(row) + [r] for row, r in zip(mat, rhs)]
+    k = len(aug)
+    for c in range(k):
+        piv = next(i for i in range(c, k) if aug[i][c] != 0)
+        aug[c], aug[piv] = aug[piv], aug[c]
+        aug[c] = [v / aug[c][c] for v in aug[c]]
+        for i in range(k):
+            if i != c and aug[i][c] != 0:
+                aug[i] = [u - aug[i][c] * v for u, v in zip(aug[i], aug[c])]
+    return [row[k] for row in aug]
+
+
+def _oracle_min_norm(a, b):
+    """x = B^T (B B^T)^-1 d on a maximal set of independent rows B of A, d
+    their right side; None if b is not in the column space of A."""
+    keep = []
+    for i, row in enumerate(a):
+        if _rank([a[j] for j in keep] + [row]) > len(keep):
+            keep.append(i)
+    if _rank([list(row) + [r] for row, r in zip(a, b)]) > len(keep):
+        return None
+    rows = [a[i] for i in keep]
+    gram = [[sum((x * y for x, y in zip(u, v)), F(0)) for v in rows] for u in rows]
+    lam = _solve_square(gram, [b[i] for i in keep])
+    return [sum((l * row[j] for l, row in zip(lam, rows)), F(0)) for j in range(len(a[0]))]
+
+
+def test_min_norm_matches_the_row_space_formula_at_every_nullity():
+    rng = random.Random(20261019)
+
+    def rat():
+        return F(0) if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.randint(1, 8))
+
+    seen = {}
+    for _ in range(400):
+        nullity = rng.randint(0, 6)
+        rank = rng.randint(1, 4)
+        n_cols = rank + nullity
+        n_rows = rng.randint(rank, rank + 3)
+        basis = [[rat() for _ in range(n_cols)] for _ in range(rank)]
+        a = [[sum((c * v[j] for c, v in zip(coef, basis)), F(0)) for j in range(n_cols)]
+             for coef in ([rat() for _ in range(rank)] for _ in range(n_rows))]
+        if rng.random() < 0.3:
+            b = [rat() for _ in range(n_rows)]
+        else:
+            x0 = [rat() for _ in range(n_cols)]
+            b = [sum((u * v for u, v in zip(row, x0)), F(0)) for row in a]
+        want = _oracle_min_norm(a, b)
+        assert solve_min_norm(a, b) == want
+        actual_rank = _rank(a)
+        kind = ("inconsistent" if want is None
+                else min(n_cols - actual_rank, 4) if n_cols - actual_rank <= actual_rank
+                else "nullity above rank")
+        seen[kind] = seen.get(kind, 0) + 1
+    # every branch of the solver is exercised: full column rank (nullity 0),
+    # the null-space Gram system at nullity 1, 2 and 3, the row-space Gram
+    # system when the nullity exceeds the rank, and inconsistent systems
+    for kind in (0, 1, 2, 3, "nullity above rank", "inconsistent"):
+        assert seen.get(kind, 0) >= 10, seen

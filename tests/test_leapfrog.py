@@ -149,6 +149,31 @@ def test_run_rejects_an_index_outside_the_pressure_vector(where, index):
         run(system, TimeGrid(1e-3, 5), **specs)
 
 
+@pytest.mark.parametrize("where", ["source", "receiver"])
+@pytest.mark.parametrize("index", [True, 1.5], ids=["True", "1.5"])
+def test_run_rejects_an_index_that_is_not_an_integer(where, index):
+    # True would pass a range check as the int 1, and numpy would read it as
+    # a mask over every pressure point; 1.5 would raise a bare IndexError
+    specs = {"sources": [SourceSpec(index, f0=20.0)]} if where == "source" else \
+        {"receivers": [ReceiverSpec(index)]}
+    with pytest.raises(sw.DomainError, match="must be an integer"):
+        run(uniform_standing_system(12), TimeGrid(1e-3, 5), **specs)
+
+
+@pytest.mark.parametrize("where", ["source", "receiver"])
+def test_run_accepts_a_numpy_integer_index(where):
+    system = uniform_standing_system(12)
+
+    def shot(at):
+        src, rec = (at, 3) if where == "source" else (3, at)
+        return run(system, TimeGrid(1e-3, 5), sources=[SourceSpec(src, f0=20.0)],
+                   receivers=[ReceiverSpec(rec)])
+
+    plain, numpy_int = shot(3), shot(np.int64(3))
+    np.testing.assert_array_equal(numpy_int.seismograms, plain.seismograms)
+    np.testing.assert_array_equal(numpy_int.final_state.p, plain.final_state.p)
+
+
 def test_find_cfl_periodic_1d():
     n = 32
     system = SemiDiscreteSystem([BlockOperators([sw.build_periodic_1d(n, 1.0 / n)])])

@@ -1,18 +1,21 @@
 import dataclasses
+import itertools
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from stagwave import transfer
 from stagwave.assembly import assemble_interface_system
 from stagwave.errors import (DomainError, InfeasibleStencilError,
                              UnsupportedRatioError)
+from stagwave.exact import solve_min_norm
 from stagwave.grids import build_block_2d
-from stagwave.transfer import (ElementalStencilPair, certify_pair,
-                               derive_elemental_pair, pair_exactness_degree,
-                               tabulated_elemental_pair, tile_periodic,
-                               transfer_pair_for)
+from stagwave.transfer import (ElementalStencilPair, _first_feasible, _screen_level,
+                               certify_pair, derive_elemental_pair,
+                               pair_exactness_degree, tabulated_elemental_pair,
+                               tile_periodic, transfer_pair_for)
 
 F = Fraction
 
@@ -119,6 +122,134 @@ def test_derived_rows_of_untabulated_ratios_are_pinned(m, n):
     expected = _PINNED_DERIVED_ROWS[(m, n)]
     assert [sorted(row) for row in rows] == [sorted(row) for row in expected]
     assert rows == expected
+
+
+def _screen_guessing(guess):
+    """A stand-in for the modular screen that guesses `guess` = (w_nc, w_c),
+    or nothing if None: it answers on the level whose non-coincident rows
+    are w_nc wide, with the index of w_c among 1, 3, 5, ..."""
+    def screen(m, n, supports):
+        if guess is None or len(supports[1]) != guess[0]:
+            return None
+        return (guess[1] - 1) // 2
+    return screen
+
+
+@pytest.mark.parametrize("m,n", sorted(_PINNED_DERIVED_ROWS))
+@pytest.mark.parametrize("guess", ["none", "first candidate", "one too low", "right",
+                                   "one too high", "next level", "last candidate"])
+def test_search_returns_the_pinned_rows_whatever_the_screen_guesses(monkeypatch, m, n, guess):
+    # the first feasible candidate has w_nc = 4 and w_c = the width of the
+    # pinned coincident row; a wrong guess may cost solves, not the answer
+    w_c = len(_PINNED_DERIVED_ROWS[(m, n)][0])
+    at = {"none": None, "first candidate": (4, 1), "one too low": (4, w_c - 2),
+          "right": (4, w_c), "one too high": (4, w_c + 2), "next level": (6, w_c),
+          "last candidate": (16, 2 * m + 1)}[guess]
+    monkeypatch.setattr("stagwave.transfer._screen_level", _screen_guessing(at))
+    assert derive_elemental_pair(F(m, n)).coarse_to_fine == _PINNED_DERIVED_ROWS[(m, n)]
+
+
+def test_the_screen_guesses_the_first_feasible_width_of_each_level():
+    # against exact solves of every candidate on the first two levels
+    for m, n in [(2, 1), (3, 2), (5, 3), (7, 4), (7, 6), (8, 7)]:
+        for w_nc in (4, 6):
+            def supports(w_c):
+                return [transfer._support(r * n, m, w_c if r == 0 else w_nc)
+                        for r in range(m)]
+            exact = next((i for i, w_c in enumerate(range(1, 2 * m + 3, 2))
+                          if solve_min_norm(*transfer._constraints(m, n, supports(w_c)))
+                          is not None), None)
+            assert _screen_level(m, n, supports(2 * m + 1)) == exact
+
+
+def test_derivation_of_7_to_6_makes_at_most_two_exact_solves(monkeypatch):
+    solved = []
+    original = transfer.solve_min_norm
+    monkeypatch.setattr("stagwave.transfer.solve_min_norm",
+                        lambda a, b: solved.append(len(a[0])) or original(a, b))
+    assert derive_elemental_pair(F(7, 6)).coarse_to_fine == _PINNED_DERIVED_ROWS[(7, 6)]
+    assert len(solved) <= 2
+
+
+def _brute_first(feasible, n_levels, n_widths):
+    return next(((l, w) for l in range(n_levels) for w in range(n_widths)
+                 if feasible(l, w)), None)
+
+
+def test_first_feasible_search_agrees_with_a_scan_for_every_guess():
+    # every monotone pattern on up to 3 levels x 4 widths: level l is feasible
+    # from width thresholds[l] on, thresholds non-increasing (4 = never)
+    for n_levels in (1, 2, 3):
+        for n_widths in (1, 2, 3, 4):
+            for thresholds in itertools.product(range(n_widths + 1), repeat=n_levels):
+                if list(thresholds) != sorted(thresholds, reverse=True):
+                    continue
+
+                def feasible(l, w, thresholds=thresholds):
+                    return w >= thresholds[l]
+
+                want = _brute_first(feasible, n_levels, n_widths)
+                guesses = [None] + list(itertools.product(range(n_levels), range(n_widths)))
+                for guess in guesses:
+                    calls = []
+
+                    def solve(l, w):
+                        calls.append((l, w))
+                        return (l, w) if feasible(l, w) else None
+
+                    found = _first_feasible(n_levels, n_widths, solve, guess)
+                    assert (found and found[:2]) == want, (thresholds, guess)
+                    assert found is None or found[2] == want
+                    assert len(calls) == len(set(calls))
+                    if guess == want and want is not None and want[0] == 0:
+                        assert len(calls) <= 2
+
+
+def test_infeasible_when_search_space_empty():
+    with pytest.raises(InfeasibleStencilError):
+        derive_elemental_pair(F(3, 2), max_width=2)
+
+
+def test_infeasible_when_search_space_empty_for_an_untabulated_ratio(monkeypatch):
+    # no candidate at all: neither the screen nor an exact solve may run
+    for name in ("_screen_level", "solve_min_norm"):
+        monkeypatch.setattr(f"stagwave.transfer.{name}",
+                            lambda *args, name=name: pytest.fail(f"{name} called"))
+    with pytest.raises(InfeasibleStencilError):
+        derive_elemental_pair(F(7, 6), max_width=2)
+
+
+def _dense_adjoint_residual(pair) -> Fraction:
+    c2f, f2c = pair.exact_matrices()
+    return np.abs(F(pair.elemental.n, pair.elemental.m) * c2f.T - f2c).max()
+
+
+_CERTIFIED = ([F(m, n) for m, n in ((1, 1), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5))]
+              + [F(m, n) for m, n in sorted(_PINNED_DERIVED_ROWS)])
+
+
+@pytest.mark.parametrize("ratio", _CERTIFIED, ids=str)
+@pytest.mark.parametrize("elements", [1, 4])
+def test_sparse_certificate_equals_the_dense_residual(ratio, elements):
+    try:
+        elem = tabulated_elemental_pair(ratio)
+    except UnsupportedRatioError:
+        elem = derive_elemental_pair(ratio)
+    pair = tile_periodic(elem, elements * elem.n, elements * elem.m)
+    cert = certify_pair(pair)
+    assert cert.adjoint_residual == float(_dense_adjoint_residual(pair)) == 0.0
+    assert cert.adjoint_exact and cert.ok
+
+    # one fine->coarse weight off by 1/1000: the certificate must see it,
+    # because it checks the rows as given, and report the dense residual
+    f2c = [dict(row) for row in elem.fine_to_coarse]
+    k = min(f2c[0])
+    f2c[0][k] += F(1, 1000)
+    broken = tile_periodic(ElementalStencilPair(elem.ratio, elem.coarse_to_fine, tuple(f2c)),
+                           elements * elem.n, elements * elem.m)
+    cert = certify_pair(broken)
+    assert not cert.adjoint_exact and not cert.ok
+    assert cert.adjoint_residual == float(_dense_adjoint_residual(broken)) > 0.0
 
 
 def test_exactness_degrees_match_accuracy_claims():
@@ -242,11 +373,6 @@ def test_unsupported_ratio_raises():
         tabulated_elemental_pair(F(7, 2))
     with pytest.raises(DomainError):
         derive_elemental_pair(F(1, 2))
-
-
-def test_infeasible_when_search_space_empty():
-    with pytest.raises(InfeasibleStencilError):
-        derive_elemental_pair(F(3, 2), max_width=2)
 
 
 def test_transfer_pair_for_prefers_tables_and_falls_back():
