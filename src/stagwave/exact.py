@@ -8,8 +8,9 @@ every division is exact; they convert to ``Fraction`` only once per unknown,
 at the end. A minimum-norm solve eliminates once: back substitution in the
 echelon rows gives a particular solution and a null-space basis, and the
 minimizer is the particular solution less its projection onto the null
-space, which takes one more solve of only nullity x nullity (or of rank x
-rank through the row space, when that is smaller).
+space, which takes one more solve of only nullity x nullity. One
+elimination also tells which leading column blocks of a system are
+consistent, since eliminating a column never touches the earlier ones.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ def exactness_degree(weights, coords, target, derivative: bool = False) -> int:
     return deg
 
 
-def _eliminate(mat: list[list[int]], order: list[int]) -> list[int]:
+def _eliminate(mat: list[list[int]], stop=None) -> list[int]:
     """Fraction-free (Bareiss) forward elimination of an integer matrix, in
-    place, with row swaps mirrored in `order`; returns the pivot columns.
+    place; returns the pivot columns. After each column c, `stop(c + 1,
+    rank)`, if given, may end the elimination early.
 
     Every entry stays a minor of the input, so each division by the previous
     pivot is exact (Bareiss 1968, Sylvester's identity); each updated row is
@@ -99,23 +101,24 @@ def _eliminate(mat: list[list[int]], order: list[int]) -> list[int]:
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
         pivot = next((i for i in range(r, n_rows) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        for seq in (mat, order, at):
-            seq[r], seq[pivot] = seq[pivot], seq[r]
-        top = mat[r]
-        if at[r] != prev:
-            top[c:] = _exact_combination(top[c:], prev, 0, [], at[r])
-        p = top[c]
-        tail = top[c + 1:]
-        for i in range(r + 1, n_rows):
-            row = mat[i]
-            if row[c]:
-                row[c + 1:] = _exact_combination(row[c + 1:], p, row[c], tail, at[i])
-                row[c] = 0
-                at[i] = p
-        pivots.append(c)
-        prev = p
+        if pivot is not None:
+            for seq in (mat, at):
+                seq[r], seq[pivot] = seq[pivot], seq[r]
+            top = mat[r]
+            if at[r] != prev:
+                top[c:] = _exact_combination(top[c:], prev, 0, [], at[r])
+            p = top[c]
+            tail = top[c + 1:]
+            for i in range(r + 1, n_rows):
+                row = mat[i]
+                if row[c]:
+                    row[c + 1:] = _exact_combination(row[c + 1:], p, row[c], tail, at[i])
+                    row[c] = 0
+                    at[i] = p
+            pivots.append(c)
+            prev = p
+        if stop is not None and stop(c + 1, len(pivots)):
+            break
     return pivots
 
 
@@ -159,47 +162,65 @@ def _gram_solve(vecs: list[list[int]], rhs: list[int]) -> tuple[list[int], int]:
     integer vectors V, by one more fraction-free elimination."""
     k = len(vecs)
     gram = [[_dot(u, v) for v in vecs] + [r] for u, r in zip(vecs, rhs)]
-    pivots = _eliminate(gram, list(range(k)))
+    pivots = _eliminate(gram)
     return _back_substitute(gram, pivots, [row[k] for row in gram], k)
+
+
+def _integer_rows(a: list[list[Fraction]], b: list[Fraction]) -> list[list[int]]:
+    """The augmented rows [A | b], each scaled to integers."""
+    aug = []
+    for row, rhs in zip(a, b):
+        vals = [*row, rhs]
+        scale = math.lcm(*(v.denominator for v in vals))
+        aug.append([v.numerator * (scale // v.denominator) for v in vals])
+    return aug
+
+
+def first_consistent_prefix(a: list[list[Fraction]], b: list[Fraction],
+                            sizes: list[int]) -> int | None:
+    """Index of the first size k in `sizes` (increasing) for which the
+    leading k columns of A alone solve A x = b, or None if none does.
+
+    One elimination answers every size: after its first k columns, the
+    rows below the pivots are zero in those columns, so the leading block
+    is consistent exactly when their right sides are all zero too. It stops
+    at the first consistent block.
+    """
+    if not a:
+        return 0 if sizes else None
+    aug = _integer_rows(a, b)
+    found = []
+
+    def stop(done: int, rank: int) -> bool:
+        if done in sizes and not any(row[-1] for row in aug[rank:]):
+            found.append(sizes.index(done))
+        return bool(found) or done >= sizes[-1]
+
+    if sizes and not stop(0, 0):
+        _eliminate(aug, stop)
+    return found[0] if found else None
 
 
 def solve_min_norm(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
     """Minimum-2-norm exact solution of A x = b, or None if inconsistent.
 
     A and b hold rationals (Fraction or int). Each augmented row is scaled to
-    integers, and one fraction-free elimination finds the rank r and rejects
-    an inconsistent system. The minimizer is the solution in the row space
-    of A, found through the smaller of two Gram systems:
-
-    - nullity d <= r (the derived 7:6, 8:7 and 11:10 pairs have d = 1):
-      back substitution in the echelon rows gives a particular solution y
-      (free unknowns zero) and a null-space basis N, both as integer vectors,
-      and x = y - N (N^T N)^-1 N^T y needs only the d x d solve;
-    - d > r: x = B^T (B B^T)^-1 c on r independent original rows B, right
-      side c, which needs only the r x r solve.
-
+    integers, and one fraction-free elimination finds the rank and rejects
+    an inconsistent system. Back substitution in the echelon rows then gives
+    a particular solution y (free unknowns zero) and a null-space basis N,
+    both as integer vectors, and the minimizer, the solution in the row
+    space of A, is x = y - N (N^T N)^-1 N^T y: one more solve, of only
+    nullity x nullity (the derived 7:6, 8:7 and 11:10 pairs have nullity 1).
     One Fraction is made per unknown, at the end.
     """
     if not a:
         return []
     n_cols = len(a[0])
-    aug = []
-    for row, rhs in zip(a, b):
-        vals = [*row, rhs]
-        scale = math.lcm(*(v.denominator for v in vals))
-        aug.append([v.numerator * (scale // v.denominator) for v in vals])
-    original = [list(row) for row in aug]
-    order = list(range(len(aug)))
-    pivots = _eliminate(aug, order)
+    aug = _integer_rows(a, b)
+    pivots = _eliminate(aug)
     if pivots and pivots[-1] == n_cols:
         return None
-    rank = len(pivots)
-    if n_cols - rank > rank:
-        rows = [original[i] for i in order[:rank]]
-        z, det_g = _gram_solve([row[:n_cols] for row in rows], [row[n_cols] for row in rows])
-        return [Fraction(sum(zi * row[j] for zi, row in zip(z, rows)), det_g)
-                for j in range(n_cols)]
-    upper = aug[:rank]
+    upper = aug[:len(pivots)]
     y, det = _back_substitute(upper, pivots, [row[n_cols] for row in upper], n_cols)
     is_pivot = set(pivots)
     basis = []

@@ -105,8 +105,10 @@ def step_backward(system, state: SimState, dt: float):
 
 def _check_index(index, n_p: int) -> None:
     """Refuse a source or receiver index that is not an integer in [0, n_p).
-    A bool is refused too: numpy would read True as a mask over every point."""
-    if isinstance(index, bool) or not hasattr(index, "__index__"):
+    A bool is refused too: numpy would read True as a mask over every point.
+    The bool types are named, since not every numpy version leaves
+    `__index__` off `np.bool_`."""
+    if isinstance(index, (bool, np.bool_)) or not hasattr(index, "__index__"):
         raise DomainError(f"a source/receiver index must be an integer, got {index!r}")
     if not 0 <= operator.index(index) < n_p:
         raise DomainError(f"a source/receiver index is outside the {n_p} pressure points")

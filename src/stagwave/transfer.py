@@ -20,10 +20,9 @@ four-point stencils away from coincident points and a symmetric stencil of
 width 2n+1 on them). `derive_elemental_pair` reproduces every tabulated pair
 and extends the family to arbitrary coprime ratios by solving the exactness
 constraints with a minimal-support search and an exact minimum-norm tiebreak.
-The candidate supports are nested, so feasibility is monotone along the
-search and the first feasible candidate is proved first by exact solves at
-it and just before it; a rank screen modulo a prime only guesses where that
-boundary lies (7:6 takes two exact solves, not seven).
+Every coincident width of one non-coincident width is tried by a single
+exact elimination, since the narrower windows' unknowns are leading columns
+of the widest, so 7:6 takes two exact eliminations, not seven solves.
 
 A tiled pair (`TransferPair`) applies each direction from the elemental
 stencils: a gather of each interval's input window and one small matrix
@@ -42,7 +41,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError, InfeasibleStencilError, UnsupportedRatioError
-from .exact import exactness_degree, solve_min_norm, to_fraction
+from .exact import exactness_degree, first_consistent_prefix, solve_min_norm, to_fraction
 
 F = Fraction
 
@@ -232,92 +231,23 @@ def _solve_supports(m: int, n: int, supports) -> tuple[dict[int, Fraction], ...]
     return tuple({k: w for k, w in zip(supports[r], it) if w != 0} for r in range(m))
 
 
-# a prime below 2^31: products of two residues stay exact in int64
-_SCREEN_PRIME = 2_147_483_647
+def _first_feasible_width(m: int, n: int, supports) -> int | None:
+    """Index w of the narrowest feasible coincident window, 2w + 1 coarse
+    points centred like the coincident row of `supports` (the widest
+    candidate of one level), with the other rows as given; None if none is.
 
-
-def _screen_level(m: int, n: int, supports) -> int | None:
-    """Guess the narrowest feasible coincident width on one level: the index
-    w of the first window of 2w + 1 coarse points, centred like the
-    coincident row of `supports` (the level's widest candidate), at which
-    the constraint system is consistent modulo a prime; None if none is.
-
-    One elimination serves the whole level: the unknowns of the other rows
-    come first and the coincident row's follow from the centre outwards, so
-    each candidate's unknowns are a leading block, and a candidate is
-    consistent when the eliminated right side vanishes below the pivots of
-    its block. A rank modulo a prime falls below the rational rank when the
-    prime divides the minors, so the answer is only a guess: it chooses
-    where the exact search starts.
+    One exact elimination answers every width of the level: the unknowns of
+    the other rows come first and the coincident row's follow from the
+    centre outwards, so each narrower candidate's unknowns are a leading
+    block of columns (`first_consistent_prefix`).
     """
-    p = _SCREEN_PRIME
-    rows, rhs = _constraints(m, n, supports)
+    a, b = _constraints(m, n, supports)
     n_c = len(supports[0])                       # row 0's unknowns come first
     h = n_c // 2
-    centre_out = [h, *(h + s * d for d in range(1, h + 1) for s in (-1, 1))]
-    order = [*range(n_c, len(rows[0])), *centre_out]
-    mat = np.array([[row[j] for j in order] + [b] for row, b in zip(rows, rhs)],
-                   dtype=np.int64) % p
-    n_fixed = len(order) - n_c
-    r = 0
-    for c in range(len(order)):
-        nz = np.flatnonzero(mat[r:, c])
-        if nz.size:
-            mat[[r, r + nz[0]]] = mat[[r + nz[0], r]]
-            mat[r] = mat[r] * pow(int(mat[r, c]), -1, p) % p
-            below = r + 1 + np.flatnonzero(mat[r + 1:, c])
-            mat[below] = (mat[below] - np.outer(mat[below, c], mat[r])) % p
-            r += 1
-        done = c + 1 - n_fixed                   # coincident unknowns eliminated
-        if done > 0 and done % 2 and not mat[r:, -1].any():
-            return done // 2
-    return None
-
-
-def _first_feasible(n_levels: int, n_widths: int, solve, guess):
-    """First (level, width) in lexicographic order at which `solve` returns
-    something other than None, with that result; None if there is none.
-
-    Feasibility must be monotone: a candidate's supports contain those of
-    every candidate at an earlier or equal level and an equal or smaller
-    width, so a solution of the smaller system, padded with zeros, solves the
-    larger one. Then (l, w) is first exactly when it is feasible, (l, w - 1)
-    is not (if w > 0), and the widest candidate of level l - 1, which contains
-    every candidate of the earlier levels, is not (if l > 0). The search
-    establishes those facts by calls of `solve` alone, each candidate solved
-    at most once, starting from `guess` (any candidate, or None): with a
-    right guess on the first level that takes two calls, and a wrong guess
-    costs calls, never the answer.
-    """
-    known: dict[tuple[int, int], object] = {}
-
-    def feasible(level: int, width: int) -> bool:
-        if (level, width) not in known:
-            known[level, width] = solve(level, width)
-        return known[level, width] is not None
-
-    widest = n_widths - 1
-    if guess is not None and feasible(*guess):
-        level, hi = guess
-    else:
-        # an infeasible widest candidate rules out its level and all earlier ones
-        level = guess[0] if guess is not None else 0
-        while level < n_levels and not feasible(level, widest):
-            level += 1
-        if level == n_levels:
-            return None
-        hi = widest
-    while level > 0 and feasible(level - 1, widest):
-        level, hi = level - 1, widest
-    lo = max((w for (l, w), x in known.items() if l == level and x is None), default=-1)
-    probe = hi - 1          # the guess's predecessor first, then bisection
-    while hi - lo > 1:
-        if feasible(level, probe):
-            hi = probe
-        else:
-            lo = probe
-        probe = (lo + hi) // 2
-    return level, hi, known[level, hi]
+    order = [*range(n_c, len(a[0])), h, *(h + s * d for d in range(1, h + 1) for s in (-1, 1))]
+    n_fixed = len(a[0]) - n_c
+    return first_consistent_prefix([[row[j] for j in order] for row in a], b,
+                                   [n_fixed + 2 * w + 1 for w in range(h + 1)])
 
 
 def derive_elemental_pair(ratio, support: int | None = None,
@@ -332,13 +262,10 @@ def derive_elemental_pair(ratio, support: int | None = None,
     feasible candidate in (w_nc, w_c) order, where the minimum-norm solution
     is unique and inherits the reflection symmetry of the grid configuration.
 
-    The supports are nested: the coincident window is centred and the other
-    windows grow on both sides, so feasibility is monotone in both widths and
-    the first feasible candidate is proved first by exact solves at it and at
-    its predecessors (`_first_feasible`). A screen modulo a prime
-    (`_screen_level`, one elimination per w_nc) only guesses where to look:
-    the returned pair depends on exact solves alone, and a wrong guess costs
-    extra exact solves, not a different pair.
+    The coincident window is centred, so each narrower one is part of the
+    widest: one exact elimination per w_nc finds its narrowest feasible
+    w_c (`_first_feasible_width`), and one minimum-norm solve on that
+    candidate gives the pair. No floating point enters the search.
 
     Args:
         ratio: coarse:fine spacing ratio, m > n >= 1 coprime (1:1 allowed).
@@ -362,20 +289,15 @@ def derive_elemental_pair(ratio, support: int | None = None,
         return [_support(r * n, m, coincident[width] if (r * n) % m == 0 else widths[level])
                 for r in range(m)]
 
-    guess = None
     for level in range(len(widths)):
-        width = _screen_level(m, n, supports(level, len(coincident) - 1))
+        width = _first_feasible_width(m, n, supports(level, len(coincident) - 1))
         if width is not None:
-            guess = (level, width)
-            break
-    found = _first_feasible(len(widths), len(coincident),
-                            lambda l, w: _solve_supports(m, n, supports(l, w)), guess)
-    if found is None:
-        raise InfeasibleStencilError(
-            f"no degree-2 exact, norm-compatible pair for ratio {m}:{n} "
-            f"within support widths {widths}"
-        )
-    return ElementalStencilPair.from_coarse_rows(F(m, n), found[2])
+            return ElementalStencilPair.from_coarse_rows(
+                F(m, n), _solve_supports(m, n, supports(level, width)))
+    raise InfeasibleStencilError(
+        f"no degree-2 exact, norm-compatible pair for ratio {m}:{n} "
+        f"within support widths {widths}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from stagwave.exact import solve_min_norm
+from stagwave.exact import first_consistent_prefix, solve_min_norm
 
 F = Fraction
 
@@ -128,8 +128,38 @@ def test_min_norm_matches_the_row_space_formula_at_every_nullity():
                 else min(n_cols - actual_rank, 4) if n_cols - actual_rank <= actual_rank
                 else "nullity above rank")
         seen[kind] = seen.get(kind, 0) + 1
-    # every branch of the solver is exercised: full column rank (nullity 0),
-    # the null-space Gram system at nullity 1, 2 and 3, the row-space Gram
-    # system when the nullity exceeds the rank, and inconsistent systems
+    # full column rank (no Gram solve), the null-space Gram system at
+    # nullity 1, 2 and 3 and at a nullity above the rank, and inconsistent
+    # systems are each drawn
     for kind in (0, 1, 2, 3, "nullity above rank", "inconsistent"):
         assert seen.get(kind, 0) >= 10, seen
+
+
+def test_first_consistent_prefix_matches_a_solve_of_each_leading_block():
+    rng = random.Random(20261020)
+
+    def rat():
+        return F(0) if rng.random() < 0.4 else F(rng.randint(-9, 9), rng.randint(1, 8))
+
+    seen = set()
+    for _ in range(300):
+        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 7)
+        a = [[rat() for _ in range(n_cols)] for _ in range(n_rows)]
+        if rng.random() < 0.5:
+            # b is a combination of a few leading columns, so some prefix solves it
+            k = rng.randint(1, n_cols)
+            b = [sum((rat() * v for v in row[:k]), F(0)) for row in a]
+        else:
+            b = [rat() for _ in range(n_rows)]
+        sizes = sorted(rng.sample(range(n_cols + 1), rng.randint(1, n_cols + 1)))
+        want = next((i for i, k in enumerate(sizes)
+                     if (solve_min_norm([row[:k] for row in a], b) is not None
+                         if k else not any(b))), None)
+        assert first_consistent_prefix(a, b, sizes) == want
+        seen.add(want if want is None else min(want, 2))
+    assert seen == {None, 0, 1, 2}
+
+
+def test_first_consistent_prefix_of_no_sizes_or_no_rows():
+    assert first_consistent_prefix([[F(1)]], [F(1)], []) is None
+    assert first_consistent_prefix([], [], [0, 2]) == 0

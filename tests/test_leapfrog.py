@@ -150,7 +150,7 @@ def test_run_rejects_an_index_outside_the_pressure_vector(where, index):
 
 
 @pytest.mark.parametrize("where", ["source", "receiver"])
-@pytest.mark.parametrize("index", [True, 1.5], ids=["True", "1.5"])
+@pytest.mark.parametrize("index", [True, np.True_, 1.5], ids=["True", "np.True_", "1.5"])
 def test_run_rejects_an_index_that_is_not_an_integer(where, index):
     # True would pass a range check as the int 1, and numpy would read it as
     # a mask over every pressure point; 1.5 would raise a bare IndexError

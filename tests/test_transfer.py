@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +11,7 @@ from stagwave.errors import (DomainError, InfeasibleStencilError,
                              UnsupportedRatioError)
 from stagwave.exact import solve_min_norm
 from stagwave.grids import build_block_2d
-from stagwave.transfer import (ElementalStencilPair, _first_feasible, _screen_level,
+from stagwave.transfer import (ElementalStencilPair, _first_feasible_width,
                                certify_pair, derive_elemental_pair,
                                pair_exactness_degree, tabulated_elemental_pair,
                                tile_periodic, transfer_pair_for)
@@ -124,32 +123,27 @@ def test_derived_rows_of_untabulated_ratios_are_pinned(m, n):
     assert rows == expected
 
 
-def _screen_guessing(guess):
-    """A stand-in for the modular screen that guesses `guess` = (w_nc, w_c),
-    or nothing if None: it answers on the level whose non-coincident rows
-    are w_nc wide, with the index of w_c among 1, 3, 5, ..."""
-    def screen(m, n, supports):
-        if guess is None or len(supports[1]) != guess[0]:
-            return None
-        return (guess[1] - 1) // 2
-    return screen
+def _scan_first_feasible(m, n, w_ncs):
+    """The pair's coarse->fine rows by an exact solve of every candidate in
+    (w_nc, w_c) order, up to the first feasible one: the search's oracle."""
+    for w_nc in w_ncs:
+        for w_c in range(1, 2 * m + 2, 2):
+            rows = transfer._solve_supports(
+                m, n, [transfer._support(r * n, m, w_c if r == 0 else w_nc) for r in range(m)])
+            if rows is not None:
+                return rows
+    return None
 
 
-@pytest.mark.parametrize("m,n", sorted(_PINNED_DERIVED_ROWS))
-@pytest.mark.parametrize("guess", ["none", "first candidate", "one too low", "right",
-                                   "one too high", "next level", "last candidate"])
-def test_search_returns_the_pinned_rows_whatever_the_screen_guesses(monkeypatch, m, n, guess):
-    # the first feasible candidate has w_nc = 4 and w_c = the width of the
-    # pinned coincident row; a wrong guess may cost solves, not the answer
-    w_c = len(_PINNED_DERIVED_ROWS[(m, n)][0])
-    at = {"none": None, "first candidate": (4, 1), "one too low": (4, w_c - 2),
-          "right": (4, w_c), "one too high": (4, w_c + 2), "next level": (6, w_c),
-          "last candidate": (16, 2 * m + 1)}[guess]
-    monkeypatch.setattr("stagwave.transfer._screen_level", _screen_guessing(at))
-    assert derive_elemental_pair(F(m, n)).coarse_to_fine == _PINNED_DERIVED_ROWS[(m, n)]
+@pytest.mark.parametrize("m,n", [(3, 1), (5, 2), (5, 3), (7, 4), (7, 6), (8, 7), (9, 7)])
+def test_search_returns_the_first_feasible_candidate_of_a_scan(m, n):
+    assert derive_elemental_pair(F(m, n)).coarse_to_fine == \
+        _scan_first_feasible(m, n, range(4, 17, 2))
+    assert derive_elemental_pair(F(m, n), support=6).coarse_to_fine == \
+        _scan_first_feasible(m, n, [6])
 
 
-def test_the_screen_guesses_the_first_feasible_width_of_each_level():
+def test_the_level_scan_finds_the_first_feasible_width_of_each_level():
     # against exact solves of every candidate on the first two levels
     for m, n in [(2, 1), (3, 2), (5, 3), (7, 4), (7, 6), (8, 7)]:
         for w_nc in (4, 6):
@@ -159,50 +153,31 @@ def test_the_screen_guesses_the_first_feasible_width_of_each_level():
             exact = next((i for i, w_c in enumerate(range(1, 2 * m + 3, 2))
                           if solve_min_norm(*transfer._constraints(m, n, supports(w_c)))
                           is not None), None)
-            assert _screen_level(m, n, supports(2 * m + 1)) == exact
+            assert _first_feasible_width(m, n, supports(2 * m + 1)) == exact
+
+
+def test_a_level_without_a_feasible_width_is_skipped(monkeypatch):
+    # pretend the four-point level has no feasible coincident width: the
+    # search must go on to the six-point one
+    scan = transfer._first_feasible_width
+    monkeypatch.setattr("stagwave.transfer._first_feasible_width",
+                        lambda m, n, supports: None if len(supports[1]) == 4
+                        else scan(m, n, supports))
+    assert derive_elemental_pair(F(7, 6)).coarse_to_fine == \
+        derive_elemental_pair(F(7, 6), support=6).coarse_to_fine != \
+        _PINNED_DERIVED_ROWS[(7, 6)]
 
 
 def test_derivation_of_7_to_6_makes_at_most_two_exact_solves(monkeypatch):
-    solved = []
-    original = transfer.solve_min_norm
-    monkeypatch.setattr("stagwave.transfer.solve_min_norm",
-                        lambda a, b: solved.append(len(a[0])) or original(a, b))
+    # one elimination scans the four-point level, one solve gives the weights
+    calls = []
+    for name in ("solve_min_norm", "first_consistent_prefix"):
+        original = getattr(transfer, name)
+        monkeypatch.setattr(f"stagwave.transfer.{name}",
+                            lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
     assert derive_elemental_pair(F(7, 6)).coarse_to_fine == _PINNED_DERIVED_ROWS[(7, 6)]
-    assert len(solved) <= 2
-
-
-def _brute_first(feasible, n_levels, n_widths):
-    return next(((l, w) for l in range(n_levels) for w in range(n_widths)
-                 if feasible(l, w)), None)
-
-
-def test_first_feasible_search_agrees_with_a_scan_for_every_guess():
-    # every monotone pattern on up to 3 levels x 4 widths: level l is feasible
-    # from width thresholds[l] on, thresholds non-increasing (4 = never)
-    for n_levels in (1, 2, 3):
-        for n_widths in (1, 2, 3, 4):
-            for thresholds in itertools.product(range(n_widths + 1), repeat=n_levels):
-                if list(thresholds) != sorted(thresholds, reverse=True):
-                    continue
-
-                def feasible(l, w, thresholds=thresholds):
-                    return w >= thresholds[l]
-
-                want = _brute_first(feasible, n_levels, n_widths)
-                guesses = [None] + list(itertools.product(range(n_levels), range(n_widths)))
-                for guess in guesses:
-                    calls = []
-
-                    def solve(l, w):
-                        calls.append((l, w))
-                        return (l, w) if feasible(l, w) else None
-
-                    found = _first_feasible(n_levels, n_widths, solve, guess)
-                    assert (found and found[:2]) == want, (thresholds, guess)
-                    assert found is None or found[2] == want
-                    assert len(calls) == len(set(calls))
-                    if guess == want and want is not None and want[0] == 0:
-                        assert len(calls) <= 2
+    assert sorted(calls) == ["first_consistent_prefix", "solve_min_norm"]
 
 
 def test_infeasible_when_search_space_empty():
@@ -211,8 +186,8 @@ def test_infeasible_when_search_space_empty():
 
 
 def test_infeasible_when_search_space_empty_for_an_untabulated_ratio(monkeypatch):
-    # no candidate at all: neither the screen nor an exact solve may run
-    for name in ("_screen_level", "solve_min_norm"):
+    # no candidate at all: no exact elimination may run
+    for name in ("first_consistent_prefix", "solve_min_norm"):
         monkeypatch.setattr(f"stagwave.transfer.{name}",
                             lambda *args, name=name: pytest.fail(f"{name} called"))
     with pytest.raises(InfeasibleStencilError):
