@@ -10,7 +10,8 @@ echelon rows gives a particular solution and a null-space basis, and the
 minimizer is the particular solution less its projection onto the null
 space, which takes one more solve of only nullity x nullity. One
 elimination also tells which leading column blocks of a system are
-consistent, since eliminating a column never touches the earlier ones.
+consistent, since its first k column steps do not depend on the later
+columns.
 """
 
 from __future__ import annotations
