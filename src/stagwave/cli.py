@@ -27,14 +27,12 @@ from . import __version__
 from .assembly import (BlockOperators, SemiDiscreteSystem, assemble_1d_boundary_system,
                        assemble_1d_interface_system, assemble_single_block_system)
 from .config import build_run, parse_config
-from .errors import (ConfigError, StagwaveError, UnsupportedRatioError,
-                     VerificationFailure)
+from .errors import ConfigError, StagwaveError, VerificationFailure
 from .exact import fraction_str
 from .grids import build_block_2d
 from .leapfrog import find_cfl, run as run_sim
 from .sbp1d import PROJECTION, build_periodic_1d, build_sbp_1d, verify_sbp_structure
-from .transfer import (certify_pair, derive_elemental_pair,
-                       tabulated_elemental_pair, tile_periodic)
+from .transfer import certify_pair, derive_elemental_pair, tile_periodic, transfer_pair_for
 from .verification import (convergence_study, energy_rate_oracle,
                            long_time_stability_run, ratio_system,
                            two_grid_agreement, uniform_standing_system,
@@ -171,15 +169,14 @@ def cmd_operators(args) -> int:
         q = ops.dx * ops.dense_d_v() + (ops.dx * ops.dense_d_p()).T
         out.write(f"# wraparound_residual,{_fmt(float(np.abs(q).max()))}\n")
     elif args.kind == "transfer":
+        k = args.elements
+        n_coarse, n_fine = args.ratio.denominator * k, args.ratio.numerator * k
         if args.support is not None:
             elem = derive_elemental_pair(args.ratio, support=args.support)
+            pair = tile_periodic(elem, n_coarse, n_fine)
         else:
-            try:
-                elem = tabulated_elemental_pair(args.ratio)
-            except UnsupportedRatioError:
-                elem = derive_elemental_pair(args.ratio)
-        k = args.elements
-        pair = tile_periodic(elem, elem.n * k, elem.m * k)
+            pair = transfer_pair_for(args.ratio, n_coarse, n_fine)
+        elem = pair.elemental
         cert = certify_pair(pair)
         for r, row in enumerate(elem.coarse_to_fine):
             _dump_matrix(out, f"coarse_to_fine row {r}",

@@ -8,10 +8,10 @@ every division is exact; they convert to ``Fraction`` only once per unknown,
 at the end. A minimum-norm solve eliminates once: back substitution in the
 echelon rows gives a particular solution and a null-space basis, and the
 minimizer is the particular solution less its projection onto the null
-space, which takes one more solve of only nullity x nullity. One
-elimination also tells which leading column blocks of a system are
-consistent, since its first k column steps do not depend on the later
-columns.
+space, which takes one more solve of only nullity x nullity. Since the
+first k column steps of an elimination do not depend on the later columns,
+the same single elimination can also find the first consistent block of
+leading columns among nested candidates and solve it.
 """
 
 from __future__ import annotations
@@ -88,34 +88,21 @@ def _eliminate(mat: list[list[int]], stop=None) -> list[int]:
     pivot is exact (Bareiss 1968, Sylvester's identity); each updated row is
     checked anyway, and an inexact division raises ArithmeticError. The last
     pivot is the determinant of the pivot rows on the pivot columns.
-
-    A step whose pivot column is zero in a row would only rescale that row
-    by p / prev. Such steps are skipped: the rescalings telescope, so a row
-    last updated at pivot q is brought up to date by dividing its next update
-    by q instead of prev (or, when it becomes the pivot row, by multiplying
-    it by prev / q). The pivot rows come out exactly as in plain Bareiss.
     """
     n_rows = len(mat)
     pivots: list[int] = []
     prev = 1
-    at = [1] * n_rows                 # the pivot each row was last updated at
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
         pivot = next((i for i in range(r, n_rows) if mat[i][c]), None)
         if pivot is not None:
-            for seq in (mat, at):
-                seq[r], seq[pivot] = seq[pivot], seq[r]
-            top = mat[r]
-            if at[r] != prev:
-                top[c:] = _exact_combination(top[c:], prev, 0, [], at[r])
-            p = top[c]
-            tail = top[c + 1:]
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            p = mat[r][c]
+            tail = mat[r][c + 1:]
             for i in range(r + 1, n_rows):
                 row = mat[i]
-                if row[c]:
-                    row[c + 1:] = _exact_combination(row[c + 1:], p, row[c], tail, at[i])
-                    row[c] = 0
-                    at[i] = p
+                row[c + 1:] = _exact_combination(row[c + 1:], p, row[c], tail, prev)
+                row[c] = 0
             pivots.append(c)
             prev = p
         if stop is not None and stop(c + 1, len(pivots)):
@@ -127,10 +114,7 @@ def _exact_combination(rest: list[int], p: int, f: int, tail: list[int], d: int)
     """(p * rest - f * tail) / d, raising ArithmeticError unless every
     division is exact. The floor-division remainders all take the sign of
     d, so they are all zero exactly when the sums agree."""
-    if f:
-        new = [(p * x - f * y) // d for x, y in zip(rest, tail)]
-    else:
-        new = [p * x // d for x in rest]
+    new = [(p * x - f * y) // d for x, y in zip(rest, tail)]
     if p * sum(rest) - f * sum(tail) != d * sum(new):
         raise ArithmeticError(f"inexact integer division by {d}")
     return new
@@ -177,52 +161,45 @@ def _integer_rows(a: list[list[Fraction]], b: list[Fraction]) -> list[list[int]]
     return aug
 
 
-def first_consistent_prefix(a: list[list[Fraction]], b: list[Fraction],
-                            sizes: list[int]) -> int | None:
-    """Index of the first size k in `sizes` (increasing) for which the
-    leading k columns of A alone solve A x = b, or None if none does.
+def solve_min_norm(a: list[list[Fraction]], b: list[Fraction],
+                   sizes: list[int] | None = None) -> list[Fraction] | None:
+    """Minimum-2-norm exact solution of A x = b, or None if inconsistent.
 
-    One elimination answers every size: after its first k columns, the
-    rows below the pivots are zero in those columns, so the leading block
-    is consistent exactly when their right sides are all zero too. It stops
-    at the first consistent block.
+    With `sizes` (increasing), the unknowns are the leading k columns of A
+    alone, for the first k in `sizes` whose block is consistent: k values
+    come back, or None if no block is (size 0, the empty block, is
+    consistent exactly when b = 0).
+
+    Each augmented row is scaled to integers, and one fraction-free
+    elimination runs up to the first consistent block: after its first k
+    columns, the rows below the pivots are zero in those columns, so the
+    block is consistent exactly when their right sides are zero too. Back
+    substitution in the echelon rows gives a particular solution y (free
+    unknowns zero) and a null-space basis N, as integer vectors; the
+    minimizer, the solution in the row space, is x = y - N (N^T N)^-1 N^T y,
+    one more solve of only nullity x nullity (the derived 7:6, 8:7 and
+    11:10 pairs have nullity 1). One Fraction is made per unknown, at the end.
     """
+    if sizes is None:
+        sizes = [len(a[0]) if a else 0]
+    if not sizes:
+        return None
     if not a:
-        return 0 if sizes else None
+        return [Fraction(0)] * sizes[0]       # no equation: every block solves them
     aug = _integer_rows(a, b)
-    found = []
+    found: list[int] = []
 
     def stop(done: int, rank: int) -> bool:
         if done in sizes and not any(row[-1] for row in aug[rank:]):
-            found.append(sizes.index(done))
+            found.append(done)
         return bool(found) or done >= sizes[-1]
 
-    if sizes and not stop(0, 0):
-        _eliminate(aug, stop)
-    return found[0] if found else None
-
-
-def solve_min_norm(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Minimum-2-norm exact solution of A x = b, or None if inconsistent.
-
-    A and b hold rationals (Fraction or int). Each augmented row is scaled to
-    integers, and one fraction-free elimination finds the rank and rejects
-    an inconsistent system. Back substitution in the echelon rows then gives
-    a particular solution y (free unknowns zero) and a null-space basis N,
-    both as integer vectors, and the minimizer, the solution in the row
-    space of A, is x = y - N (N^T N)^-1 N^T y: one more solve, of only
-    nullity x nullity (the derived 7:6, 8:7 and 11:10 pairs have nullity 1).
-    One Fraction is made per unknown, at the end.
-    """
-    if not a:
-        return []
-    n_cols = len(a[0])
-    aug = _integer_rows(a, b)
-    pivots = _eliminate(aug)
-    if pivots and pivots[-1] == n_cols:
+    pivots = [] if stop(0, 0) else _eliminate(aug, stop)
+    if not found:
         return None
+    n_cols = found[0]
     upper = aug[:len(pivots)]
-    y, det = _back_substitute(upper, pivots, [row[n_cols] for row in upper], n_cols)
+    y, det = _back_substitute(upper, pivots, [row[-1] for row in upper], n_cols)
     is_pivot = set(pivots)
     basis = []
     for f in (c for c in range(n_cols) if c not in is_pivot):

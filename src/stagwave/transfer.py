@@ -20,9 +20,10 @@ four-point stencils away from coincident points and a symmetric stencil of
 width 2n+1 on them). `derive_elemental_pair` reproduces every tabulated pair
 and extends the family to arbitrary coprime ratios by solving the exactness
 constraints with a minimal-support search and an exact minimum-norm tiebreak.
-Every coincident width of one non-coincident width is tried by a single
-exact elimination, since the narrower windows' unknowns are leading columns
-of the widest, so 7:6 takes two exact eliminations, not seven solves.
+The narrower coincident windows' unknowns are leading columns of the
+widest, so one exact solve per non-coincident width finds its narrowest
+feasible coincident window and the weights on it: 7:6 takes one exact
+elimination, not seven solves.
 
 A tiled pair (`TransferPair`) applies each direction from the elemental
 stencils: a gather of each interval's input window and one small matrix
@@ -41,7 +42,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainError, InfeasibleStencilError, UnsupportedRatioError
-from .exact import exactness_degree, first_consistent_prefix, solve_min_norm, to_fraction
+from .exact import exactness_degree, solve_min_norm, to_fraction
 
 F = Fraction
 
@@ -191,14 +192,19 @@ def _support(pos: int, m: int, width: int) -> list[int]:
     return list(range(left - k + 1, left + width - k + 1))
 
 
-def _constraints(m: int, n: int, supports) -> tuple[list[list[int]], list[int]]:
-    """Integer constraint rows and right sides on the given supports, one
-    unknown per (row r, coarse index k) in row-major order.
+def _constraints(m: int, n: int, supports) -> tuple[list[list[int]], list[int],
+                                                  list[tuple[int, int]]]:
+    """Integer constraint rows and right sides on the given supports, and the
+    (row r, coarse index k) of each unknown.
 
-    The fine->coarse rows, whose adjoint weights carry a factor n/m, are
+    The unknowns of the non-coincident rows come first and those of the
+    coincident row 0 follow from the centre of its window outwards, so each
+    narrower centred window of row 0 is a leading block of columns. The
+    fine->coarse rows, whose adjoint weights carry a factor n/m, are
     multiplied through by m.
     """
-    cols = [(r, k) for r in range(m) for k in supports[r]]
+    cols = [(r, k) for r in range(1, m) for k in supports[r]]
+    cols += [(0, k) for k in sorted(supports[0], key=abs)]
     idx = {ck: i for i, ck in enumerate(cols)}
     rows: list[list[int]] = []
     rhs: list[int] = []
@@ -219,39 +225,31 @@ def _constraints(m: int, n: int, supports) -> tuple[list[list[int]], list[int]]:
                         row[idx[(r, k)]] += n * ((e * m + r) * n) ** t
             rows.append(row)
             rhs.append(m * (s * m) ** t)
-    return rows, rhs
+    return rows, rhs, cols
 
 
-def _solve_supports(m: int, n: int, supports) -> tuple[dict[int, Fraction], ...] | None:
-    """Minimum-norm coarse->fine weights on the given supports, or None."""
-    x = solve_min_norm(*_constraints(m, n, supports))
+def _solve_level(m: int, n: int, supports) -> tuple[dict[int, Fraction], ...] | None:
+    """Minimum-norm coarse->fine weights on the narrowest feasible centred
+    window of row 0 within its support in `supports` (one level's widest
+    candidate), the other rows as given; None if no window is feasible. One
+    exact solve tries every window, since each narrower window's unknowns
+    are a leading block of columns (`_constraints`)."""
+    a, b, cols = _constraints(m, n, supports)
+    n_fixed = len(cols) - len(supports[0])
+    x = solve_min_norm(a, b, list(range(n_fixed + 1, len(cols) + 1, 2)))
     if x is None:
         return None
-    it = iter(x)
-    return tuple({k: w for k, w in zip(supports[r], it) if w != 0} for r in range(m))
+    rows: list[dict[int, Fraction]] = [{} for _ in range(m)]
+    for (r, k), w in sorted(zip(cols, x)):
+        if w != 0:
+            rows[r][k] = w
+    return tuple(rows)
 
 
-def _first_feasible_width(m: int, n: int, supports) -> int | None:
-    """Index w of the narrowest feasible coincident window, 2w + 1 coarse
-    points centred like the coincident row of `supports` (the widest
-    candidate of one level), with the other rows as given; None if none is.
-
-    One exact elimination answers every width of the level: the unknowns of
-    the other rows come first and the coincident row's follow from the
-    centre outwards, so each narrower candidate's unknowns are a leading
-    block of columns (`first_consistent_prefix`).
-    """
-    a, b = _constraints(m, n, supports)
-    n_c = len(supports[0])                       # row 0's unknowns come first
-    h = n_c // 2
-    order = [*range(n_c, len(a[0])), h, *(h + s * d for d in range(1, h + 1) for s in (-1, 1))]
-    n_fixed = len(a[0]) - n_c
-    return first_consistent_prefix([[row[j] for j in order] for row in a], b,
-                                   [n_fixed + 2 * w + 1 for w in range(h + 1)])
+MAX_WIDTH = 16      # widest non-coincident stencil the automatic search tries
 
 
-def derive_elemental_pair(ratio, support: int | None = None,
-                          max_width: int = 16) -> ElementalStencilPair:
+def derive_elemental_pair(ratio, support: int | None = None) -> ElementalStencilPair:
     """Construct a stencil pair for an arbitrary coprime ratio m:n.
 
     Solves, in exact rationals, the degree-<=2 exactness constraints for every
@@ -262,16 +260,13 @@ def derive_elemental_pair(ratio, support: int | None = None,
     feasible candidate in (w_nc, w_c) order, where the minimum-norm solution
     is unique and inherits the reflection symmetry of the grid configuration.
 
-    The coincident window is centred, so each narrower one is part of the
-    widest: one exact elimination per w_nc finds its narrowest feasible
-    w_c (`_first_feasible_width`), and one minimum-norm solve on that
-    candidate gives the pair. No floating point enters the search.
+    One exact solve per w_nc (`_solve_level`) finds its narrowest feasible
+    w_c and the minimum-norm weights on it; no floating point enters.
 
     Args:
         ratio: coarse:fine spacing ratio, m > n >= 1 coprime (1:1 allowed).
         support: optional fixed width of the non-coincident rows (even, >= 4);
-            None searches 4, 6, ... up to max_width.
-        max_width: search bound for the automatic mode.
+            None searches 4, 6, ... up to MAX_WIDTH.
 
     Raises:
         InfeasibleStencilError: constraints unsatisfiable within the widths.
@@ -281,19 +276,13 @@ def derive_elemental_pair(ratio, support: int | None = None,
         raise DomainError(f"support width must be even and >= 4, got {support}")
     if m == 1:
         return tabulated_elemental_pair(F(1, 1))
-    widths = ([support] if support is not None
-              else list(range(4, max_width + 1, 2)))
-    coincident = list(range(1, 2 * m + 3, 2))
-
-    def supports(level: int, width: int) -> list[list[int]]:
-        return [_support(r * n, m, coincident[width] if (r * n) % m == 0 else widths[level])
-                for r in range(m)]
-
-    for level in range(len(widths)):
-        width = _first_feasible_width(m, n, supports(level, len(coincident) - 1))
-        if width is not None:
-            return ElementalStencilPair.from_coarse_rows(
-                F(m, n), _solve_supports(m, n, supports(level, width)))
+    widths = [support] if support is not None else list(range(4, MAX_WIDTH + 1, 2))
+    for width in widths:
+        # only row 0 sits on a coincident point, since m and n are coprime
+        rows = _solve_level(m, n, [_support(r * n, m, 2 * m + 1 if r == 0 else width)
+                                   for r in range(m)])
+        if rows is not None:
+            return ElementalStencilPair.from_coarse_rows(F(m, n), rows)
     raise InfeasibleStencilError(
         f"no degree-2 exact, norm-compatible pair for ratio {m}:{n} "
         f"within support widths {widths}"

@@ -16,7 +16,7 @@ from stagwave.config import build_run, parse_config, validate_config
 from stagwave.errors import ConfigError, DomainError, FormatError
 from stagwave.grids import StaggeredBlock2D
 from stagwave.media import Medium, TwoLayerMedium
-from stagwave.transfer import derive_elemental_pair
+from stagwave.transfer import ElementalStencilPair, derive_elemental_pair
 
 
 @pytest.fixture
@@ -377,6 +377,19 @@ def test_operators_transfer_derived_ratio(capsys):
     assert main(["operators", "transfer", "--ratio", "7:6"]) == 0
     out = capsys.readouterr().out
     assert "adjoint_exact,True" in out
+
+
+def test_operators_transfer_refuses_a_derived_pair_failing_its_certificate(monkeypatch,
+                                                                          capsys):
+    good = derive_elemental_pair(F(5, 2))
+    rows = [dict(r) for r in good.coarse_to_fine]
+    rows[0][min(rows[0])] += F(1, 2)          # row sum 3/2
+    broken = ElementalStencilPair(F(5, 2), tuple(rows), good.fine_to_coarse)
+    monkeypatch.setattr("stagwave.transfer.derive_elemental_pair", lambda ratio: broken)
+    assert main(["operators", "transfer", "--ratio", "5:2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "fails its certificate" in captured.err
 
 
 def test_operators_transfer_bad_support_exits_3_even_for_a_tabulated_ratio(capsys):

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from stagwave.exact import first_consistent_prefix, solve_min_norm
+import pytest
+
+from stagwave.exact import _exact_combination, solve_min_norm
 
 F = Fraction
 
@@ -135,7 +137,7 @@ def test_min_norm_matches_the_row_space_formula_at_every_nullity():
         assert seen.get(kind, 0) >= 10, seen
 
 
-def test_first_consistent_prefix_matches_a_solve_of_each_leading_block():
+def test_sized_solve_matches_the_oracle_on_the_first_consistent_leading_block():
     rng = random.Random(20261020)
 
     def rat():
@@ -146,20 +148,34 @@ def test_first_consistent_prefix_matches_a_solve_of_each_leading_block():
         n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 7)
         a = [[rat() for _ in range(n_cols)] for _ in range(n_rows)]
         if rng.random() < 0.5:
-            # b is a combination of a few leading columns, so some prefix solves it
+            # b is a combination of a few leading columns, so some block solves it
             k = rng.randint(1, n_cols)
             b = [sum((rat() * v for v in row[:k]), F(0)) for row in a]
         else:
             b = [rat() for _ in range(n_rows)]
         sizes = sorted(rng.sample(range(n_cols + 1), rng.randint(1, n_cols + 1)))
-        want = next((i for i, k in enumerate(sizes)
-                     if (solve_min_norm([row[:k] for row in a], b) is not None
-                         if k else not any(b))), None)
-        assert first_consistent_prefix(a, b, sizes) == want
-        seen.add(want if want is None else min(want, 2))
+        blocks = ((i, _oracle_min_norm([row[:k] for row in a], b)) for i, k in enumerate(sizes))
+        index, want = next(((i, x) for i, x in blocks if x is not None), (None, None))
+        assert solve_min_norm(a, b, sizes) == want
+        # without sizes, the whole system is solved as before
+        assert solve_min_norm(a, b) == solve_min_norm(a, b, [n_cols]) == _oracle_min_norm(a, b)
+        seen.add(index if index is None else min(index, 2))
     assert seen == {None, 0, 1, 2}
 
 
-def test_first_consistent_prefix_of_no_sizes_or_no_rows():
-    assert first_consistent_prefix([[F(1)]], [F(1)], []) is None
-    assert first_consistent_prefix([], [], [0, 2]) == 0
+def test_sized_solve_of_size_zero_no_consistent_size_or_no_rows():
+    # size 0 is the empty block, consistent exactly when b = 0
+    assert solve_min_norm([[F(1), F(2)]], [F(0)], [0, 2]) == []
+    assert solve_min_norm([[F(1), F(2)]], [F(5)], [0, 2]) == [F(1), F(2)]
+    # no consistent size: the leading column is zero, or no size is given
+    assert solve_min_norm([[F(0), F(1)]], [F(1)], [0, 1]) is None
+    assert solve_min_norm([[F(1)]], [F(1)], []) is None
+    # no equation: the first size is solved by zeros
+    assert solve_min_norm([], [], [0, 2]) == []
+    assert solve_min_norm([], [], [2]) == [F(0), F(0)]
+
+
+def test_an_inexact_division_raises():
+    assert _exact_combination([4, 6], 1, 1, [2, 2], 2) == [1, 2]
+    with pytest.raises(ArithmeticError):
+        _exact_combination([4, 5], 1, 1, [2, 2], 2)

@@ -11,8 +11,7 @@ from stagwave.errors import (DomainError, InfeasibleStencilError,
                              UnsupportedRatioError)
 from stagwave.exact import solve_min_norm
 from stagwave.grids import build_block_2d
-from stagwave.transfer import (ElementalStencilPair, _first_feasible_width,
-                               certify_pair, derive_elemental_pair,
+from stagwave.transfer import (ElementalStencilPair, certify_pair, derive_elemental_pair,
                                pair_exactness_degree, tabulated_elemental_pair,
                                tile_periodic, transfer_pair_for)
 
@@ -123,13 +122,30 @@ def test_derived_rows_of_untabulated_ratios_are_pinned(m, n):
     assert rows == expected
 
 
+def _candidate(m, n, w_c, w_nc):
+    return [transfer._support(r * n, m, w_c if r == 0 else w_nc) for r in range(m)]
+
+
+def _full_solve(m, n, supports):
+    """Minimum-norm coarse->fine rows on exactly the given supports, by one
+    exact solve of every unknown, or None if infeasible."""
+    a, b, cols = transfer._constraints(m, n, supports)
+    x = solve_min_norm(a, b)
+    if x is None:
+        return None
+    rows = [{} for _ in range(m)]
+    for (r, k), w in zip(cols, x):
+        if w != 0:
+            rows[r][k] = w
+    return tuple(rows)
+
+
 def _scan_first_feasible(m, n, w_ncs):
     """The pair's coarse->fine rows by an exact solve of every candidate in
     (w_nc, w_c) order, up to the first feasible one: the search's oracle."""
     for w_nc in w_ncs:
         for w_c in range(1, 2 * m + 2, 2):
-            rows = transfer._solve_supports(
-                m, n, [transfer._support(r * n, m, w_c if r == 0 else w_nc) for r in range(m)])
+            rows = _full_solve(m, n, _candidate(m, n, w_c, w_nc))
             if rows is not None:
                 return rows
     return None
@@ -144,54 +160,63 @@ def test_search_returns_the_first_feasible_candidate_of_a_scan(m, n):
 
 
 def test_the_level_scan_finds_the_first_feasible_width_of_each_level():
-    # against exact solves of every candidate on the first two levels
+    # against full exact solves of each coincident window, on the first two
+    # levels of six ratios
     for m, n in [(2, 1), (3, 2), (5, 3), (7, 4), (7, 6), (8, 7)]:
         for w_nc in (4, 6):
-            def supports(w_c):
-                return [transfer._support(r * n, m, w_c if r == 0 else w_nc)
-                        for r in range(m)]
-            exact = next((i for i, w_c in enumerate(range(1, 2 * m + 3, 2))
-                          if solve_min_norm(*transfer._constraints(m, n, supports(w_c)))
-                          is not None), None)
-            assert _first_feasible_width(m, n, supports(2 * m + 1)) == exact
+            windows = (_full_solve(m, n, _candidate(m, n, w_c, w_nc))
+                       for w_c in range(1, 2 * m + 2, 2))
+            exact = next((rows for rows in windows if rows is not None), None)
+            assert transfer._solve_level(m, n, _candidate(m, n, 2 * m + 1, w_nc)) == exact
 
 
 def test_a_level_without_a_feasible_width_is_skipped(monkeypatch):
     # pretend the four-point level has no feasible coincident width: the
     # search must go on to the six-point one
-    scan = transfer._first_feasible_width
-    monkeypatch.setattr("stagwave.transfer._first_feasible_width",
+    level = transfer._solve_level
+    monkeypatch.setattr("stagwave.transfer._solve_level",
                         lambda m, n, supports: None if len(supports[1]) == 4
-                        else scan(m, n, supports))
+                        else level(m, n, supports))
     assert derive_elemental_pair(F(7, 6)).coarse_to_fine == \
         derive_elemental_pair(F(7, 6), support=6).coarse_to_fine != \
         _PINNED_DERIVED_ROWS[(7, 6)]
 
 
-def test_derivation_of_7_to_6_makes_at_most_two_exact_solves(monkeypatch):
-    # one elimination scans the four-point level, one solve gives the weights
+def test_derivation_makes_one_exact_solve_per_level(monkeypatch):
+    six_point = derive_elemental_pair(F(7, 6), support=6).coarse_to_fine
+    original = transfer.solve_min_norm
     calls = []
-    for name in ("solve_min_norm", "first_consistent_prefix"):
-        original = getattr(transfer, name)
-        monkeypatch.setattr(f"stagwave.transfer.{name}",
-                            lambda *args, name=name, original=original:
-                            calls.append(name) or original(*args))
+    infeasible = 0
+
+    def counted(a, b, sizes=None):
+        calls.append(len(a[0]))
+        # the first `infeasible` levels are made to report no feasible window
+        return None if len(calls) <= infeasible else original(a, b, sizes)
+
+    monkeypatch.setattr("stagwave.transfer.solve_min_norm", counted)
+    # each solve takes a level's widest candidate: six rows of w points and
+    # row 0's window of 2 * 7 + 1 points
     assert derive_elemental_pair(F(7, 6)).coarse_to_fine == _PINNED_DERIVED_ROWS[(7, 6)]
-    assert sorted(calls) == ["first_consistent_prefix", "solve_min_norm"]
+    assert calls == [6 * 4 + 15]
+    calls.clear()
+    infeasible = 1
+    assert derive_elemental_pair(F(7, 6)).coarse_to_fine == six_point
+    assert calls == [6 * 4 + 15, 6 * 6 + 15]
 
 
-def test_infeasible_when_search_space_empty():
+def test_infeasible_when_search_space_empty(monkeypatch):
+    monkeypatch.setattr("stagwave.transfer.MAX_WIDTH", 2)
     with pytest.raises(InfeasibleStencilError):
-        derive_elemental_pair(F(3, 2), max_width=2)
+        derive_elemental_pair(F(3, 2))
 
 
 def test_infeasible_when_search_space_empty_for_an_untabulated_ratio(monkeypatch):
-    # no candidate at all: no exact elimination may run
-    for name in ("first_consistent_prefix", "solve_min_norm"):
-        monkeypatch.setattr(f"stagwave.transfer.{name}",
-                            lambda *args, name=name: pytest.fail(f"{name} called"))
+    # no candidate at all: no exact solve may run
+    monkeypatch.setattr("stagwave.transfer.MAX_WIDTH", 2)
+    monkeypatch.setattr("stagwave.transfer.solve_min_norm",
+                        lambda *args: pytest.fail("solve_min_norm called"))
     with pytest.raises(InfeasibleStencilError):
-        derive_elemental_pair(F(7, 6), max_width=2)
+        derive_elemental_pair(F(7, 6))
 
 
 def _dense_adjoint_residual(pair) -> Fraction:
