@@ -23,8 +23,9 @@ Every operator of both families applies through one in-place kernel
 kernel runs the interior stencil on contiguous rows; the rows it does not
 cover are data, a few small dense products: the two boundary closures of a
 bounded operator, or the rows of a periodic one that wrap around the seam.
-On an axis of at most 90 primary points (the crossover measured at 70-90) every
-row is data: one BLAS product with the kernel's matrix replaces the stencil.
+On an axis of at most 76 primary points (the crossover measured at 73-79 on a
+bounded axis 1 of 120 rows) every row is data: one BLAS product with the
+kernel's matrix replaces the stencil.
 
 Closure coefficients are stored as exact rationals. They are the unique
 solution of the accuracy + structure constraint system once the boundary
@@ -87,7 +88,7 @@ def _as_float(rows) -> NDArray[np.float64]:
 
 
 #: the longest axis, in primary points, whose operators apply as one matrix
-DENSE_MAX_POINTS = 90
+DENSE_MAX_POINTS = 76
 _ST = np.array([float(c) for c in INTERIOR_STENCIL])
 #: the periodic rows that wrap: three stencil rows over six consecutive points
 _WRAP = np.array([[*_ST, 0, 0], [0, *_ST, 0], [0, 0, *_ST]])

@@ -1,12 +1,14 @@
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import stagwave as sw
+from stagwave.config import build_run, validate_config
 from stagwave.leapfrog import (ReceiverSpec, SimState, SourceSpec, TimeGrid,
-                               find_cfl, ricker, run, step_backward,
-                               step_forward)
+                               _flush, _flush_unit, find_cfl, ricker, run,
+                               step_backward, step_forward)
 from stagwave.assembly import (BlockOperators, SemiDiscreteSystem,
                                assemble_1d_boundary_system)
 from stagwave.verification import (_standing_state, build_scenario, state_error,
@@ -134,6 +136,118 @@ def test_energy_allocates_no_field_sized_arrays(rng):
     # the squares go into the system's rate vectors, not into temporaries
     _assert_no_field_sized_arrays(
         rng, lambda system, state, source: system.energy(state.p, state.v))
+
+
+def test_flush_allocates_no_field_sized_arrays(rng):
+    # the scale is two reductions per vector, the rounding two in-place passes
+    _assert_no_field_sized_arrays(
+        rng, lambda system, state, source: _flush(state, _flush_unit([source], state)))
+
+
+TINY = np.finfo(float).tiny
+
+
+def _subnormals(state):
+    return sum(int(np.count_nonzero((x != 0) & (np.abs(x) < TINY))) for x in (state.p, state.v))
+
+
+def _survey_slice():
+    """configs/smooth_gradient_6to5.yaml refined 4x with dt scaled alike, as
+    the benchmark's survey_6to5 is, but 120 fine columns wide: a Ricker shot
+    10 rows above the interface of a medium at rest."""
+    y_if = Fraction("0.768")
+    raw = {"layout": {"x_left": 0.0, "width": 0.24, "y_bottom": 0.0,
+                      "top": {"columns": 120, "dx": 0.002, "height": 0.192},
+                      "bottom": {"columns": 100, "dx": 0.0024, "height": float(y_if)}},
+           "medium": {"kind": "vertical_linear", "y_bottom": 0.0, "y_top": 0.96,
+                      "rho_bottom": 1.0, "rho_top": 0.5, "c_bottom": 2.0, "c_top": 1.0},
+           "time": {"dt": 0.0003, "n_steps": 96},
+           "sources": [{"x": 0.06, "y": float(y_if + Fraction("0.02")),
+                        "f0": 25.0, "t0": 0.04}],
+           "receivers": [{"x": float(Fraction("0.002") * k), "y": float(y_if + Fraction("0.06"))}
+                         for k in (10, 30, 60)]}
+    spec = validate_config(raw)
+    built = build_run(spec)
+    return built.system, spec.time_grid, built.sources, built.receivers
+
+
+def _unrounded_run(system, time_grid, sources, receivers):
+    """run()'s traces and half-level energies from a bare step_forward loop."""
+    state = SimState(*system.zero_state())
+    at = [r.index for r in receivers]
+    traces, energy = [state.p[at]], []
+    for _ in range(time_grid.n_steps):
+        p_old = state.p.copy()
+        step_forward(system, state, time_grid.dt, sources)
+        energy.append(system.energy(0.5 * (p_old + state.p), state.v))
+        traces.append(state.p[at])
+    return state, np.array(traces).T, np.array(energy)
+
+
+def test_run_keeps_subnormals_out_of_a_wave_entering_a_medium_at_rest():
+    # 96 steps end on the 12th rounding; ahead of the front the bare loop has
+    # decayed into subnormals by then (2,613 of them), the run holds none,
+    # and the rounding is invisible in the outputs
+    system, grid, sources, receivers = _survey_slice()
+    assert grid.n_steps % 8 == 0 and grid.n_steps > 8
+    bare, traces, energy = _unrounded_run(system, grid, sources, receivers)
+    assert _subnormals(bare) > 0
+    result = run(system, grid, sources, receivers, record_energy=True)
+    assert _subnormals(result.final_state) == 0
+    assert np.abs(result.seismograms - traces).max() <= 1e-13 * np.abs(traces).max()
+    assert np.abs(result.energy - energy).max() <= 1e-13 * np.abs(energy).max()
+
+
+def test_flush_unit_follows_the_run_scale():
+    state = SimState(np.array([0.0, -3.0, 1.0]), np.array([2.5, 0.0]))
+    assert _flush_unit([], state) == 2.0 ** -599
+    assert _flush_unit([SourceSpec(0, f0=1.0, amplitude=-5.0)], state) == 2.0 ** -598
+    assert _flush_unit([SourceSpec(0, f0=1.0, amplitude=-5.0)], None) == 2.0 ** -598
+    zero = SimState(np.zeros(3), np.zeros(2))
+    assert _flush_unit([], zero) == _flush_unit([], None) == 0.0
+    assert _flush_unit([SourceSpec(0, f0=1.0, amplitude=2.0 ** -900)], zero) == 0.0
+    for bad in (np.nan, np.inf, -np.inf):
+        assert _flush_unit([], SimState(np.array([1.0, bad]), np.zeros(2))) == 0.0
+        assert _flush_unit([SourceSpec(0, f0=1.0, amplitude=bad)], None) == 0.0
+
+
+def test_flush_bound():
+    # below u a value becomes a multiple of 2^-53 u, which no subnormal is;
+    # above it, one rounding of |x| + u moves it by at most 2u (reached by
+    # ties at an odd multiple of ulp(x) = 2u), and from 2^54 u on not at all
+    rng = np.random.default_rng(7)
+    u = 2.0 ** -600
+    x = rng.choice([-1.0, 1.0], 20000) * 2.0 ** rng.uniform(-1074, 0, 20000)
+    ties = u * (2.0 ** 53 + 2.0 * np.arange(1, 40, 2))
+    x = np.concatenate([ties, -ties, x, [0.0, TINY, -TINY / 3]])
+    state = SimState(x.copy(), np.zeros(1))
+    _flush(state, u)
+    shift = np.abs(state.p - x)
+    small, large = np.abs(x) < u, np.abs(x) >= 2.0 ** 54 * u
+    assert np.all(shift[:2 * ties.size] == 2 * u)
+    assert np.all(shift <= 2 * u)
+    assert np.all(shift[small] <= 2.0 ** -53 * u)
+    assert np.all(np.fmod(state.p[small], 2.0 ** -53 * u) == 0)
+    assert np.all(state.p[large] == x[large])
+    assert _subnormals(state) == 0
+
+
+def test_rounding_is_relative_to_the_run_scale():
+    # at amplitude 2^-900 every value lies far below 2^-600: a fixed rounding
+    # unit would zero the run, the scaled one leaves it linear
+    base = _source_run(1.0).seismograms
+    tiny = _source_run(2.0 ** -900).seismograms
+    assert np.abs(tiny).max() > 0
+    assert np.abs(tiny - 2.0 ** -900 * base).max() <= 1e-12 * 2.0 ** -900 * np.abs(base).max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_from_a_non_finite_state_raises(bad):
+    system = uniform_standing_system(12)
+    state = SimState(*system.zero_state())
+    state.p[5] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(sw.DomainError, match="non-finite"):
+        run(system, TimeGrid(1e-3, 20), state=state)
 
 
 @pytest.mark.parametrize("where", ["source", "receiver"])

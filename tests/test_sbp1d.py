@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from stagwave.errors import DomainError
-from stagwave.sbp1d import (PROJECTION, build_periodic_1d, build_sbp_1d,
-                            structure_report, verify_sbp_structure)
+from stagwave.sbp1d import (DENSE_MAX_POINTS, PROJECTION, build_periodic_1d,
+                            build_sbp_1d, structure_report, verify_sbp_structure)
 
 F = Fraction
 
@@ -102,14 +102,20 @@ def test_apply_along_second_axis():
 
 
 # the minimum sizes too: at 9 points the two closure windows overlap, at 4
-# the wrap product covers three of the four rows; axes of at most 90 points
-# apply as one matrix, longer ones through the stencil
+# the wrap product covers three of the four rows; axes of at most
+# DENSE_MAX_POINTS points apply as one matrix, longer ones through the stencil
 KERNEL_OPERATORS = [build_sbp_1d(13, 0.37), build_periodic_1d(11, 0.37),
                     build_sbp_1d(9, 0.37), build_periodic_1d(4, 0.37),
                     build_sbp_1d(90, 0.37), build_sbp_1d(91, 0.37),
-                    build_periodic_1d(90, 0.37), build_periodic_1d(91, 0.37)]
+                    build_periodic_1d(90, 0.37), build_periodic_1d(91, 0.37),
+                    build_sbp_1d(DENSE_MAX_POINTS, 0.37),
+                    build_sbp_1d(DENSE_MAX_POINTS + 1, 0.37),
+                    build_periodic_1d(DENSE_MAX_POINTS, 0.37),
+                    build_periodic_1d(DENSE_MAX_POINTS + 1, 0.37)]
 KERNEL_IDS = ["bounded", "periodic", "bounded-9", "periodic-4",
-              "bounded-90", "bounded-91", "periodic-90", "periodic-91"]
+              "bounded-90", "bounded-91", "periodic-90", "periodic-91",
+              "bounded-at-limit", "bounded-past-limit", "periodic-at-limit",
+              "periodic-past-limit"]
 
 
 @pytest.mark.parametrize("ops", KERNEL_OPERATORS, ids=KERNEL_IDS)
