@@ -13,22 +13,26 @@ during the pressure update, matching the half-level sampling of the scheme.
 The discrete energy is recorded at half levels with the pressure averaged
 over the two adjacent integer levels, in one vector reused every step.
 
-A step updates the state in place: each rate vector the system returns is
-scaled by dt and added to its state vector, so stepping allocates no
-field-sized arrays.
+A step updates the state in place: the system returns each rate vector
+already scaled by dt, and it is added to its state vector, so stepping
+allocates no field-sized arrays.
 
 Ahead of a wavefront moving into a medium at rest, each step reaches a few
 points further and the values there decay until they underflow into
 subnormal numbers, on which multiplies, divisions and dot products run about
 twice as slow. So `run` (and only `run`) rounds both state vectors every 8
-steps, in place, with `x += u; x -= u`. Here u = 2^-600 s, where s is the
+steps, in place, with `x += u; x -= u`. Here u = 2^-200 s, where s is the
 power of two at or below the run's scale: the largest of |source amplitude|
 and |initial p or v entry|. A value below u in magnitude moves by at most
-2^-653 s to a multiple of 2^-653 s, so (for any scale above 2^-369) every
+2^-253 s to a multiple of 2^-253 s, so (for any scale above 2^-769) every
 subnormal becomes 0. A larger value moves by one rounding of |x| + u at
-most: by no more than 2u = 2^-599 s (about 6e-181 of the scale), and not at
-all from 2^54 u on. That is far below the scheme's own roundoff. A zero or
-non-finite scale gives u = 0 and no rounding.
+most: by no more than 2u = 2^-199 s (about 1e-60 of the scale), and not at
+all from 2^54 u on. That is far below the scheme's own roundoff. The unit is
+this large so that the squares the energy forms stay normal too: on the
+benchmark's 4x-refined 6:5 survey, the smallest nonzero value between
+roundings stayed above 2^-463 of the scale, far from 2^-511, the square root
+of the smallest normal number. A zero or non-finite scale gives u = 0 and no
+rounding.
 """
 
 from __future__ import annotations
@@ -94,25 +98,17 @@ class SimState:
 def step_forward(system, state: SimState, dt: float, sources=()):
     """Advance one step: pressure to t+dt, then velocities to t+3dt/2."""
     t_half = state.t_p + 0.5 * dt
-    dp = system.pressure_rates(state.v)
-    dp *= dt
-    state.p += dp
+    state.p += system.pressure_rates(state.v, dt)
     for s in sources:
         state.p[s.index] += dt * s.value(t_half)
-    dv = system.velocity_rates(state.p)
-    dv *= dt
-    state.v += dv
+    state.v += system.velocity_rates(state.p, dt)
     state.t_p += dt
 
 
 def step_backward(system, state: SimState, dt: float):
     """Exact inverse of a source-free forward step."""
-    dv = system.velocity_rates(state.p)
-    dv *= dt
-    state.v -= dv
-    dp = system.pressure_rates(state.v)
-    dp *= dt
-    state.p -= dp
+    state.v -= system.velocity_rates(state.p, dt)
+    state.p -= system.pressure_rates(state.v, dt)
     state.t_p -= dt
 
 
@@ -130,11 +126,11 @@ def _check_index(index, n_p: int) -> None:
 #: run() rounds its state every _FLUSH_INTERVAL steps at u = 2^_FLUSH_EXPONENT
 #: times the power of two at or below the run's scale
 _FLUSH_INTERVAL = 8
-_FLUSH_EXPONENT = -600
+_FLUSH_EXPONENT = -200
 
 
 def _flush_unit(sources, state: SimState | None) -> float:
-    """u = 2^-600 s, s the power of two at or below the run's scale (the
+    """u = 2^-200 s, s the power of two at or below the run's scale (the
     largest |source amplitude| and |entry of the initial state|, where None
     stands for a zero state); 0 when the scale is 0 or not finite. A state
     costs two reductions per vector and no field-sized temporary."""
@@ -170,17 +166,18 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     """Integrate the system, recording receiver traces and optionally energy.
 
     Args:
-        system: SemiDiscreteSystem (its rate buffers are scaled in place).
+        system: SemiDiscreteSystem (its rate buffers are overwritten).
         time_grid: step length and count.
         sources: SourceSpec sequence (pressure injections).
         receivers: ReceiverSpec sequence; traces include the initial sample.
         state: optional initial state; zeros otherwise.
 
-    Every 8 steps the state is rounded at u = 2^-600 times the run's scale
+    Every 8 steps the state is rounded at u = 2^-200 times the run's scale
     (the largest |source amplitude| and |initial p or v entry|, rounded down
-    to a power of two), so no subnormal builds up ahead of the wavefront. No
-    value moves by more than 2^-599 of the scale; `step_forward` does not
-    round.
+    to a power of two), so no subnormal builds up ahead of the wavefront and
+    no square the energy forms underflows. No value moves by more than
+    2^-199 of the scale; for a scale below 2^-769 some subnormals survive.
+    `step_forward` does not round.
 
     Returns:
         RunResult with traces at integer levels and energy at half levels.

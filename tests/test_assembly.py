@@ -268,6 +268,23 @@ def test_matrix_free_equals_dense_on_every_system_kind(rng, kind, hetero):
     _assert_matrix_free_equals_dense(system, rng)
 
 
+@pytest.mark.parametrize("hetero", [False, True], ids=["unit", "hetero"])
+@pytest.mark.parametrize("kind", list(_SYSTEM_KINDS))
+def test_scaled_rates_are_the_rates_times_the_scale(rng, kind, hetero):
+    # the scale goes into the kernels and the penalty weights, both kept for
+    # the last scale; alternating it catches a stale cache
+    system = _SYSTEM_KINDS[kind]()
+    if hetero:
+        system = with_random_coefficients(system, rng)
+    p, v = system.random_state(rng)
+    dp = system.pressure_rates(v).copy()
+    dv = system.velocity_rates(p).copy()
+    for s in (1e-3, 1.0, 1e-3):
+        for got, want in ((system.pressure_rates(v, s), s * dp),
+                          (system.velocity_rates(p, s), s * dv)):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), s
+
+
 def test_conforming_split_tracks_single_segment():
     """A 1:1 split with interface penalties is a different (equally accurate)
     discretization near the interface; for smooth data over a short run the

@@ -133,9 +133,20 @@ def test_step_allocates_no_field_sized_arrays(rng):
 
 
 def test_energy_allocates_no_field_sized_arrays(rng):
-    # the squares go into the system's rate vectors, not into temporaries
+    # each weighted sum of squares is one pass that writes no vector
     _assert_no_field_sized_arrays(
         rng, lambda system, state, source: system.energy(state.p, state.v))
+
+
+def test_energy_leaves_the_rate_vectors_unchanged(rng):
+    system, _, _ = build_scenario("two_layer_2to1")
+    p, v = system.random_state(rng)
+    dp = system.pressure_rates(v)
+    dv = system.velocity_rates(p)
+    want = dp.copy(), dv.copy()
+    system.energy(p, v)
+    np.testing.assert_array_equal(dp, want[0])
+    np.testing.assert_array_equal(dv, want[1])
 
 
 def test_flush_allocates_no_field_sized_arrays(rng):
@@ -198,11 +209,23 @@ def test_run_keeps_subnormals_out_of_a_wave_entering_a_medium_at_rest():
     assert np.abs(result.energy - energy).max() <= 1e-13 * np.abs(energy).max()
 
 
+@pytest.mark.parametrize("n_steps", [96, 100])
+def test_run_keeps_every_energy_square_normal(n_steps):
+    # the energy sums c * w * x^2 in one scalar pass, which an underflowing
+    # square slows; 96 steps end on a rounding, 100 steps four steps after it
+    system, grid, sources, receivers = _survey_slice()
+    state = run(system, TimeGrid(grid.dt, n_steps), sources, receivers).final_state
+    for x, cw in ((state.p, system._cw_p), (state.v, system._cw_v)):
+        nonzero = x != 0
+        assert np.count_nonzero(nonzero) > 0
+        assert np.all((x * x * cw)[nonzero] >= TINY)
+
+
 def test_flush_unit_follows_the_run_scale():
     state = SimState(np.array([0.0, -3.0, 1.0]), np.array([2.5, 0.0]))
-    assert _flush_unit([], state) == 2.0 ** -599
-    assert _flush_unit([SourceSpec(0, f0=1.0, amplitude=-5.0)], state) == 2.0 ** -598
-    assert _flush_unit([SourceSpec(0, f0=1.0, amplitude=-5.0)], None) == 2.0 ** -598
+    assert _flush_unit([], state) == 2.0 ** -199
+    assert _flush_unit([SourceSpec(0, f0=1.0, amplitude=-5.0)], state) == 2.0 ** -198
+    assert _flush_unit([SourceSpec(0, f0=1.0, amplitude=-5.0)], None) == 2.0 ** -198
     zero = SimState(np.zeros(3), np.zeros(2))
     assert _flush_unit([], zero) == _flush_unit([], None) == 0.0
     assert _flush_unit([SourceSpec(0, f0=1.0, amplitude=2.0 ** -900)], zero) == 0.0
@@ -214,22 +237,23 @@ def test_flush_unit_follows_the_run_scale():
 def test_flush_bound():
     # below u a value becomes a multiple of 2^-53 u, which no subnormal is;
     # above it, one rounding of |x| + u moves it by at most 2u (reached by
-    # ties at an odd multiple of ulp(x) = 2u), and from 2^54 u on not at all
+    # ties at an odd multiple of ulp(x) = 2u), and from 2^54 u on not at all;
+    # for run()'s unit at scale 1 (2^-200) and for a far smaller one
     rng = np.random.default_rng(7)
-    u = 2.0 ** -600
     x = rng.choice([-1.0, 1.0], 20000) * 2.0 ** rng.uniform(-1074, 0, 20000)
-    ties = u * (2.0 ** 53 + 2.0 * np.arange(1, 40, 2))
-    x = np.concatenate([ties, -ties, x, [0.0, TINY, -TINY / 3]])
-    state = SimState(x.copy(), np.zeros(1))
-    _flush(state, u)
-    shift = np.abs(state.p - x)
-    small, large = np.abs(x) < u, np.abs(x) >= 2.0 ** 54 * u
-    assert np.all(shift[:2 * ties.size] == 2 * u)
-    assert np.all(shift <= 2 * u)
-    assert np.all(shift[small] <= 2.0 ** -53 * u)
-    assert np.all(np.fmod(state.p[small], 2.0 ** -53 * u) == 0)
-    assert np.all(state.p[large] == x[large])
-    assert _subnormals(state) == 0
+    for u in (2.0 ** -600, 2.0 ** -200):
+        ties = u * (2.0 ** 53 + 2.0 * np.arange(1, 40, 2))
+        xu = np.concatenate([ties, -ties, x, [0.0, TINY, -TINY / 3]])
+        state = SimState(xu.copy(), np.zeros(1))
+        _flush(state, u)
+        shift = np.abs(state.p - xu)
+        small, large = np.abs(xu) < u, np.abs(xu) >= 2.0 ** 54 * u
+        assert np.all(shift[:2 * ties.size] == 2 * u)
+        assert np.all(shift <= 2 * u)
+        assert np.all(shift[small] <= 2.0 ** -53 * u)
+        assert np.all(np.fmod(state.p[small], 2.0 ** -53 * u) == 0)
+        assert np.all(state.p[large] == xu[large])
+        assert _subnormals(state) == 0
 
 
 def test_rounding_is_relative_to_the_run_scale():
