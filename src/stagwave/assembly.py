@@ -39,16 +39,17 @@ Material coefficients divide the assembled right-hand side at the very end
 heterogeneous media reuse the identical penalty structure.
 
 Buffer contract: a system allocates its two rate vectors at construction, and
-computes its penalty weights, signs included, and its energy weights c . w, as
-vectors laid out like p and v, then too. The rate methods return scale * d/dt
-(scale 1 by default): the scale goes into the difference kernels' own scalar
-multiply and into the penalty weights, which are kept for the last scale asked
-for, so the leapfrog passes dt and needs no pass of its own. They write through
-field views into the rate vectors and return them; the caller may change them
-in place. A `pressure_rates` result is valid until the next `pressure_rates`
-call; a `velocity_rates` result until the next call of either:
-`pressure_rates` uses each axis's velocity-rate field as scratch. `energy`
-reads the state and the weights only and leaves both rate vectors as they are.
+fixes its penalty weights, signs included, as floats, and its energy weights
+c . w, as vectors laid out like p and v, then too. The rate methods return
+scale * d/dt (scale 1 by default): the scale goes into the difference kernels'
+own scalar multiply, and each penalty term multiplies its weights by it where
+it adds them, so the leapfrog passes dt and needs no pass of its own. They
+write through field views into the rate vectors and return them; the caller
+may change them in place. A `pressure_rates` result is valid until the next
+`pressure_rates` call; a `velocity_rates` result until the next call of
+either: `pressure_rates` uses each axis's velocity-rate field as scratch.
+`energy` reads its operands and the weights only and leaves both rate vectors
+as they are.
 `velocity_rates` uses only its own fields (the pressure-shaped u-rate field
 is its scratch), so the operator M = -V o P runs as
 `velocity_rates(pressure_rates(v))` with no copy. The other order would
@@ -116,7 +117,9 @@ class BlockOperators:
             raise DomainError("only a block's last axis may be bounded")
         self.ndim = len(self.ops)
         self.block = block
-        self.shapes = [w.shape for w in self.weights]
+        n_p = [op.a_p.size for op in self.ops]
+        self.shapes = [tuple(n_p)] + [tuple(n_p[:k] + [op.a_v.size] + n_p[k + 1:])
+                                      for k, op in enumerate(self.ops)]
         if coefficients is None:
             coefficients = [np.ones(shape) for shape in self.shapes]
         self.coefficients = list(coefficients)
@@ -148,18 +151,11 @@ def assemble_2d_block(block: StaggeredBlock2D,
 # penalties
 # ---------------------------------------------------------------------------
 
-def _scaled_weights(*weights):
-    """scale -> the weights times scale, kept for the last scale (as
-    `_Kernel.dense` keeps its matrix): a run passes one scale on every call,
-    so its steps compute nothing new here."""
-    return functools.lru_cache(maxsize=1)(lambda scale: tuple(scale * w for w in weights))
-
-
-def _add_rank_one(field, rows, trace, weights) -> None:
-    """field[rows[j]] += trace * weights[j], one row at a time: 1D updates
-    skip the buffered loops numpy runs for a strided 2D block."""
+def _add_rank_one(field, rows, trace, weights, scale) -> None:
+    """field[rows[j]] += trace * (scale * weights[j]), one row at a time: 1D
+    updates skip the buffered loops numpy runs for a strided 2D block."""
     for row, weight in zip(rows, weights):
-        field[row] += trace * weight
+        field[row] += trace * (scale * weight)
 
 
 def free_surface_velocity_sats(ops: BlockOperators, coeffs: SatCoefficients,
@@ -172,7 +168,7 @@ def free_surface_velocity_sats(ops: BlockOperators, coeffs: SatCoefficients,
     axis 0 (a 1D segment) takes sigma_left/sigma_right, a last axis 1
     sigma_bottom/sigma_top. Returns a callable (p, dvel, scale=1.0) that adds
     scale times the penalties to the block's velocity rates dvel (one per
-    axis) in place; the weights, sign included, are computed here once.
+    axis) in place; the weights, sign included, are floats fixed here.
     """
     k = ops.ndim - 1
     axis_ops = ops.ops[k]
@@ -182,15 +178,14 @@ def free_surface_velocity_sats(ops: BlockOperators, coeffs: SatCoefficients,
     if isinstance(axis_ops, SbpOperatorSet1D):
         if low:
             terms.append((lead + (0,), [lead + (j,) for j in range(3)]))
-            weights.append(sigma_low * axis_ops.proj_left[:3] / axis_ops.a_v[:3])
+            weights.append((sigma_low * axis_ops.proj_left[:3] / axis_ops.a_v[:3]).tolist())
         if high:
             terms.append((lead + (-1,), [lead + (j,) for j in range(-3, 0)]))
-            weights.append(sigma_high * axis_ops.proj_right[-3:] / axis_ops.a_v[-3:])
-    scaled = _scaled_weights(*weights)
+            weights.append((sigma_high * axis_ops.proj_right[-3:] / axis_ops.a_v[-3:]).tolist())
 
     def add_terms(p, dvel, scale=1.0):
-        for (trace, rows), w in zip(terms, scaled(scale)):
-            _add_rank_one(dvel[k], rows, p[trace], w)
+        for (trace, rows), w in zip(terms, weights):
+            _add_rank_one(dvel[k], rows, p[trace], w, scale)
 
     return add_terms
 
@@ -208,7 +203,7 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
     exchange restricted/projected traces through the transfer pair, which
     maps across the other axis and is applied from its elemental stencils
     (`GatherPlan`); a one-axis block is read as a single column with a 1x1
-    transfer. The penalty weights, sign included, are computed here once.
+    transfer. The penalty weights, sign included, are floats fixed here.
 
     Raises:
         DomainError: transfer operator shapes do not match the interface.
@@ -222,11 +217,10 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
     y_m, y_p = bottom.ops[-1], top.ops[-1]
     proj_m = y_m.proj_right[-3:]
     proj_p = y_p.proj_left[:3]
-    lift_m = coeffs.sigma_v_minus * proj_m / y_m.a_v[-3:]
-    lift_p = coeffs.sigma_v_plus * proj_p / y_p.a_v[:3]
-    tau_m = coeffs.sigma_p_minus / y_m.a_p[-1]
-    tau_p = coeffs.sigma_p_plus / y_p.a_p[0]
-    taus, lifts = _scaled_weights(tau_m, tau_p), _scaled_weights(lift_m, lift_p)
+    lift_m = (coeffs.sigma_v_minus * proj_m / y_m.a_v[-3:]).tolist()
+    lift_p = (coeffs.sigma_v_plus * proj_p / y_p.a_v[:3]).tolist()
+    tau_m = float(coeffs.sigma_p_minus / y_m.a_p[-1])
+    tau_p = float(coeffs.sigma_p_plus / y_p.a_p[0])
     f2c, c2f = transfer.f2c_plan.apply, transfer.c2f_plan.apply
     # indices along the last axis, for every column; a one-axis field is read
     # as a single column
@@ -237,18 +231,16 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
     rows_p = [col + (j,) for j in range(3)]
 
     def add_to_pressure(v_m, v_p, dp_m, dp_p, scale=1.0):
-        t_m, t_p = taus(scale)
         v_int_m = v_m[last3] @ proj_m
         v_int_p = v_p[first3] @ proj_p
-        dp_m[last] += t_m * (f2c(v_int_p) - v_int_m)
-        dp_p[first] += t_p * (v_int_p - c2f(v_int_m))
+        dp_m[last] += (scale * tau_m) * (f2c(v_int_p) - v_int_m)
+        dp_p[first] += (scale * tau_p) * (v_int_p - c2f(v_int_m))
 
     def add_to_velocity(p_m, p_p, dv_m, dv_p, scale=1.0):
-        l_m, l_p = lifts(scale)
         p_int_m = p_m[last]
         p_int_p = p_p[first]
-        _add_rank_one(dv_m, rows_m, f2c(p_int_p) - p_int_m, l_m)
-        _add_rank_one(dv_p, rows_p, p_int_p - c2f(p_int_m), l_p)
+        _add_rank_one(dv_m, rows_m, f2c(p_int_p) - p_int_m, lift_m, scale)
+        _add_rank_one(dv_p, rows_p, p_int_p - c2f(p_int_m), lift_p, scale)
 
     return add_to_pressure, add_to_velocity
 
@@ -383,18 +375,23 @@ class SemiDiscreteSystem:
 
     # -- diagnostics ----------------------------------------------------------
 
-    def energy(self, p, v) -> float:
+    def energy(self, p, v, p_next=None) -> float:
         """The discrete energy 1/2 sum_fields x^T (C . A) x: one pass over
-        each vector and its weights, writing nothing.
+        each vector and its weights, writing nothing. With `p_next`, the
+        pressure term is p^T (C . A) p_next: for consecutive pressure levels
+        and the velocities between them, the leapfrog's conserved energy.
 
         The pass is a scalar loop, fast only while the products it forms stay
         normal: with 2% of 349,040 squares underflowing it took three times
         as long. `leapfrog.run` rounds its state so that none underflows.
         """
-        if (np.shape(p), np.shape(v)) != (self._p_rate.shape, self._v_rate.shape):
-            raise DomainError(f"expected a vector of {self._p_rate.size} and one of "
-                              f"{self._v_rate.size} values, got {np.shape(p)} and {np.shape(v)}")
-        return 0.5 * float(np.einsum("i,i,i->", p, p, self._cw_p)
+        q = p if p_next is None else p_next
+        want = (self._p_rate.shape, self._p_rate.shape, self._v_rate.shape)
+        if tuple(map(np.shape, (p, q, v))) != want:
+            raise DomainError(f"expected a vector of {self._p_rate.size} values for p (and "
+                              f"p_next) and one of {self._v_rate.size} for v, got "
+                              f"{np.shape(p)}, {np.shape(q)} and {np.shape(v)}")
+        return 0.5 * float(np.einsum("i,i,i->", p, q, self._cw_p)
                            + np.einsum("i,i,i->", v, v, self._cw_v))
 
     def energy_rate(self, p, v) -> float:

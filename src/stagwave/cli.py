@@ -25,11 +25,10 @@ import numpy as np
 
 from . import __version__
 from .assembly import (BlockOperators, SemiDiscreteSystem, assemble_1d_boundary_system,
-                       assemble_1d_interface_system, assemble_single_block_system)
+                       assemble_1d_interface_system)
 from .config import build_run, parse_config
 from .errors import ConfigError, StagwaveError, VerificationFailure
 from .exact import fraction_str
-from .grids import build_block_2d
 from .leapfrog import find_cfl, run as run_sim
 from .sbp1d import PROJECTION, build_periodic_1d, build_sbp_1d, verify_sbp_structure
 from .transfer import certify_pair, derive_elemental_pair, tile_periodic, transfer_pair_for
@@ -263,7 +262,7 @@ def _cfl_search(name: str, n: int = 32):
     elif name == "2d-periodic":
         system = SemiDiscreteSystem([BlockOperators([build_periodic_1d(n, dx)] * 2)])
     elif name == "2d-sat":
-        system = assemble_single_block_system(build_block_2d(0, 1, n, 0, 1, n + 1))
+        system = uniform_standing_system(n)
     else:
         raise ConfigError(f"unknown cfl configuration {name!r}")
     return find_cfl(system, dx)

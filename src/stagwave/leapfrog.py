@@ -10,8 +10,10 @@ which makes the integrator exactly time-reversible up to roundoff.
 Sources and receivers sit on single pressure points, named by their index in
 the pressure vector. Sources are injected as dt * amplitude * wavelet(t + dt/2)
 during the pressure update, matching the half-level sampling of the scheme.
-The discrete energy is recorded at half levels with the pressure averaged
-over the two adjacent integer levels, in one vector reused every step.
+The energy recorded at half levels is the one the leapfrog conserves exactly
+(constant up to roundoff while no source injects): with W = C . A,
+E_{n+1/2} = 1/2 (p_n^T W_p p_{n+1} + v_{n+1/2}^T W_v v_{n+1/2}), taken between
+the pressure and the velocity half of each step, from a copy of p_n.
 
 A step updates the state in place: the system returns each rate vector
 already scaled by dt, and it is added to its state vector, so stepping
@@ -95,14 +97,19 @@ class SimState:
     t_p: float = 0.0
 
 
-def step_forward(system, state: SimState, dt: float, sources=()):
-    """Advance one step: pressure to t+dt, then velocities to t+3dt/2."""
+def _advance_pressure(system, state: SimState, dt: float, sources) -> None:
+    """The first half of a step: pressure and t_p to t+dt."""
     t_half = state.t_p + 0.5 * dt
     state.p += system.pressure_rates(state.v, dt)
     for s in sources:
         state.p[s.index] += dt * s.value(t_half)
-    state.v += system.velocity_rates(state.p, dt)
     state.t_p += dt
+
+
+def step_forward(system, state: SimState, dt: float, sources=()):
+    """Advance one step: pressure to t+dt, then velocities to t+3dt/2."""
+    _advance_pressure(system, state, dt, sources)
+    state.v += system.velocity_rates(state.p, dt)
 
 
 def step_backward(system, state: SimState, dt: float):
@@ -179,6 +186,9 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     2^-199 of the scale; for a scale below 2^-769 some subnormals survive.
     `step_forward` does not round.
 
+    With `record_energy`, step n records the leapfrog's conserved energy
+    E_{n+1/2} (see the module docstring) at t_n + dt/2.
+
     Returns:
         RunResult with traces at integer levels and energy at half levels.
 
@@ -198,17 +208,16 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     traces = np.zeros((len(at), n + 1))
     traces[:, 0] = state.p[at]
     energy = np.zeros(n) if record_energy else None
-    p_half = np.empty_like(state.p) if record_energy else None
+    p_prev = np.empty_like(state.p) if record_energy else None
     for it in range(n):
         if record_energy:
-            np.copyto(p_half, state.p)
-        step_forward(system, state, dt, sources)
+            np.copyto(p_prev, state.p)
+        _advance_pressure(system, state, dt, sources)
         if record_energy:
-            p_half += state.p
-            p_half *= 0.5
-            energy[it] = system.energy(p_half, state.v)
+            energy[it] = system.energy(p_prev, state.v, p_next=state.p)
             if not math.isfinite(energy[it]):
                 raise DomainError(f"non-finite energy at step {it + 1}; dt = {dt} may be unstable")
+        state.v += system.velocity_rates(state.p, dt)
         traces[:, it + 1] = state.p[at]
         if u and (it + 1) % _FLUSH_INTERVAL == 0:
             _flush(state, u)

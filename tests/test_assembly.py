@@ -268,11 +268,18 @@ def test_matrix_free_equals_dense_on_every_system_kind(rng, kind, hetero):
     _assert_matrix_free_equals_dense(system, rng)
 
 
+@pytest.mark.parametrize("kind", list(_SYSTEM_KINDS))
+def test_block_shapes_are_the_weight_shapes(kind):
+    # shapes come from the 1D point counts, without building the weights
+    for b in _SYSTEM_KINDS[kind]().blocks:
+        assert b.shapes == [w.shape for w in b.weights]
+
+
 @pytest.mark.parametrize("hetero", [False, True], ids=["unit", "hetero"])
 @pytest.mark.parametrize("kind", list(_SYSTEM_KINDS))
 def test_scaled_rates_are_the_rates_times_the_scale(rng, kind, hetero):
-    # the scale goes into the kernels and the penalty weights, both kept for
-    # the last scale; alternating it catches a stale cache
+    # the scale goes into the kernels (their matrix kept for the last scale)
+    # and multiplies each penalty weight; alternating it catches a stale cache
     system = _SYSTEM_KINDS[kind]()
     if hetero:
         system = with_random_coefficients(system, rng)
@@ -407,6 +414,7 @@ def test_state_vectors_of_the_wrong_length_are_rejected():
                          (system.velocity_rates, np.append(p, 0.0)),
                          (lambda x: system.energy(x, v), p[:1]),
                          (lambda x: system.energy(p, x), v[:-1]),
+                         (lambda x: system.energy(p, v, p_next=x), p[:-1]),
                          (system.pressure_fields, v), (system.velocity_fields, p)):
         with pytest.raises(DomainError, match="expected a vector"):
             call(vector)

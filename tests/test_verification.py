@@ -9,12 +9,12 @@ from stagwave.assembly import (SatCoefficients, assemble_interface_system,
 from stagwave.config import build_run, parse_config, validate_config
 from stagwave.errors import DomainError, SizeError
 from stagwave.grids import build_block_2d
-from stagwave.verification import (SCENARIOS, build_scenario,
+from stagwave.verification import (SCENARIOS, _standing_state, build_scenario,
                                    convergence_study, energy_rate_oracle,
                                    long_time_stability_run, materialize_system,
                                    post_source_drift, seismogram_misfit,
-                                   standing_p, standing_u, standing_v,
-                                   uniform_standing_system, weighted_l2_error)
+                                   standing_p, standing_u, standing_v, state_error,
+                                   uniform_standing_system)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -48,35 +48,17 @@ def test_standing_solution_boundary_conditions():
                                standing_p(np.array([1.0]), x, 0.2), atol=1e-12)
 
 
-def test_weighted_l2_error_zero_and_constant():
+def test_state_error_is_zero_on_the_mode_and_root_three_for_unit_errors():
+    # the error norm is the system's energy norm, on unit coefficients the
+    # norm-weighted l2 norm: each of the three fields' weights sums to the
+    # area of the unit square
     system = uniform_standing_system(12)
-    b = system.blocks[0]
-    zeros = [np.zeros(b.block.p_shape), np.zeros(b.block.u_shape),
-             np.zeros(b.block.v_shape)]
-    ones = [z + 1.0 for z in zeros]
-    weights = b.weights
-    assert weighted_l2_error(zeros, zeros, weights) == 0.0
-    # unit error on every node of three fields over the unit square
-    assert weighted_l2_error(ones, zeros, weights) == pytest.approx(np.sqrt(3.0),
-                                                                    rel=1e-13)
-
-
-def test_weighted_l2_error_scales_linearly(rng):
-    system = uniform_standing_system(12)
-    b = system.blocks[0]
-    weights = b.weights
-    noise = [rng.standard_normal(b.block.p_shape),
-             rng.standard_normal(b.block.u_shape),
-             rng.standard_normal(b.block.v_shape)]
-    zeros = [np.zeros_like(f) for f in noise]
-    e1 = weighted_l2_error([1e-3 * f for f in noise], zeros, weights)
-    e2 = weighted_l2_error([2e-3 * f for f in noise], zeros, weights)
-    assert e2 == pytest.approx(2 * e1, rel=1e-12)
-
-
-def test_weighted_l2_error_shape_mismatch():
-    with pytest.raises(DomainError):
-        weighted_l2_error([np.zeros(3)], [np.zeros(4)], [np.ones(3)])
+    t_p, t_vel = 0.013, 0.0135
+    state = _standing_state(system, t_p, t_vel)
+    assert state_error(system, state, t_p, t_vel) == 0.0
+    state.p += 1.0
+    state.v += 1.0
+    assert state_error(system, state, t_p, t_vel) == pytest.approx(np.sqrt(3.0), rel=1e-13)
 
 
 @pytest.mark.slow
