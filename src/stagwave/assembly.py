@@ -2,16 +2,16 @@
 interface penalties, and the one system class that couples them.
 
 A block (`BlockOperators`) is the tensor product of one 1D operator set per
-axis, periodic on every axis but the last, which alone may be bounded; its
+axis, periodic on every axis but the first, which alone may be bounded; its
 operators are never formed, the 1D differences are applied along array axes
-in place. Fields have one array axis per block axis; a 2D field's flattening
-is the column-wise linearization (x-major, y fastest). A system
-(`SemiDiscreteSystem`) is a stack of blocks along their last axis, each
-consecutive pair coupled through its own transfer pair: a 1D segment, 1D
+in place. Fields have one array axis per block axis; a 2D field is
+(n_y, n_x), rows of constant y, and its flattening runs along x fastest. A
+system (`SemiDiscreteSystem`) is a stack of blocks along their first axis,
+each consecutive pair coupled through its own transfer pair: a 1D segment, 1D
 segments sharing interface points, a 2D block, or 2D blocks refining upward.
 Its state is two flat vectors, each field laid end to end in its flattening:
 p holds the pressure field of each block, v the velocity fields per block, then
-per axis: [V], [VL, VR], [U, V], [U0, V0, U1, V1], ... Only the system knows
+per axis: [V], [VL, VR], [V, U], [V0, U0, V1, U1], ... Only the system knows
 that layout; `pressure_fields` and `velocity_fields` give a vector's fields as
 views.
 
@@ -22,7 +22,7 @@ each term reduces to a rank-one update along the penalized axis:
   pressure row at the interface:   sigma/a[row] * (transferred v - own v)
   velocity rows near an end:       sigma * outer(p_row, proj / a_dual)
 
-A bounded last axis is pressure-free at both ends, except where a stack's
+A bounded first axis is pressure-free at both ends, except where a stack's
 blocks meet. There the blocks exchange traces through a norm-compatible
 transfer pair across the other axis (a 1x1 identity for one-axis blocks).
 
@@ -47,14 +47,12 @@ it adds them, so the leapfrog passes dt and needs no pass of its own. They
 write through field views into the rate vectors and return them; the caller
 may change them in place. A `pressure_rates` result is valid until the next
 `pressure_rates` call; a `velocity_rates` result until the next call of
-either: `pressure_rates` uses each axis's velocity-rate field as scratch.
-`energy` reads its operands and the weights only and leaves both rate vectors
-as they are.
-`velocity_rates` uses only its own fields (the pressure-shaped u-rate field
-is its scratch), so the operator M = -V o P runs as
-`velocity_rates(pressure_rates(v))` with no copy. The other order would
-overwrite its input on every 2D block; there the difference kernel raises
-`DomainError` instead.
+either: `pressure_rates` forms each periodic axis's term in that axis's
+velocity-rate field. `energy` reads its operands and the weights only and
+leaves both rate vectors as they are. `velocity_rates` writes only its own
+fields, so the operator M = -V o P runs as `velocity_rates(pressure_rates(v))`
+with no copy. The other order would overwrite its input on every 2D block;
+there the difference kernel raises `DomainError` instead.
 """
 
 from __future__ import annotations
@@ -91,8 +89,8 @@ class SatCoefficients:
     sigma_v_plus: float = -0.5
 
 
-#: SatCoefficients fields of the (low, high) ends of a last axis 0 or 1
-_END_SIGMAS = (("sigma_left", "sigma_right"), ("sigma_bottom", "sigma_top"))
+#: SatCoefficients fields of the (low, high) ends of a 1D or a 2D block, by ndim
+_END_SIGMAS = {1: ("sigma_left", "sigma_right"), 2: ("sigma_bottom", "sigma_top")}
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +100,7 @@ _END_SIGMAS = (("sigma_left", "sigma_right"), ("sigma_bottom", "sigma_top"))
 class BlockOperators:
     """One block: the tensor product of one 1D operator set per axis, with
     the norm weight and the material coefficient of each field. Every axis
-    but the last is periodic; only the last may be bounded (`DomainError`).
+    but the first is periodic; only the first may be bounded (`DomainError`).
 
     Fields are ordered [p, velocity along axis 0, (velocity along axis 1)];
     a velocity lives on the dual points of its own axis and on the primary
@@ -113,8 +111,8 @@ class BlockOperators:
 
     def __init__(self, ops, coefficients=None, block: StaggeredBlock2D | None = None):
         self.ops = tuple(ops)
-        if any(isinstance(op, SbpOperatorSet1D) for op in self.ops[:-1]):
-            raise DomainError("only a block's last axis may be bounded")
+        if any(isinstance(op, SbpOperatorSet1D) for op in self.ops[1:]):
+            raise DomainError("only a block's first axis may be bounded")
         self.ndim = len(self.ops)
         self.block = block
         n_p = [op.a_p.size for op in self.ops]
@@ -136,14 +134,14 @@ class BlockOperators:
 
 def assemble_2d_block(block: StaggeredBlock2D,
                       medium: Medium | None = None) -> BlockOperators:
-    """Build one grid block's operators, x periodic and y bounded, sampling
-    the medium if given."""
+    """Build one grid block's operators, y bounded along axis 0 and x
+    periodic along axis 1, sampling the medium if given."""
     gx, gy = block.grid_x, block.grid_y
     coefficients = None
     if medium is not None:
         sampled = sample_coefficients(medium, block)
-        coefficients = (sampled.c_p, sampled.c_u, sampled.c_v)
-    return BlockOperators((build_periodic_1d(gx.n_p, gx.dx), build_sbp_1d(gy.n_p, gy.dx)),
+        coefficients = (sampled.c_p, sampled.c_v, sampled.c_u)
+    return BlockOperators((build_sbp_1d(gy.n_p, gy.dx), build_periodic_1d(gx.n_p, gx.dx)),
                           coefficients, block)
 
 
@@ -152,8 +150,8 @@ def assemble_2d_block(block: StaggeredBlock2D,
 # ---------------------------------------------------------------------------
 
 def _add_rank_one(field, rows, trace, weights, scale) -> None:
-    """field[rows[j]] += trace * (scale * weights[j]), one row at a time: 1D
-    updates skip the buffered loops numpy runs for a strided 2D block."""
+    """field[rows[j]] += trace * (scale * weights[j]), one contiguous row (on
+    a 1D segment, one point) at a time."""
     for row, weight in zip(rows, weights):
         field[row] += trace * (scale * weight)
 
@@ -161,31 +159,27 @@ def _add_rank_one(field, rows, trace, weights, scale) -> None:
 def free_surface_velocity_sats(ops: BlockOperators, coeffs: SatCoefficients,
                                low: bool, high: bool):
     """Additive velocity penalties that weakly impose p = 0 on a block's
-    pressure-free ends: the two outer ends of its last (stacking) axis,
+    pressure-free ends: the two outer ends of its first (stacking) axis,
     when that axis is bounded.
 
-    `low` and `high` select the ends that are not an interface. A last
-    axis 0 (a 1D segment) takes sigma_left/sigma_right, a last axis 1
-    sigma_bottom/sigma_top. Returns a callable (p, dvel, scale=1.0) that adds
-    scale times the penalties to the block's velocity rates dvel (one per
-    axis) in place; the weights, sign included, are floats fixed here.
+    `low` and `high` select the ends that are not an interface. A 1D segment
+    takes sigma_left/sigma_right, a 2D block sigma_bottom/sigma_top. Returns
+    a callable (p, dvel, scale=1.0) that adds scale times the penalties to
+    the block's velocity rates dvel (one per axis) in place; the weights,
+    sign included, are floats fixed here.
     """
-    k = ops.ndim - 1
-    axis_ops = ops.ops[k]
-    lead = (slice(None),) * k
-    sigma_low, sigma_high = (getattr(coeffs, name) for name in _END_SIGMAS[k])
-    terms, weights = [], []   # (trace index, row indices), and the weights of each
-    if isinstance(axis_ops, SbpOperatorSet1D):
+    y = ops.ops[0]
+    s_low, s_high = (getattr(coeffs, name) for name in _END_SIGMAS[ops.ndim])
+    terms = []   # (trace row, penalized rows, their weights)
+    if isinstance(y, SbpOperatorSet1D):
         if low:
-            terms.append((lead + (0,), [lead + (j,) for j in range(3)]))
-            weights.append((sigma_low * axis_ops.proj_left[:3] / axis_ops.a_v[:3]).tolist())
+            terms.append((0, range(3), (s_low * y.proj_left[:3] / y.a_v[:3]).tolist()))
         if high:
-            terms.append((lead + (-1,), [lead + (j,) for j in range(-3, 0)]))
-            weights.append((sigma_high * axis_ops.proj_right[-3:] / axis_ops.a_v[-3:]).tolist())
+            terms.append((-1, range(-3, 0), (s_high * y.proj_right[-3:] / y.a_v[-3:]).tolist()))
 
     def add_terms(p, dvel, scale=1.0):
-        for (trace, rows), w in zip(terms, weights):
-            _add_rank_one(dvel[k], rows, p[trace], w, scale)
+        for trace, rows, w in terms:
+            _add_rank_one(dvel[0], rows, p[trace], w, scale)
 
     return add_terms
 
@@ -193,12 +187,12 @@ def free_surface_velocity_sats(ops: BlockOperators, coeffs: SatCoefficients,
 def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
                         transfer: TransferPair, coeffs: SatCoefficients):
     """Additive interface penalties coupling a coarse block below to a fine
-    block above, across their last axis.
+    block above, across their first axis.
 
     Returns (add_to_pressure, add_to_velocity): the first consumes the two
-    last-axis velocity fields and increments the interface pressure rows,
+    first-axis velocity fields and increments the interface pressure rows,
     the second consumes the two pressure fields and increments the
-    last-axis velocity rows near the interface, both in place and both
+    first-axis velocity rows near the interface, both in place and both
     scaled by their last argument, `scale` (1 when omitted). Both sides
     exchange restricted/projected traces through the transfer pair, which
     maps across the other axis and is applied from its elemental stencils
@@ -208,13 +202,13 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
     Raises:
         DomainError: transfer operator shapes do not match the interface.
     """
-    n_coarse, n_fine = (math.prod(b.shapes[0][:-1]) for b in (bottom, top))
+    n_coarse, n_fine = (math.prod(b.shapes[0][1:]) for b in (bottom, top))
     if (transfer.n_coarse, transfer.n_fine) != (n_coarse, n_fine):
         raise DomainError(
             f"transfer pair {transfer.n_fine}x{transfer.n_coarse} does not match "
             f"{n_fine} fine / {n_coarse} coarse columns"
         )
-    y_m, y_p = bottom.ops[-1], top.ops[-1]
+    y_m, y_p = bottom.ops[0], top.ops[0]
     proj_m = y_m.proj_right[-3:]
     proj_p = y_p.proj_left[:3]
     lift_m = (coeffs.sigma_v_minus * proj_m / y_m.a_v[-3:]).tolist()
@@ -222,17 +216,16 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
     tau_m = float(coeffs.sigma_p_minus / y_m.a_p[-1])
     tau_p = float(coeffs.sigma_p_plus / y_p.a_p[0])
     f2c, c2f = transfer.f2c_plan.apply, transfer.c2f_plan.apply
-    # indices along the last axis, for every column; a one-axis field is read
-    # as a single column
-    col = (slice(None),) if bottom.ndim == 2 else (None,)
-    last3, first3 = col + (slice(-3, None),), col + (slice(0, 3),)
-    last, first = col + (-1,), col + (0,)
-    rows_m = [col + (j,) for j in range(-3, 0)]
-    rows_p = [col + (j,) for j in range(3)]
+    # rows along the first axis; a one-axis field is read as a single column
+    col = () if bottom.ndim == 2 else (None,)
+    last3, first3 = (slice(-3, None),) + col, (slice(0, 3),) + col
+    last, first = (-1,) + col, (0,) + col
+    rows_m = [(j,) + col for j in range(-3, 0)]
+    rows_p = [(j,) + col for j in range(3)]
 
     def add_to_pressure(v_m, v_p, dp_m, dp_p, scale=1.0):
-        v_int_m = v_m[last3] @ proj_m
-        v_int_p = v_p[first3] @ proj_p
+        v_int_m = proj_m @ v_m[last3]
+        v_int_p = proj_p @ v_p[first3]
         dp_m[last] += (scale * tau_m) * (f2c(v_int_p) - v_int_m)
         dp_p[first] += (scale * tau_p) * (v_int_p - c2f(v_int_m))
 
@@ -268,7 +261,7 @@ class SemiDiscreteSystem:
     pair coupled through its own transfer pair.
 
     Blocks are ordered bottom-first (left-first for one-axis blocks) and
-    stack along their last axis; `transfers[i]` couples block i to block
+    stack along their first axis; `transfers[i]` couples block i to block
     i + 1. Pressures live at integer time levels, velocities at half levels;
     `pressure_rates` consumes the velocity vector and `velocity_rates` the
     pressure vector, which is exactly the split the staggered leapfrog
@@ -301,11 +294,10 @@ class SemiDiscreteSystem:
         self._fs = [free_surface_velocity_sats(b, self.coeffs, low=i == 0,
                                                high=i == len(blocks) - 1)
                     for i, b in enumerate(blocks)]
-        # per interface: the lower block's index, the two blocks' last-axis
+        # per interface: the lower block's index, the two blocks' first-axis
         # velocities (the ones it couples) and its two penalty callables
-        last_vel = [i + b.ndim - 1 for i, b in zip(self._first_vel, blocks)]
         self._interfaces = [
-            (i, last_vel[i], last_vel[i + 1],
+            (i, self._first_vel[i], self._first_vel[i + 1],
              *interface_sat_terms(blocks[i], blocks[i + 1], transfer, self.coeffs))
             for i, transfer in enumerate(self.transfers)]
         self._c_p = [b.coefficients[0] for b in blocks]
@@ -321,15 +313,14 @@ class SemiDiscreteSystem:
     def pressure_rates(self, v, scale: float = 1.0):
         """scale * d/dt of the pressure vector given the velocity vector.
 
-        Per block, d_v along the last axis is written; along the periodic x
-        axis it is written into the pressure-shaped u-rate field and added.
+        Per block, d_v along the first axis is written; along a periodic axis
+        it is written into that axis's (pressure-shaped) velocity rate and added.
         """
         vel = self.velocity_fields(v)
         for b, dp, i, dvel in zip(self.blocks, self._dp, self._first_vel,
                                   self._block_dvel):
-            last = b.ndim - 1
-            b.ops[last].apply_d_v(vel[i + last], last, dp, -scale, scratch=dvel[last])
-            for k in range(last):
+            b.ops[0].apply_d_v(vel[i], 0, dp, -scale)
+            for k in range(1, b.ndim):
                 dp += b.ops[k].apply_d_v(vel[i + k], k, dvel[k], -scale)
         for i, lower, upper, add_to_pressure, _ in self._interfaces:
             add_to_pressure(vel[lower], vel[upper], self._dp[i], self._dp[i + 1], scale)
@@ -339,14 +330,11 @@ class SemiDiscreteSystem:
 
     def velocity_rates(self, p, scale: float = 1.0):
         """scale * d/dt of the velocity vector given the pressure vector; per
-        block, d_p along the last axis first, with the pressure-shaped u-rate
-        field as scratch, then along the periodic x axis into that field."""
+        block, d_p along each axis into that axis's velocity-rate field."""
         prs = self.pressure_fields(p)
         for b, field, dvel, fs in zip(self.blocks, prs, self._block_dvel, self._fs):
-            last = b.ndim - 1
-            b.ops[last].apply_d_p(field, last, dvel[last], -scale, scratch=dvel[0])
-            for k in range(last):
-                b.ops[k].apply_d_p(field, k, dvel[k], -scale)
+            for k, op in enumerate(b.ops):
+                op.apply_d_p(field, k, dvel[k], -scale)
             fs(field, dvel, scale)
         for i, lower, upper, _, add_to_velocity in self._interfaces:
             add_to_velocity(prs[i], prs[i + 1], self._dvel[lower], self._dvel[upper], scale)
@@ -419,7 +407,7 @@ class SemiDiscreteSystem:
             qy = (fy - gy.x_left) / gy.dx
             if qx.denominator == 1 and 0 <= qx < gx.n_p \
                     and qy.denominator == 1 and 0 <= qy <= gy.n_p - 1:
-                hits.append(self._p_layout[1][bi][0].start + int(qx) * gy.n_p + int(qy))
+                hits.append(self._p_layout[1][bi][0].start + int(qy) * gx.n_p + int(qx))
         if not hits:
             raise DomainError(f"({x}, {y}) is not a pressure grid point of any block")
         return hits[-1]  # interface rows belong to both; prefer the top block
@@ -483,12 +471,12 @@ def assemble_interface_system(blocks: Sequence[StaggeredBlock2D], medium: Medium
 
 def _is_conforming(below: BlockOperators, above: BlockOperators) -> bool:
     """True when two stacked blocks are one uniform grid with continuous
-    material on the shared row (v has no points there)."""
+    material on the shared row: c_p and c_u (v has no points there)."""
     gb, ga = below.block, above.block
     return (gb.grid_x.dx == ga.grid_x.dx
             and gb.grid_y.dx == ga.grid_y.dx
-            and np.array_equal(below.coefficients[0][:, -1], above.coefficients[0][:, 0])
-            and np.array_equal(below.coefficients[1][:, -1], above.coefficients[1][:, 0]))
+            and np.array_equal(below.coefficients[0][-1], above.coefficients[0][0])
+            and np.array_equal(below.coefficients[2][-1], above.coefficients[2][0]))
 
 
 def assemble_single_block_system(block: StaggeredBlock2D, medium: Medium | None = None,

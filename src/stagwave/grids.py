@@ -109,10 +109,10 @@ def build_grid_1d(x_left, x_right, n_p: int, alignment: Alignment) -> StaggeredG
 class StaggeredBlock2D:
     """Tensor-product block: periodic x-grid x bounded y-grid.
 
-    Subgrid shapes (columns x rows, stored x-major with y fastest):
-      p: (n_x, n_y)        -- pressure
-      u: (n_x, n_y)        -- x-velocity, staggered in x only
-      v: (n_x, n_y-1)      -- y-velocity, staggered in y only
+    Subgrid shapes (rows x columns, stored row-major with x fastest):
+      p: (n_y, n_x)        -- pressure
+      u: (n_y, n_x)        -- x-velocity, staggered in x only
+      v: (n_y-1, n_x)      -- y-velocity, staggered in y only
 
     Any other pair of grids raises `DomainError`.
     """
@@ -128,15 +128,15 @@ class StaggeredBlock2D:
 
     @property
     def p_shape(self) -> tuple[int, int]:
-        return (self.grid_x.n_p, self.grid_y.n_p)
+        return (self.grid_y.n_p, self.grid_x.n_p)
 
     @property
     def u_shape(self) -> tuple[int, int]:
-        return (self.grid_x.n_dual, self.grid_y.n_p)
+        return (self.grid_y.n_p, self.grid_x.n_dual)
 
     @property
     def v_shape(self) -> tuple[int, int]:
-        return (self.grid_x.n_p, self.grid_y.n_dual)
+        return (self.grid_y.n_dual, self.grid_x.n_p)
 
     def subgrid_coords(self, field: str) -> tuple[np.ndarray, np.ndarray]:
         """1D coordinate arrays (x, y) of the requested subgrid."""

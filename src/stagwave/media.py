@@ -197,7 +197,7 @@ def sample_coefficients(medium: Medium, block: StaggeredBlock2D) -> CoefficientD
         xs, ys = block.subgrid_coords(field)
         if isinstance(medium, TwoLayerMedium):
             ys = np.where(ys == medium.split_y, mid, ys)
-        return np.meshgrid(xs, ys, indexing="ij")
+        return np.meshgrid(xs, ys, indexing="xy")
 
     xp, yp = grids("p")
     xu, yu = grids("u")

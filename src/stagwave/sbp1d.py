@@ -120,10 +120,12 @@ class _Kernel:
     D is the interior stencil plus edge rows given as data. The stencil
     covers output rows lo .. lo+m-1, and row lo reads input rows
     first .. first+3. Along axis 0 the stencil runs in place in `out` on
-    contiguous blocks of rows. Along axis 1 the rows are columns, which numpy
-    walks with slow, buffered strided loops; there the stencil runs on the
-    flattened input, into `scratch` (laid out like the input), and one copy
-    moves the columns whose four points lie in one row into `out`.
+    contiguous blocks of rows. Along axis 1 it runs on the flattened input,
+    right on each column whose four points lie in one row. It writes there
+    straight into `out` when `out` is C-contiguous and shaped like the input
+    (a periodic operator's: the columns it gets wrong are edge rows), and
+    otherwise (a reshape of any other `out` is a copy) into a temporary
+    laid out like the input, whose right columns one copy moves into `out`.
 
     Every other output row belongs to one of `edges`, a list of products
     (out_rows, in_rows, mat): out[out_rows] = mat @ w[in_rows] along axis 0.
@@ -143,19 +145,19 @@ class _Kernel:
                               for o, i, mat in edges])   # by axis
         self.scale = self.mat = None
 
-    def __call__(self, w, out, axis: int, scale: float, scratch) -> None:
+    def __call__(self, w, out, axis: int, scale: float) -> None:
         s = self.s * scale
         if axis == 0:
             r0, r1, r2, r3 = self.in_rows
             _interior(w[r0], w[r1], w[r2], w[r3], out[self.out_rows], s)
         else:
-            if scratch is None:
-                scratch = np.empty(w.shape)
-            flat, n = w.reshape(-1), w.size
-            start = self.flat_start
+            direct = out.shape == w.shape and out.flags.c_contiguous
+            target = out if direct else np.empty(w.shape)
+            flat, n, start = w.reshape(-1), w.size, self.flat_start
             _interior(flat[:n - 3], flat[1:n - 2], flat[2:n - 1], flat[3:],
-                      scratch.reshape(-1)[start:start + n - 3], s)
-            out[:, self.out_rows] = scratch[:, self.out_rows]
+                      target.reshape(-1)[start:start + n - 3], s)
+            if not direct:
+                out[:, self.out_rows] = target[:, self.out_rows]
         for out_rows, in_rows, mat in self.edges[axis]:
             # a few rows: small temporaries
             prod = mat @ w[in_rows] if axis == 0 else w[in_rows] @ mat.T
@@ -167,7 +169,7 @@ class _Kernel:
         """scale * D as a matrix, the kernel applied to the identity (kept for the last scale)."""
         if self.scale != scale:
             self.scale, self.mat = scale, np.empty((n_out, n_in))
-            self(np.eye(n_in), self.mat, 0, scale, None)
+            self(np.eye(n_in), self.mat, 0, scale)
         return self.mat
 
 
@@ -187,7 +189,7 @@ def _periodic_kernel(n: int, dx: float, lo: int) -> _Kernel:
     return _Kernel(lo, 0, n - 3, dx, [(np.arange(lo - 3, lo) % n, seam, _WRAP)])
 
 
-def _apply(kernel: _Kernel, values, axis: int, out, scale: float, scratch,
+def _apply(kernel: _Kernel, values, axis: int, out, scale: float,
            n_in: int, n_out: int) -> NDArray[np.float64]:
     """Shared body of every `apply_d_*`: check the arrays, allocate `out` where
     needed, and run the kernel, or on a short axis its matrix as one product."""
@@ -200,13 +202,8 @@ def _apply(kernel: _Kernel, values, axis: int, out, scale: float, scratch,
         out = np.empty(w.shape[:axis] + (n_out,) + w.shape[axis + 1:])
     elif np.may_share_memory(out, w):
         raise DomainError("out must not share memory with the input")
-    if axis == 1 and scratch is not None:
-        if scratch.shape != w.shape or not scratch.flags.c_contiguous:
-            raise DomainError("scratch must be a C-contiguous array shaped like the input")
-        if np.may_share_memory(scratch, w) or np.may_share_memory(scratch, out):
-            raise DomainError("scratch must not share memory with the input or out")
     if max(n_in, n_out) > DENSE_MAX_POINTS:
-        kernel(w, out, axis, scale, scratch)
+        kernel(w, out, axis, scale)
     elif axis == 0:
         np.matmul(kernel.dense(scale, n_in, n_out), w, out=out)
     else:
@@ -248,25 +245,21 @@ class SbpOperatorSet1D:
 
     # -- application: the in-place kernel --
 
-    def apply_d_v(self, values, axis: int = 0, out=None, scale: float = 1.0,
-                  scratch=None) -> NDArray[np.float64]:
+    def apply_d_v(self, values, axis: int = 0, out=None,
+                  scale: float = 1.0) -> NDArray[np.float64]:
         """scale * (d^v values) along `axis`: dual values in, primary points out.
 
         `values` is 1D or 2D. With `out`, the result is written into it and
-        `out` is returned; otherwise a new array is. Along axis 1, `scratch`
-        (a C-contiguous array shaped like `values`, overwritten) saves
-        allocating one. Neither `out` nor `scratch` may share memory with
-        `values`: the kernel would overwrite its own input.
+        `out` is returned; otherwise a new array is. `out` may not share
+        memory with `values`: the kernel would overwrite its own input.
         """
-        return _apply(self._d_v, values, axis, out, scale, scratch,
-                      self.n_p - 1, self.n_p)
+        return _apply(self._d_v, values, axis, out, scale, self.n_p - 1, self.n_p)
 
-    def apply_d_p(self, values, axis: int = 0, out=None, scale: float = 1.0,
-                  scratch=None) -> NDArray[np.float64]:
+    def apply_d_p(self, values, axis: int = 0, out=None,
+                  scale: float = 1.0) -> NDArray[np.float64]:
         """scale * (d^p values) along `axis`: primary values in, dual points
-        out; `out` and `scratch` as in `apply_d_v`."""
-        return _apply(self._d_p, values, axis, out, scale, scratch,
-                      self.n_p, self.n_p - 1)
+        out; `out` as in `apply_d_v`."""
+        return _apply(self._d_p, values, axis, out, scale, self.n_p, self.n_p - 1)
 
     # -- dense and exact materializations (tests, certificates, dumps) --
 
@@ -365,16 +358,16 @@ class PeriodicOperatorSet1D:
 
     a_v = a_p
 
-    def apply_d_p(self, values, axis: int = 0, out=None, scale: float = 1.0,
-                  scratch=None) -> NDArray[np.float64]:
+    def apply_d_p(self, values, axis: int = 0, out=None,
+                  scale: float = 1.0) -> NDArray[np.float64]:
         """scale * (derivative of the primary field) at dual points; `out`
-        and `scratch` as in `SbpOperatorSet1D.apply_d_v`."""
-        return _apply(self._d_p, values, axis, out, scale, scratch, self.n, self.n)
+        as in `SbpOperatorSet1D.apply_d_v`."""
+        return _apply(self._d_p, values, axis, out, scale, self.n, self.n)
 
-    def apply_d_v(self, values, axis: int = 0, out=None, scale: float = 1.0,
-                  scratch=None) -> NDArray[np.float64]:
+    def apply_d_v(self, values, axis: int = 0, out=None,
+                  scale: float = 1.0) -> NDArray[np.float64]:
         """scale * (derivative of the dual field) at primary points."""
-        return _apply(self._d_v, values, axis, out, scale, scratch, self.n, self.n)
+        return _apply(self._d_v, values, axis, out, scale, self.n, self.n)
 
     def dense_d_p(self) -> NDArray[np.float64]:
         return _circulant(self.n, -1) / self.dx

@@ -42,30 +42,30 @@ DENSE_CAP = 64 * 64
 # ---------------------------------------------------------------------------
 
 def standing_p(x, y, t):
-    xx, yy = np.meshgrid(x, y, indexing="ij")
+    xx, yy = np.meshgrid(x, y, indexing="xy")
     return np.sin(4 * np.pi * xx) * np.sin(4 * np.pi * yy) * np.cos(4 * SQRT2 * np.pi * t)
 
 
 def standing_u(x, y, t):
-    xx, yy = np.meshgrid(x, y, indexing="ij")
+    xx, yy = np.meshgrid(x, y, indexing="xy")
     return (-(SQRT2 / 2) * np.cos(4 * np.pi * xx) * np.sin(4 * np.pi * yy)
             * np.sin(4 * SQRT2 * np.pi * t))
 
 
 def standing_v(x, y, t):
-    xx, yy = np.meshgrid(x, y, indexing="ij")
+    xx, yy = np.meshgrid(x, y, indexing="xy")
     return (-(SQRT2 / 2) * np.sin(4 * np.pi * xx) * np.cos(4 * np.pi * yy)
             * np.sin(4 * SQRT2 * np.pi * t))
 
 
 def _standing_state(system: SemiDiscreteSystem, t_p: float, t_vel: float) -> SimState:
-    """The standing mode sampled into a state: p of each block at t_p, u and
-    v of each block at t_vel (t_p + dt/2 for a consistent staggered start)."""
+    """The standing mode sampled into a state: p of each block at t_p, v and
+    u of each block at t_vel (t_p + dt/2 for a consistent staggered start)."""
     state = SimState(*system.zero_state(), t_p=t_p)
     blocks = [b.block for b in system.blocks]
     exact = ([standing_p(*blk.subgrid_coords("p"), t_p) for blk in blocks]
              + [f(*blk.subgrid_coords(name), t_vel) for blk in blocks
-                for f, name in ((standing_u, "u"), (standing_v, "v"))])
+                for f, name in ((standing_v, "v"), (standing_u, "u"))])
     fields = system.pressure_fields(state.p) + system.velocity_fields(state.v)
     for field, x in zip(fields, exact):
         field[...] = x
@@ -262,7 +262,7 @@ def materialize_system(system: SemiDiscreteSystem):
     transfers from each pair's exact tiles rounded once, not from its gather
     plans, providing a second route against the sliced matrix-free
     evaluators. Covers stacks of one- and two-axis blocks, periodic on every
-    axis but the last, with one interface per consecutive pair.
+    axis but the first, with one interface per consecutive pair.
 
     Raises:
         SizeError: any block above the dense cap.
@@ -270,52 +270,48 @@ def materialize_system(system: SemiDiscreteSystem):
     _check_cap(system)
     blocks = system.blocks
     c = system.coeffs
-    sigmas = ((c.sigma_left, c.sigma_right), (c.sigma_bottom, c.sigma_top))
+    sigmas = {1: (c.sigma_left, c.sigma_right), 2: (c.sigma_bottom, c.sigma_top)}
     p_off = np.cumsum([0] + [math.prod(b.shapes[0]) for b in blocks])
     v_off = np.cumsum([0] + [math.prod(shape) for b in blocks for shape in b.shapes[1:]])
     L_prs = np.zeros((p_off[-1], v_off[-1]))
     L_vel = np.zeros((v_off[-1], p_off[-1]))
     p_rows = [slice(p_off[i], p_off[i + 1]) for i in range(len(blocks))]
     v_rows = [slice(v_off[i], v_off[i + 1]) for i in range(len(v_off) - 1)]
-    last_v = []   # each block's last-axis velocity (the interface one)
-    vi = 0
+    first_v = np.cumsum([0] + [b.ndim for b in blocks])   # first-axis (interface) velocities
     for i, b in enumerate(blocks):
         n_prim = b.shapes[0]
         cp = b.coefficients[0].reshape(-1)[:, None]
         for k, ops in enumerate(b.ops):
             cv = b.coefficients[1 + k].reshape(-1)[:, None]
-            L_prs[p_rows[i], v_rows[vi]] = -_along(ops.dense_d_v(), k, n_prim) / cp
+            L_prs[p_rows[i], v_rows[first_v[i] + k]] = -_along(ops.dense_d_v(), k, n_prim) / cp
             d_vel = -ops.dense_d_p()
             if isinstance(ops, SbpOperatorSet1D):
-                # pressure-free outer ends of the stack (a bounded axis is last)
+                # pressure-free outer ends of the stack (a bounded axis is first)
+                low, high = sigmas[b.ndim]
                 if i == 0:
-                    d_vel += sigmas[k][0] * np.outer(ops.proj_left / ops.a_v,
-                                                     _unit(n_prim[k], 0))
+                    d_vel += low * np.outer(ops.proj_left / ops.a_v, _unit(n_prim[k], 0))
                 if i == len(blocks) - 1:
-                    d_vel += sigmas[k][1] * np.outer(ops.proj_right / ops.a_v,
-                                                     _unit(n_prim[k], -1))
-            L_vel[v_rows[vi], p_rows[i]] = _along(d_vel, k, n_prim) / cv
-            vi += 1
-        last_v.append(vi - 1)
+                    d_vel += high * np.outer(ops.proj_right / ops.a_v, _unit(n_prim[k], -1))
+            L_vel[v_rows[first_v[i] + k], p_rows[i]] = _along(d_vel, k, n_prim) / cv
 
     for i, t in enumerate(system.transfers):
         bm, bp = blocks[i], blocks[i + 1]
-        ym, yp = bm.ops[-1], bp.ops[-1]
-        ncm, ncp = (int(np.prod(b.shapes[0][:-1])) for b in (bm, bp))   # columns
-        e_im = _unit(bm.shapes[0][-1], -1)            # lower block interface row
-        e_ip = _unit(bp.shapes[0][-1], 0)             # upper block interface row
-        r_m = np.kron(np.eye(ncm), e_im[None, :])     # restrict P- to interface
-        r_p = np.kron(np.eye(ncp), e_ip[None, :])
-        pr_m = np.kron(np.eye(ncm), ym.proj_right[None, :])   # project V-
-        pr_p = np.kron(np.eye(ncp), yp.proj_left[None, :])
-        lift_pm = np.kron(np.eye(ncm), (e_im / ym.a_p[-1])[:, None])
-        lift_pp = np.kron(np.eye(ncp), (e_ip / yp.a_p[0])[:, None])
-        lift_vm = np.kron(np.eye(ncm), (ym.proj_right / ym.a_v)[:, None])
-        lift_vp = np.kron(np.eye(ncp), (yp.proj_left / yp.a_v)[:, None])
+        ym, yp = bm.ops[0], bp.ops[0]
+        ncm, ncp = (int(np.prod(b.shapes[0][1:])) for b in (bm, bp))   # columns
+        e_im = _unit(bm.shapes[0][0], -1)             # lower block interface row
+        e_ip = _unit(bp.shapes[0][0], 0)              # upper block interface row
+        r_m = np.kron(e_im[None, :], np.eye(ncm))     # restrict P- to interface
+        r_p = np.kron(e_ip[None, :], np.eye(ncp))
+        pr_m = np.kron(ym.proj_right[None, :], np.eye(ncm))   # project V-
+        pr_p = np.kron(yp.proj_left[None, :], np.eye(ncp))
+        lift_pm = np.kron((e_im / ym.a_p[-1])[:, None], np.eye(ncm))
+        lift_pp = np.kron((e_ip / yp.a_p[0])[:, None], np.eye(ncp))
+        lift_vm = np.kron((ym.proj_right / ym.a_v)[:, None], np.eye(ncm))
+        lift_vp = np.kron((yp.proj_left / yp.a_v)[:, None], np.eye(ncp))
         cpm, cpp = (b.coefficients[0].reshape(-1)[:, None] for b in (bm, bp))
-        cvm, cvp = (b.coefficients[-1].reshape(-1)[:, None] for b in (bm, bp))
+        cvm, cvp = (b.coefficients[1].reshape(-1)[:, None] for b in (bm, bp))
         pm, pp = p_rows[i], p_rows[i + 1]
-        vm, vp = v_rows[last_v[i]], v_rows[last_v[i + 1]]
+        vm, vp = v_rows[first_v[i]], v_rows[first_v[i + 1]]
         c2f, f2c = (tile.astype(float) for tile in t.exact_matrices())
         # pressure equations: penalize the projected-velocity jump
         L_prs[pm, vp] += c.sigma_p_minus * lift_pm @ f2c @ pr_p / cpm
@@ -373,15 +369,23 @@ def long_time_stability_run(scenario: str, n_steps: int = 50_000,
 
     Stable means the largest pressure magnitude seen in the last tenth of the
     record does not exceed the overall maximum, and the post-source energy
-    drift stays within 1e-3 relative.
+    drift stays within 1e-3 relative. A run too short for the ten energy
+    samples (at half levels) that drift needs after the source tapers raises
+    `DomainError` before any step.
     """
+    src = SCENARIOS[scenario]["sources"][0]
+    t_post = src["t0"] + 6.0 / src["f0"]
+    shortest = 10 + int(np.count_nonzero(dt * (np.arange(math.ceil(t_post / dt)) + 0.5)
+                                         < t_post))
+    if n_steps < shortest:
+        raise DomainError(f"stability scenario {scenario}: the post-source window "
+                          f"needs at least {shortest} steps, got {n_steps}")
     system, source, receiver = build_scenario(scenario)
     result = run(system, TimeGrid(dt, n_steps), sources=[source],
                  receivers=[receiver], record_energy=True)
     trace = result.seismograms[0]
     tail = trace[-max(1, len(trace) // 10):]
     amp_ratio = float(np.abs(tail).max() / np.abs(trace).max())
-    t_post = source.t0 + 6.0 / source.f0
     drift, slope = post_source_drift(result.energy_times, result.energy, t_post)
     verdict = "stable" if (amp_ratio <= 1.0 and drift <= 1e-3) else "unstable"
     return StabilityResult(scenario=scenario, verdict=verdict,

@@ -78,22 +78,22 @@ def test_2d_single_block_interior_pressure_rows_skip_penalties(rng):
     b = system.blocks[0]
     p, _ = system.random_state(rng)
     (field,) = system.pressure_fields(p)
-    field[:, 0] = 0.0
-    field[:, -1] = 0.0
-    du, dv = system.velocity_fields(system.velocity_rates(p))
-    np.testing.assert_array_equal(dv, -b.ops[1].apply_d_p(field, axis=1))
+    field[0] = 0.0
+    field[-1] = 0.0
+    dv, du = system.velocity_fields(system.velocity_rates(p))
+    np.testing.assert_array_equal(dv, -b.ops[0].apply_d_p(field, axis=0))
 
 
 def test_2d_single_block_pressure_rates_sum_both_axes(rng):
     # x is periodic, so D_x u is written into the pressure-shaped u-rate
     # buffer and added to D_y v: bit for bit the sum of the two differences
     system = uniform_standing_system(12)
-    x, y = system.blocks[0].ops
+    y, x = system.blocks[0].ops
     _, vel = system.random_state(rng)
-    u, v = system.velocity_fields(vel)
+    v, u = system.velocity_fields(vel)
     (dp,) = system.pressure_fields(system.pressure_rates(vel))
     np.testing.assert_array_equal(
-        dp, y.apply_d_v(v, 1, scale=-1.0) + x.apply_d_v(u, 0, scale=-1.0))
+        dp, y.apply_d_v(v, 0, scale=-1.0) + x.apply_d_v(u, 1, scale=-1.0))
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5)])
@@ -160,9 +160,9 @@ def test_d_y_v_exact_on_quadratic():
     b = assemble_2d_block(build_block_2d(0, 1, 12, 0, 1, 13))
     xv, yv = b.block.subgrid_coords("v")
     _, yp = b.block.subgrid_coords("p")
-    v = np.ones((12, 1)) * (yv**2)[None, :]
-    dv = b.ops[1].apply_d_v(v, axis=1)
-    np.testing.assert_allclose(dv, np.ones((12, 1)) * (2 * yp)[None, :],
+    v = (yv**2)[:, None] * np.ones((1, 12))
+    dv = b.ops[0].apply_d_v(v, axis=0)
+    np.testing.assert_allclose(dv, (2 * yp)[:, None] * np.ones((1, 12)),
                                rtol=0, atol=1e-12)
 
 
@@ -178,24 +178,24 @@ def test_d_x_p_fourth_order_refinement():
         b = assemble_2d_block(build_block_2d(0, 1, n, 0, 1, n + 1))
         xs, _ = b.block.subgrid_coords("p")
         xu, _ = b.block.subgrid_coords("u")
-        p = np.sin(2 * np.pi * xs)[:, None] * np.ones(n + 1)
-        d = b.ops[0].apply_d_p(p, axis=0)
-        errs.append(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * xu)[:, None]).max())
+        p = np.ones((n + 1, 1)) * np.sin(2 * np.pi * xs)
+        d = b.ops[1].apply_d_p(p, axis=1)
+        errs.append(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * xu)).max())
     assert 14.0 <= errs[0] / errs[1] <= 18.0
 
 
 def test_mixed_product_identity_for_q_y():
     b = assemble_2d_block(build_block_2d(0, 1, 6, 0, 1, 9))
-    nx, _ = b.block.p_shape
-    x_ops, y_ops = b.ops
-    a_p2 = np.kron(np.diag(x_ops.a_p), np.diag(y_ops.a_p))
-    a_v2 = np.kron(np.diag(x_ops.a_p), np.diag(y_ops.a_v))
-    d_y_v = np.kron(np.eye(nx), y_ops.dense_d_v())
-    d_y_p = np.kron(np.eye(nx), y_ops.dense_d_p())
+    _, nx = b.block.p_shape
+    y_ops, x_ops = b.ops
+    a_p2 = np.kron(np.diag(y_ops.a_p), np.diag(x_ops.a_p))
+    a_v2 = np.kron(np.diag(y_ops.a_v), np.diag(x_ops.a_p))
+    d_y_v = np.kron(y_ops.dense_d_v(), np.eye(nx))
+    d_y_p = np.kron(y_ops.dense_d_p(), np.eye(nx))
     q_big = a_p2 @ d_y_v + (a_v2 @ d_y_p).T
     q_1d = (y_ops.a_p[:, None] * y_ops.dense_d_v()
             + (y_ops.a_v[:, None] * y_ops.dense_d_p()).T)
-    q_expected = np.kron(np.diag(x_ops.a_p), q_1d)
+    q_expected = np.kron(q_1d, np.diag(x_ops.a_p))
     np.testing.assert_allclose(q_big, q_expected, rtol=0, atol=1e-14)
 
 
@@ -327,7 +327,7 @@ def test_conforming_split_glues_into_single_block(rng):
     whole = assemble_single_block_system(build_block_2d(0, 1, 12, 0, F(4, 3), 17),
                                          medium)
     assert len(glued.blocks) == 1
-    assert glued.blocks[0].block.p_shape == whole.blocks[0].block.p_shape == (12, 17)
+    assert glued.blocks[0].block.p_shape == whole.blocks[0].block.p_shape == (17, 12)
     p, v = whole.random_state(rng)
     np.testing.assert_array_equal(glued.pressure_rates(v), whole.pressure_rates(v))
     np.testing.assert_array_equal(glued.velocity_rates(p), whole.velocity_rates(p))
@@ -375,17 +375,37 @@ def test_one_to_one_split_with_different_y_spacings_keeps_two_blocks():
 
 
 def test_locate_pressure_point():
-    # flat indices into the pressure vector: block 0 is 6 x 9 points, so
-    # (ix, iy) of block 0 is 9 ix + iy and block 1 starts at 54
+    # flat indices into the pressure vector: block 0 is 9 x 6 points, so
+    # (ix, iy) of block 0 is 6 iy + ix and block 1 starts at 54
     system = ratio_system(2, 1)
     assert system.locate_pressure_point(0, 0) == 0
-    assert system.locate_pressure_point(F(1, 6), F(7, 6)) == 16
+    assert system.locate_pressure_point(F(1, 6), F(7, 6)) == 43
     # the interface row belongs to both blocks; the top one wins
     assert system.locate_pressure_point(0, F(4, 3)) == 54
-    bottom, top = system.pressure_fields(np.arange(54 + 12 * 9))
-    assert bottom[1, 7] == 16 and top[0, 0] == 54
+    bottom, top = system.pressure_fields(np.arange(54 + 9 * 12))
+    assert bottom[7, 1] == 43 and top[0, 0] == 54
     with pytest.raises(DomainError):
         system.locate_pressure_point(F(1, 7), 0)
+
+
+def test_fields_are_rows_by_columns():
+    # y, the stacking axis, is axis 0: a depth-only medium varies along it
+    # alone, and the point (x, y) is the field entry [iy, ix]
+    from stagwave.media import VerticalLinearMedium
+    medium = VerticalLinearMedium(y_bottom=0.0, y_top=4 / 3, rho_bottom=2.0,
+                                  rho_top=1.0, c_bottom=3.0, c_top=1.5)
+    system = assemble_interface_system([build_block_2d(0, 1, 12, 0, F(2, 3), 9),
+                                        build_block_2d(0, 1, 24, F(2, 3), F(4, 3), 17)],
+                                       medium)
+    p = np.arange(float(system.zero_state()[0].size))
+    for b, field in zip(system.blocks, system.pressure_fields(p)):
+        c_p = b.coefficients[0]
+        assert field.shape == c_p.shape == b.block.p_shape
+        assert np.all(c_p == c_p[:, :1]) and np.ptp(c_p[:, 0]) > 0
+        gx, gy = b.block.grid_x, b.block.grid_y
+        for iy, ix in ((1, 2), (gy.n_p - 2, gx.n_p - 1)):
+            index = system.locate_pressure_point(gx.primary_coord(ix), gy.primary_coord(iy))
+            assert p[index] == field[iy, ix]
 
 
 ENERGY_SYSTEMS = {**{name: lambda name=name: build_scenario(name)[0] for name in SCENARIOS},

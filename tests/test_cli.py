@@ -233,7 +233,7 @@ def test_validate_config_builds_the_blocks_and_the_medium(config_path):
     spec = parse_config(config_path)
     assert len(spec.blocks) == 2
     assert all(isinstance(block, StaggeredBlock2D) for block in spec.blocks)
-    assert [block.p_shape for block in spec.blocks] == [(12, 9), (24, 9)]   # bottom first
+    assert [block.p_shape for block in spec.blocks] == [(9, 12), (9, 24)]   # bottom first
     assert isinstance(spec.medium, Medium)
     assert spec.medium == TwoLayerMedium(split_y=0.64, rho_top=0.5, c_top=1.0,
                                          rho_bottom=1.0, c_bottom=2.0)
@@ -290,6 +290,17 @@ def test_verify_cfl_with_csv_report(tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "check,result,value,threshold"
     assert len(lines) == 5
+
+
+def test_verify_stability_refuses_a_short_run_before_stepping(monkeypatch, capsys):
+    # t0 + 6/f0 = 1.45 s at dt = 0.0012: ten energy samples after it need 1,218 steps
+    from stagwave import verification
+    calls = []
+    monkeypatch.setattr(verification, "run", lambda *a, **k: calls.append(a))
+    assert main(["verify", "stability", "--steps", "100"]) == 3
+    err = capsys.readouterr().err
+    assert "two_layer_2to1" in err and "1218 steps" in err
+    assert calls == []
 
 
 def test_operators_sbp_dump(tmp_path, capsys):

@@ -46,9 +46,9 @@ def test_gap_reconstruction_is_exact():
 
 def test_block_subgrid_shapes_match_staggering():
     block = build_block_2d(0, "0.96", 120, "0.48", "0.96", 61)
-    assert block.p_shape == (120, 61)
-    assert block.u_shape == (120, 61)
-    assert block.v_shape == (120, 60)
+    assert block.p_shape == (61, 120)   # (rows, columns)
+    assert block.u_shape == (61, 120)
+    assert block.v_shape == (60, 120)
     xu, yu = block.subgrid_coords("u")
     assert xu[0] == pytest.approx(0.004)
     xv, yv = block.subgrid_coords("v")
@@ -65,19 +65,21 @@ def test_block_requires_bounded_y():
     with pytest.raises(DomainError):
         StaggeredBlock2D(gy, gy)         # bounded x not allowed
     block = StaggeredBlock2D(gx, gy)
-    assert block.u_shape == block.p_shape == (16, 17)
+    assert block.u_shape == block.p_shape == (17, 16)
 
 
 def test_layout_requires_periodic_x():
-    # only a block's last axis may be bounded: neither a grid block nor a
+    # only a block's first axis may be bounded: neither a grid block nor a
     # block of operators admits a bounded x axis
     gx = build_grid_1d(0, "0.96", 61, BOTH_ENDS_PRIMARY)
     gy = build_grid_1d(0, "0.48", 31, BOTH_ENDS_PRIMARY)
     with pytest.raises(DomainError):
         StaggeredBlock2D(gx, gy)
     with pytest.raises(DomainError):
-        BlockOperators([build_sbp_1d(61, 0.016), build_sbp_1d(31, 0.016)])
-    BlockOperators([build_periodic_1d(60, 0.016), build_sbp_1d(31, 0.016)])
+        BlockOperators([build_sbp_1d(31, 0.016), build_sbp_1d(61, 0.016)])
+    with pytest.raises(DomainError):
+        BlockOperators([build_periodic_1d(60, 0.016), build_sbp_1d(31, 0.016)])
+    BlockOperators([build_sbp_1d(31, 0.016), build_periodic_1d(60, 0.016)])
 
 
 def test_layout_accepts_2_to_1():

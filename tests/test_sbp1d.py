@@ -133,7 +133,9 @@ def test_kernel_matches_dense_on_both_axes(ops, kind):
 @pytest.mark.parametrize("kind", ["d_p", "d_v"])
 def test_kernel_accumulates_into_nonzero_out(ops, kind):
     # the kernel writes its output, never adds to it: whatever `out` held
-    # before must not reach the result
+    # before must not reach the result; along axis 1 a periodic operator's
+    # stencil writes straight into `out`, and every seam column it gets
+    # wrong must be overwritten
     dense = getattr(ops, f"dense_{kind}")()
     apply = getattr(ops, f"apply_{kind}")
     rng = np.random.default_rng(3)
@@ -142,29 +144,35 @@ def test_kernel_accumulates_into_nonzero_out(ops, kind):
     assert apply(field, 0, out, scale=-1.5) is out
     np.testing.assert_allclose(out, -1.5 * dense @ field, rtol=0, atol=1e-13)
     out = rng.standard_normal((7, dense.shape[0]))
-    apply(field.T.copy(), 1, out, scale=-1.5, scratch=np.empty((7, dense.shape[1])))
+    assert apply(field.T.copy(), 1, out, scale=-1.5) is out
     np.testing.assert_allclose(out, (-1.5 * dense @ field).T, rtol=0, atol=1e-13)
 
 
-def test_kernel_rejects_a_scratch_unlike_the_input():
-    ops = build_sbp_1d(11, 1.0)
-    field = np.ones((4, 11))
-    with pytest.raises(DomainError):
-        ops.apply_d_p(field, axis=1, scratch=np.empty((4, 10)))
-    with pytest.raises(DomainError):
-        ops.apply_d_p(field, axis=1, scratch=np.empty((11, 4)).T)
+@pytest.mark.parametrize("n", [11, DENSE_MAX_POINTS + 1])
+@pytest.mark.parametrize("kind", ["d_p", "d_v"])
+def test_periodic_kernel_along_axis_1_into_a_non_contiguous_out(n, kind):
+    # a reshape of a non-contiguous `out` is a copy, so the stencil must not
+    # write into it: a column slice of a wider array and a transposed view
+    ops = build_periodic_1d(n, 0.37)
+    dense = getattr(ops, f"dense_{kind}")()
+    apply = getattr(ops, f"apply_{kind}")
+    rng = np.random.default_rng(4)
+    field = rng.standard_normal((7, n))
+    want = field @ dense.T
+    wide = rng.standard_normal((7, n + 5))
+    apply(field, 1, wide[:, 2:n + 2])
+    np.testing.assert_allclose(wide[:, 2:n + 2], want, rtol=0, atol=1e-13)
+    transposed = rng.standard_normal((n, 7))
+    apply(field, 1, transposed.T)
+    np.testing.assert_allclose(transposed.T, want, rtol=0, atol=1e-13)
 
 
-def test_kernel_rejects_out_or_scratch_sharing_the_input():
+def test_kernel_rejects_out_sharing_the_input():
     ops = build_periodic_1d(11, 1.0)
     field = np.ones((11, 11))
-    with pytest.raises(DomainError):
-        ops.apply_d_p(field, axis=0, out=field)
-    with pytest.raises(DomainError):
-        ops.apply_d_p(field, axis=1, out=np.empty((11, 11)), scratch=field)
-    out = np.empty((11, 11))
-    with pytest.raises(DomainError):
-        ops.apply_d_p(field, axis=1, out=out, scratch=out)
+    for axis in (0, 1):
+        with pytest.raises(DomainError):
+            ops.apply_d_p(field, axis=axis, out=field)
 
 
 def test_build_rejects_bad_sizes():
