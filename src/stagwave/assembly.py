@@ -41,8 +41,8 @@ heterogeneous media reuse the identical penalty structure.
 Buffer contract: a system allocates its two rate vectors at construction, and
 fixes its penalty weights, signs included, as floats, and its energy weights
 c . w, as vectors laid out like p and v, then too. The rate methods return
-scale * d/dt (scale 1 by default): the scale goes into the difference kernels'
-own scalar multiply, and each penalty term multiplies its weights by it where
+scale * d/dt (scale 1 by default): the difference kernels fold the scale into
+their matrices, and each penalty term multiplies its weights by it where
 it adds them, so the leapfrog passes dt and needs no pass of its own. They
 write through field views into the rate vectors and return them; the caller
 may change them in place. A `pressure_rates` result is valid until the next

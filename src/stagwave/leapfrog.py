@@ -187,15 +187,18 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     `step_forward` does not round.
 
     With `record_energy`, step n records the leapfrog's conserved energy
-    E_{n+1/2} (see the module docstring) at t_n + dt/2.
+    E_{n+1/2} (see the module docstring) at t_n + dt/2. It is positive
+    definite exactly when dt is stable, so the run stops at the first record
+    below 0. Without the record only the final non-finite check remains.
 
     Returns:
         RunResult with traces at integer levels and energy at half levels.
 
     Raises:
         DomainError: a source or receiver index is not an integer (a bool
-            is refused) or is outside the pressure vector, or a recorded
-            energy, a trace or the final state is not finite.
+            is refused) or is outside the pressure vector, a recorded
+            energy is negative or not finite, or a trace or the final state
+            is not finite.
     """
     dt, n = time_grid.dt, time_grid.n_steps
     u = _flush_unit(sources, state)
@@ -215,8 +218,9 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
         _advance_pressure(system, state, dt, sources)
         if record_energy:
             energy[it] = system.energy(p_prev, state.v, p_next=state.p)
-            if not math.isfinite(energy[it]):
-                raise DomainError(f"non-finite energy at step {it + 1}; dt = {dt} may be unstable")
+            if not 0 <= energy[it] < math.inf:
+                raise DomainError(f"energy {energy[it]:.3g} at step {it + 1} is negative or "
+                                  f"not finite; dt = {dt} is unstable")
         state.v += system.velocity_rates(state.p, dt)
         traces[:, it + 1] = state.p[at]
         if u and (it + 1) % _FLUSH_INTERVAL == 0:

@@ -20,12 +20,14 @@ staggered pair of subgrids:
 Every operator of both families applies through one in-place kernel
 (`apply_d_p`, `apply_d_v`): along axis 0 of a 1D or 2D array or axis 1 of a
 2D array, optionally scaled, into an output array that it overwrites. The
-kernel runs the interior stencil on contiguous rows; the rows it does not
-cover are data, a few small dense products: the two boundary closures of a
-bounded operator, or the rows of a periodic one that wrap around the seam.
-On an axis of at most 76 primary points (the crossover measured at 73-79 on a
-bounded axis 1 of 120 rows) every row is data: one BLAS product with the
-kernel's matrix replaces the stencil.
+kernel cuts the interior rows into tiles of 8 and applies them all with one
+batched BLAS product of a banded 8 x 11 matrix against overlapping windows
+of the input; the rows the tiles leave over are data, a few small dense
+products: the two boundary closures of a bounded operator, or the rows of a
+periodic one from the last tile around the seam. On an axis of at most 76
+primary points every row is data: one BLAS product with the kernel's matrix
+replaces the tiles. That product wins up to 48-90 points against the tiles,
+fewer the longer the other axis (one BLAS thread, 31-140 points across).
 
 Closure coefficients are stored as exact rationals. They are the unique
 solution of the accuracy + structure constraint system once the boundary
@@ -89,104 +91,115 @@ def _as_float(rows) -> NDArray[np.float64]:
 
 #: the longest axis, in primary points, whose operators apply as one matrix
 DENSE_MAX_POINTS = 76
+#: output rows (columns along axis 1) per tile of the banded product
+TILE = 8
 _ST = np.array([float(c) for c in INTERIOR_STENCIL])
-#: the periodic rows that wrap: three stencil rows over six consecutive points
-_WRAP = np.array([[*_ST, 0, 0], [0, *_ST, 0], [0, 0, *_ST]])
+
+
+def _band(k: int) -> NDArray[np.float64]:
+    """k interior stencil rows over k + 3 points: row i reads points i .. i+3."""
+    mat = np.zeros((k, k + 3))
+    rows = np.arange(k)[:, None]
+    mat[rows, rows + np.arange(4)] = _ST
+    return mat
 
 
 # ---------------------------------------------------------------------------
 # in-place application kernel
 # ---------------------------------------------------------------------------
 
-def _interior(w0, w1, w2, w3, out, s: float) -> None:
-    """out = s * (w0 - w3 + 27 (w2 - w1)), in place, with no temporaries.
-
-    This is the interior stencil (1, -27, 27, -1)/24 with 1/24, the grid
-    spacing and the scale folded into s. Its weights relative to 1/24 are
-    integers, so a unit input gives s and 27 s, the dense operator's entries
-    up to one rounding of 27 s.
-    """
-    np.subtract(w2, w1, out=out)
-    out *= 27.0
-    out += w0
-    out -= w3
-    out *= s
-
-
 class _Kernel:
     """scale * D for one staggered operator, written into (never added to) an
     output array, along axis 0 of a 1D or 2D array or axis 1 of a 2D array.
 
-    D is the interior stencil plus edge rows given as data. The stencil
-    covers output rows lo .. lo+m-1, and row lo reads input rows
-    first .. first+3. Along axis 0 the stencil runs in place in `out` on
-    contiguous blocks of rows. Along axis 1 it runs on the flattened input,
-    right on each column whose four points lie in one row. It writes there
-    straight into `out` when `out` is C-contiguous and shaped like the input
-    (a periodic operator's: the columns it gets wrong are edge rows), and
-    otherwise (a reshape of any other `out` is a copy) into a temporary
-    laid out like the input, whose right columns one copy moves into `out`.
+    D is banded: output row lo + i applies the interior stencil to input rows
+    first + i .. first + i + 3. Rows lo .. lo + TILE * tiles - 1 are `tiles`
+    tiles of TILE rows, applied by one batched matmul of a TILE x (TILE + 3)
+    band matrix against a window view of the input, whose tiles overlap by
+    three rows, straight into a view of `out`. The views are built on the
+    arrays' buffers, so both must be C-contiguous float64; other arrays (only
+    direct callers pass them) go through contiguous copies.
 
     Every other output row belongs to one of `edges`, a list of products
     (out_rows, in_rows, mat): out[out_rows] = mat @ w[in_rows] along axis 0.
     A bounded operator has its two closures there, a periodic operator the
-    rows that wrap around the seam. The row indices are built once per axis
-    and `mat` is divided by dx here; the scale is folded into the stencil's
-    scalar and into the edge products at call time.
+    rows that wrap around the seam; the stencil rows the tiles leave over
+    join the right closure or the seam rows. Every matrix is divided by dx
+    here and multiplied by the scale when it changes (kept for the last
+    scale); along axis 1 it is kept transposed and C-contiguous, since BLAS
+    runs a transposed view of the band about half as fast.
     """
 
-    def __init__(self, lo: int, first: int, m: int, dx: float, edges):
-        self.s = _ST[0] / dx
-        self.out_rows = slice(lo, lo + m)
-        self.in_rows = [slice(first + j, first + j + m) for j in range(4)]
-        self.flat_start = lo - first
-        edges = [(o, i, mat / dx) for o, i, mat in edges]
-        self.edges = (edges, [((slice(None), o), (slice(None), i), mat)
-                              for o, i, mat in edges])   # by axis
-        self.scale = self.mat = None
+    def __init__(self, lo: int, first: int, tiles: int, dx: float, edges):
+        self.lo, self.first, self.tiles = lo, first, tiles
+        self.rows = [(o, i) for o, i, _ in edges]
+        self.unit = [mat / dx for mat in (_band(TILE), *(mat for *_, mat in edges))]
+        self.scale = None
+
+    def _rescale(self, scale: float) -> None:
+        mats = [mat * scale for mat in self.unit]
+        self.scale, self.dense_by_axis = scale, {}
+        self.by_axis = mats, [mat.T.copy() for mat in mats]
 
     def __call__(self, w, out, axis: int, scale: float) -> None:
-        s = self.s * scale
+        if not (w.flags.c_contiguous and out.flags.c_contiguous and out.dtype == float):
+            target = np.empty(out.shape)
+            self(np.ascontiguousarray(w), target, axis, scale)
+            out[...] = target
+            return
+        if scale != self.scale:
+            self._rescale(scale)
+        band, *mats = self.by_axis[axis]
+        k, t, b = TILE, self.tiles, w.itemsize
         if axis == 0:
-            r0, r1, r2, r3 = self.in_rows
-            _interior(w[r0], w[r1], w[r2], w[r3], out[self.out_rows], s)
+            m = w.size // w.shape[0]   # 1 for a 1D array
+            x = np.ndarray((t, k + 3, m), float, w, b * m * self.first, (b * m * k, b * m, b))
+            y = np.ndarray((t, k, m), float, out, b * m * self.lo, (b * m * k, b * m, b))
+            np.matmul(band, x, out=y)
+            for (out_rows, in_rows), mat in zip(self.rows, mats):
+                out[out_rows] = mat @ w[in_rows]
         else:
-            direct = out.shape == w.shape and out.flags.c_contiguous
-            target = out if direct else np.empty(w.shape)
-            flat, n, start = w.reshape(-1), w.size, self.flat_start
-            _interior(flat[:n - 3], flat[1:n - 2], flat[2:n - 1], flat[3:],
-                      target.reshape(-1)[start:start + n - 3], s)
-            if not direct:
-                out[:, self.out_rows] = target[:, self.out_rows]
-        for out_rows, in_rows, mat in self.edges[axis]:
-            # a few rows: small temporaries
-            prod = mat @ w[in_rows] if axis == 0 else w[in_rows] @ mat.T
-            if scale != 1.0:
-                prod *= scale
-            out[out_rows] = prod
+            m, n_in, n_out = w.shape[0], w.shape[1], out.shape[1]
+            x = np.ndarray((t, m, k + 3), float, w, b * self.first, (b * k, b * n_in, b))
+            y = np.ndarray((t, m, k), float, out, b * self.lo, (b * k, b * n_out, b))
+            np.matmul(x, band, out=y)
+            for (out_rows, in_rows), mat in zip(self.rows, mats):
+                out[:, out_rows] = w[:, in_rows] @ mat
 
-    def dense(self, scale: float, n_in: int, n_out: int) -> NDArray[np.float64]:
-        """scale * D as a matrix, the kernel applied to the identity (kept for the last scale)."""
-        if self.scale != scale:
-            self.scale, self.mat = scale, np.empty((n_out, n_in))
-            self(np.eye(n_in), self.mat, 0, scale)
-        return self.mat
+    def dense(self, scale: float, n_in: int, n_out: int, axis: int) -> NDArray[np.float64]:
+        """scale * D as a matrix laid out for `axis` as the edge matrices are:
+        the kernel applied to the identity (kept for the last scale)."""
+        if scale != self.scale:
+            self._rescale(scale)
+        if axis not in self.dense_by_axis:
+            mat = np.empty((n_out, n_in))
+            self(np.eye(n_in), mat, 0, scale)
+            self.dense_by_axis[axis] = mat.T.copy() if axis else mat
+        return self.dense_by_axis[axis]
 
 
 def _bounded_kernel(closure, n_in: int, n_out: int, dx: float) -> _Kernel:
     """A bounded operator: each closure is a product with the five input rows
-    at its end."""
+    at its end, and the stencil rows after the last tile join the right one."""
     k = len(closure)
-    return _Kernel(k, 2, n_out - 2 * k, dx, [
+    tiles = (n_out - 2 * k) // TILE
+    r = n_out - 2 * k - TILE * tiles
+    right = np.zeros((r + k, r + 5))
+    right[:r, :r + 3] = _band(r)
+    right[r:, r:] = _as_float(_mirror(closure))
+    return _Kernel(k, 2, tiles, dx, [
         (slice(0, k), slice(0, 5), _as_float(closure)),
-        (slice(n_out - k, n_out), slice(n_in - 5, n_in), _as_float(_mirror(closure)))])
+        (slice(n_out - k - r, n_out), slice(n_in - r - 5, n_in), right)])
 
 
 def _periodic_kernel(n: int, dx: float, lo: int) -> _Kernel:
-    """A periodic operator: the three rows that wrap are one product with the
-    six points around the seam."""
-    seam = np.array([n - 3, n - 2, n - 1, 0, 1, 2])
-    return _Kernel(lo, 0, n - 3, dx, [(np.arange(lo - 3, lo) % n, seam, _WRAP)])
+    """A periodic operator: the stencil rows after the last tile and the three
+    rows that wrap are one band product with the points from there around
+    the seam."""
+    tiles = (n - 3) // TILE
+    t = TILE * tiles
+    return _Kernel(lo, 0, tiles, dx, [
+        (np.arange(lo + t, lo + n) % n, np.arange(t, n + 3) % n, _band(n - t))])
 
 
 def _apply(kernel: _Kernel, values, axis: int, out, scale: float,
@@ -205,9 +218,9 @@ def _apply(kernel: _Kernel, values, axis: int, out, scale: float,
     if max(n_in, n_out) > DENSE_MAX_POINTS:
         kernel(w, out, axis, scale)
     elif axis == 0:
-        np.matmul(kernel.dense(scale, n_in, n_out), w, out=out)
+        np.matmul(kernel.dense(scale, n_in, n_out, 0), w, out=out)
     else:
-        np.matmul(w, kernel.dense(scale, n_in, n_out).T, out=out)
+        np.matmul(w, kernel.dense(scale, n_in, n_out, 1), out=out)
     return out
 
 

@@ -132,6 +132,20 @@ def test_unstable_dt_exits_3_without_outputs(energy, tmp_path):
     assert not out.exists()
 
 
+def test_barely_unstable_dt_exits_3_at_the_first_negative_energy(tmp_path, capsys):
+    # just above the shipped 2:1 config's limit (about 0.00371) the recorded
+    # energy turns negative while every value is still finite
+    config = Path(__file__).resolve().parents[1] / "configs" / "two_layer_2to1.yaml"
+    cfg = yaml.safe_load(config.read_text())
+    cfg["time"] = {"dt": 0.00372, "n_steps": 1613}
+    path = tmp_path / "unstable.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "never"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert "is negative or not finite; dt = 0.00372 is unstable" in capsys.readouterr().err
+
+
 def test_existing_output_directory_needs_force(config_path, tmp_path):
     out = tmp_path / "out"
     out.mkdir()

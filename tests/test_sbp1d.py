@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stagwave.errors import DomainError
-from stagwave.sbp1d import (DENSE_MAX_POINTS, PROJECTION, build_periodic_1d,
+from stagwave.sbp1d import (DENSE_MAX_POINTS, PROJECTION, TILE, build_periodic_1d,
                             build_sbp_1d, structure_report, verify_sbp_structure)
 
 F = Fraction
@@ -84,7 +84,7 @@ def test_spacing_scaling_is_entrywise():
 
 
 def test_banded_apply_matches_dense_materialization():
-    # at 13 points the operator applies as one matrix, at 97 as the stencil
+    # at 13 points the operator applies as one matrix, at 97 as tiles
     for n, dx in ((13, 0.5), (97, 1.0)):
         ops = build_sbp_1d(n, dx)
         np.testing.assert_array_equal(ops.apply_d_p(np.eye(n), axis=0), ops.dense_d_p())
@@ -103,7 +103,7 @@ def test_apply_along_second_axis():
 
 # the minimum sizes too: at 9 points the two closure windows overlap, at 4
 # the wrap product covers three of the four rows; axes of at most
-# DENSE_MAX_POINTS points apply as one matrix, longer ones through the stencil
+# DENSE_MAX_POINTS points apply as one matrix, longer ones as tiles
 KERNEL_OPERATORS = [build_sbp_1d(13, 0.37), build_periodic_1d(11, 0.37),
                     build_sbp_1d(9, 0.37), build_periodic_1d(4, 0.37),
                     build_sbp_1d(90, 0.37), build_sbp_1d(91, 0.37),
@@ -133,9 +133,7 @@ def test_kernel_matches_dense_on_both_axes(ops, kind):
 @pytest.mark.parametrize("kind", ["d_p", "d_v"])
 def test_kernel_accumulates_into_nonzero_out(ops, kind):
     # the kernel writes its output, never adds to it: whatever `out` held
-    # before must not reach the result; along axis 1 a periodic operator's
-    # stencil writes straight into `out`, and every seam column it gets
-    # wrong must be overwritten
+    # before must not reach the result
     dense = getattr(ops, f"dense_{kind}")()
     apply = getattr(ops, f"apply_{kind}")
     rng = np.random.default_rng(3)
@@ -151,8 +149,8 @@ def test_kernel_accumulates_into_nonzero_out(ops, kind):
 @pytest.mark.parametrize("n", [11, DENSE_MAX_POINTS + 1])
 @pytest.mark.parametrize("kind", ["d_p", "d_v"])
 def test_periodic_kernel_along_axis_1_into_a_non_contiguous_out(n, kind):
-    # a reshape of a non-contiguous `out` is a copy, so the stencil must not
-    # write into it: a column slice of a wider array and a transposed view
+    # a non-contiguous `out`: a column slice of a wider array and a
+    # transposed view
     ops = build_periodic_1d(n, 0.37)
     dense = getattr(ops, f"dense_{kind}")()
     apply = getattr(ops, f"apply_{kind}")
@@ -165,6 +163,77 @@ def test_periodic_kernel_along_axis_1_into_a_non_contiguous_out(n, kind):
     transposed = rng.standard_normal((n, 7))
     apply(field, 1, transposed.T)
     np.testing.assert_allclose(transposed.T, want, rtol=0, atol=1e-13)
+
+
+# past DENSE_MAX_POINTS the interior rows apply as tiles of TILE rows; over
+# 2 TILE consecutive sizes every count of rows the tiles leave over occurs
+@pytest.mark.parametrize("n", range(DENSE_MAX_POINTS + 1, DENSE_MAX_POINTS + 2 * TILE + 1))
+def test_tiled_kernel_matches_dense_for_every_remainder(n):
+    rng = np.random.default_rng(n)
+    for ops in (build_sbp_1d(n, 0.37), build_periodic_1d(n, 0.37)):
+        for kind in ("d_p", "d_v"):
+            dense = -1.5 * getattr(ops, f"dense_{kind}")()
+            apply = getattr(ops, f"apply_{kind}")
+            field = rng.standard_normal((dense.shape[1], 5))
+            out = np.full((dense.shape[0], 5), np.nan)   # every row must be written
+            apply(field, 0, out, scale=-1.5)
+            np.testing.assert_allclose(out, dense @ field, rtol=0, atol=1e-13)
+            out = np.full((5, dense.shape[0]), np.nan)
+            apply(field.T.copy(), 1, out, scale=-1.5)
+            np.testing.assert_allclose(out, (dense @ field).T, rtol=0, atol=1e-13)
+
+
+TILED_OPERATORS = [build_sbp_1d(DENSE_MAX_POINTS + 5, 0.37),
+                   build_periodic_1d(DENSE_MAX_POINTS + 5, 0.37)]
+
+
+def _rows_inside_nan(shape):
+    """A C-contiguous array of `shape` whose buffer is flanked by NaN, and
+    the padded array it is a view of."""
+    padded = np.full((shape[0] + 4, *shape[1:]), np.nan)
+    return padded, padded[2:-2]
+
+
+@pytest.mark.parametrize("ops", TILED_OPERATORS, ids=["bounded", "periodic"])
+@pytest.mark.parametrize("kind", ["d_p", "d_v"])
+def test_tiled_kernel_stays_inside_its_arrays(ops, kind):
+    # the tile windows are views on the buffers of the input and of `out`:
+    # one that reached past the input would read NaN, one past `out` would
+    # overwrite the NaN around it
+    dense = getattr(ops, f"dense_{kind}")()
+    apply = getattr(ops, f"apply_{kind}")
+    field = np.random.default_rng(5).standard_normal((dense.shape[1], 6))
+    for axis, values, want in ((0, field[:, 0], dense @ field[:, 0]),
+                               (0, field, dense @ field), (1, field.T, (dense @ field).T)):
+        _, w = _rows_inside_nan(values.shape)
+        w[...] = values
+        padded_out, out = _rows_inside_nan(want.shape)
+        assert apply(w, axis, out) is out
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
+        assert np.isnan(padded_out[:2]).all() and np.isnan(padded_out[-2:]).all()
+
+
+def _layouts(a):
+    """`a` as a C-contiguous array, a column slice of a wider array and a
+    transposed view."""
+    wide = np.full((a.shape[0], a.shape[1] + 3), np.nan)
+    wide[:, 1:-2] = a
+    return [a.copy(), wide[:, 1:-2], a.T.copy().T]
+
+
+@pytest.mark.parametrize("ops", TILED_OPERATORS, ids=["bounded", "periodic"])
+@pytest.mark.parametrize("kind", ["d_p", "d_v"])
+def test_tiled_kernel_with_non_contiguous_values_or_out(ops, kind):
+    # the tile windows need packed buffers, so other arrays go through copies
+    dense = getattr(ops, f"dense_{kind}")()
+    apply = getattr(ops, f"apply_{kind}")
+    field = np.random.default_rng(6).standard_normal((dense.shape[1], 7))
+    for axis, values, want in ((0, field, dense @ field), (1, field.T, (dense @ field).T)):
+        for w in _layouts(values):
+            for out in _layouts(np.full(want.shape, np.nan)):
+                assert apply(w, axis, out) is out
+                np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
 
 
 def test_kernel_rejects_out_sharing_the_input():
