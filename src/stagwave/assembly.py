@@ -40,7 +40,7 @@ heterogeneous media reuse the identical penalty structure.
 
 Buffer contract: a system allocates its two rate vectors at construction, and
 fixes its penalty weights, signs included, as floats, and its energy weights
-c . w, as vectors laid out like p and v, then too. The rate methods return
+W = c . w (`cw_p`, `cw_v`, read only), laid out like p and v, then too. The rate methods return
 scale * d/dt (scale 1 by default): the difference kernels fold the scale into
 their matrices, and each penalty term multiplies its weights by it where
 it adds them, so the leapfrog passes dt and needs no pass of its own. They
@@ -302,9 +302,9 @@ class SemiDiscreteSystem:
             for i, transfer in enumerate(self.transfers)]
         self._c_p = [b.coefficients[0] for b in blocks]
         self._c_vel = [c for b in blocks for c in b.coefficients[1:]]
-        self._cw_p, self._cw_v = self.zero_state()   # c * w: the energy weights
-        cw_vel = self.velocity_fields(self._cw_v)
-        for b, cw_p, i in zip(blocks, self.pressure_fields(self._cw_p), self._first_vel):
+        self.cw_p, self.cw_v = self.zero_state()   # W = c * w: the energy weights
+        cw_vel = self.velocity_fields(self.cw_v)
+        for b, cw_p, i in zip(blocks, self.pressure_fields(self.cw_p), self._first_vel):
             for c, w, cw in zip(b.coefficients, b.weights, [cw_p, *cw_vel[i:i + b.ndim]]):
                 np.multiply(c, w, out=cw)
 
@@ -379,18 +379,18 @@ class SemiDiscreteSystem:
             raise DomainError(f"expected a vector of {self._p_rate.size} values for p (and "
                               f"p_next) and one of {self._v_rate.size} for v, got "
                               f"{np.shape(p)}, {np.shape(q)} and {np.shape(v)}")
-        return 0.5 * float(np.einsum("i,i,i->", p, q, self._cw_p)
-                           + np.einsum("i,i,i->", v, v, self._cw_v))
+        return 0.5 * float(np.einsum("i,i,i->", p, q, self.cw_p)
+                           + np.einsum("i,i,i->", v, v, self.cw_v))
 
     def energy_rate(self, p, v) -> float:
         """Relative instantaneous rate of change of the discrete energy:
         |sum of the per-field terms x^T (C . A) dx/dt| / sum of their sizes."""
         self.pressure_rates(v)
         terms = [float(np.vdot(x * rate, cw)) for x, rate, cw in
-                 zip(self.pressure_fields(p), self._dp, self.pressure_fields(self._cw_p))]
+                 zip(self.pressure_fields(p), self._dp, self.pressure_fields(self.cw_p))]
         self.velocity_rates(p)
         terms += [float(np.vdot(x * rate, cw)) for x, rate, cw in
-                  zip(self.velocity_fields(v), self._dvel, self.velocity_fields(self._cw_v))]
+                  zip(self.velocity_fields(v), self._dvel, self.velocity_fields(self.cw_v))]
         scale = sum(abs(t) for t in terms)
         return abs(sum(terms)) / scale if scale > 0 else 0.0
 

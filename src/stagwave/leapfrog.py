@@ -97,13 +97,15 @@ class SimState:
     t_p: float = 0.0
 
 
-def _advance_pressure(system, state: SimState, dt: float, sources) -> None:
-    """The first half of a step: pressure and t_p to t+dt."""
+def _advance_pressure(system, state: SimState, dt: float, sources) -> list[float]:
+    """The first half of a step: pressure and t_p to t+dt; returns each kick dt s(t+dt/2)."""
     t_half = state.t_p + 0.5 * dt
     state.p += system.pressure_rates(state.v, dt)
-    for s in sources:
-        state.p[s.index] += dt * s.value(t_half)
+    kicks = [dt * s.value(t_half) for s in sources]
+    for s, kick in zip(sources, kicks):
+        state.p[s.index] += kick
     state.t_p += dt
+    return kicks
 
 
 def step_forward(system, state: SimState, dt: float, sources=()):
@@ -187,8 +189,10 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     `step_forward` does not round.
 
     With `record_energy`, step n records the leapfrog's conserved energy
-    E_{n+1/2} (see the module docstring) at t_n + dt/2. It is positive
-    definite exactly when dt is stable, so the run stops at the first record
+    E_{n+1/2} (see the module docstring) at t_n + dt/2. Less each source's
+    share 1/2 W_p[i] p_n[i] dt s(t_n + dt/2), which can take it below 0 at a
+    stable dt, it is a form of the state that is positive definite exactly
+    when dt is stable, and the run stops at the first step where that form is
     below 0. Without the record only the final non-finite check remains.
 
     Returns:
@@ -197,8 +201,8 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     Raises:
         DomainError: a source or receiver index is not an integer (a bool
             is refused) or is outside the pressure vector, a recorded
-            energy is negative or not finite, or a trace or the final state
-            is not finite.
+            energy less the sources' shares is negative or not finite, or a
+            trace or the final state is not finite.
     """
     dt, n = time_grid.dt, time_grid.n_steps
     u = _flush_unit(sources, state)
@@ -212,15 +216,17 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     traces[:, 0] = state.p[at]
     energy = np.zeros(n) if record_energy else None
     p_prev = np.empty_like(state.p) if record_energy else None
+    shares = [(s.index, 0.5 * system.cw_p[s.index]) for s in sources]
     for it in range(n):
         if record_energy:
             np.copyto(p_prev, state.p)
-        _advance_pressure(system, state, dt, sources)
+        kicks = _advance_pressure(system, state, dt, sources)
         if record_energy:
             energy[it] = system.energy(p_prev, state.v, p_next=state.p)
-            if not 0 <= energy[it] < math.inf:
-                raise DomainError(f"energy {energy[it]:.3g} at step {it + 1} is negative or "
-                                  f"not finite; dt = {dt} is unstable")
+            form = energy[it] - sum(w * p_prev[i] * k for (i, w), k in zip(shares, kicks))
+            if not 0 <= form < math.inf:
+                raise DomainError(f"source-free energy {form:.3g} at step {it + 1} is negative "
+                                  f"or not finite; dt = {dt} is unstable")
         state.v += system.velocity_rates(state.p, dt)
         traces[:, it + 1] = state.p[at]
         if u and (it + 1) % _FLUSH_INTERVAL == 0:

@@ -134,7 +134,7 @@ def test_unstable_dt_exits_3_without_outputs(energy, tmp_path):
 
 def test_barely_unstable_dt_exits_3_at_the_first_negative_energy(tmp_path, capsys):
     # just above the shipped 2:1 config's limit (about 0.00371) the recorded
-    # energy turns negative while every value is still finite
+    # energy, less the source's share, turns negative while every value is still finite
     config = Path(__file__).resolve().parents[1] / "configs" / "two_layer_2to1.yaml"
     cfg = yaml.safe_load(config.read_text())
     cfg["time"] = {"dt": 0.00372, "n_steps": 1613}
@@ -144,6 +144,22 @@ def test_barely_unstable_dt_exits_3_at_the_first_negative_energy(tmp_path, capsy
     assert main(["run", str(path), "--out", str(out)]) == 3
     assert not out.exists()
     assert "is negative or not finite; dt = 0.00372 is unstable" in capsys.readouterr().err
+
+
+def test_a_source_changing_sign_in_the_first_steps_runs_at_a_stable_dt(tmp_path):
+    # the Ricker crosses zero at t0 - 1/(sqrt(2) pi f0) = 0.00068, between the
+    # first two half levels, so the record at step 2 is below 0; less the
+    # source's share it is a positive definite form of the state
+    config = Path(__file__).resolve().parents[1] / "configs" / "two_layer_2to1.yaml"
+    cfg = yaml.safe_load(config.read_text())
+    cfg["time"] = {"dt": 0.0012, "n_steps": 40}
+    cfg["sources"][0]["t0"] = 0.0457
+    path = tmp_path / "crossing.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    energy = np.loadtxt(out / "energy.csv", delimiter=",", skiprows=1)[:, 2]
+    assert energy[1] < 0
 
 
 def test_existing_output_directory_needs_force(config_path, tmp_path):

@@ -214,7 +214,7 @@ def test_run_keeps_every_energy_square_normal(n_steps):
     # square slows; 96 steps end on a rounding, 100 steps four steps after it
     system, grid, sources, receivers = _survey_slice()
     state = run(system, TimeGrid(grid.dt, n_steps), sources, receivers).final_state
-    for x, cw in ((state.p, system._cw_p), (state.v, system._cw_v)):
+    for x, cw in ((state.p, system.cw_p), (state.v, system.cw_v)):
         nonzero = x != 0
         assert np.count_nonzero(nonzero) > 0
         assert np.all((x * x * cw)[nonzero] >= TINY)
