@@ -39,20 +39,22 @@ Material coefficients divide the assembled right-hand side at the very end
 heterogeneous media reuse the identical penalty structure.
 
 Buffer contract: a system allocates its two rate vectors at construction, and
-fixes its penalty weights, signs included, as floats, and its energy weights
-W = c . w (`cw_p`, `cw_v`, read only), laid out like p and v, then too. The rate methods return
-scale * d/dt (scale 1 by default): the difference kernels fold the scale into
-their matrices, and each penalty term multiplies its weights by it where
-it adds them, so the leapfrog passes dt and needs no pass of its own. They
-write through field views into the rate vectors and return them; the caller
-may change them in place. A `pressure_rates` result is valid until the next
-`pressure_rates` call; a `velocity_rates` result until the next call of
-either: `pressure_rates` forms each periodic axis's term in that axis's
-velocity-rate field. `energy` reads its operands and the weights only and
-leaves both rate vectors as they are. `velocity_rates` writes only its own
-fields, so the operator M = -V o P runs as `velocity_rates(pressure_rates(v))`
-with no copy. The other order would overwrite its input on every 2D block;
-there the difference kernel raises `DomainError` instead.
+fixes its weights then too, signs included: a float per interface pressure
+row, a 3-vector per penalized end that lifts a trace onto three velocity rows
+in one update, and the energy weights W = c . w (`cw_p`, `cw_v`, read only),
+laid out like p and v. The rate methods return scale * d/dt (scale 1 by
+default): the difference kernels fold the scale into their matrices, and each
+penalty term multiplies its weights by it where it adds them, so the leapfrog
+passes dt and needs no pass of its own. They write through field views into
+the rate vectors and return them; the caller may change them in place. A
+`pressure_rates` result is valid until the next `pressure_rates` call; a
+`velocity_rates` result until the next call of either: `pressure_rates` forms
+each periodic axis's term in that axis's velocity-rate field. `energy` reads
+its operands and the weights only and leaves both rate vectors as they are.
+`velocity_rates` writes only its own fields, so the operator M = -V o P runs
+as `velocity_rates(pressure_rates(v))` with no copy. The other order would
+overwrite its input on every 2D block; there the difference kernel raises
+`DomainError` instead.
 """
 
 from __future__ import annotations
@@ -149,13 +151,6 @@ def assemble_2d_block(block: StaggeredBlock2D,
 # penalties
 # ---------------------------------------------------------------------------
 
-def _add_rank_one(field, rows, trace, weights, scale) -> None:
-    """field[rows[j]] += trace * (scale * weights[j]), one contiguous row (on
-    a 1D segment, one point) at a time."""
-    for row, weight in zip(rows, weights):
-        field[row] += trace * (scale * weight)
-
-
 def free_surface_velocity_sats(ops: BlockOperators, coeffs: SatCoefficients,
                                low: bool, high: bool):
     """Additive velocity penalties that weakly impose p = 0 on a block's
@@ -165,21 +160,22 @@ def free_surface_velocity_sats(ops: BlockOperators, coeffs: SatCoefficients,
     `low` and `high` select the ends that are not an interface. A 1D segment
     takes sigma_left/sigma_right, a 2D block sigma_bottom/sigma_top. Returns
     a callable (p, dvel, scale=1.0) that adds scale times the penalties to
-    the block's velocity rates dvel (one per axis) in place; the weights,
-    sign included, are floats fixed here.
+    the block's velocity rates dvel (one per axis) in place, each end in one
+    update; its lift weights, a 3-vector with the sign, are fixed here.
     """
     y = ops.ops[0]
     s_low, s_high = (getattr(coeffs, name) for name in _END_SIGMAS[ops.ndim])
-    terms = []   # (trace row, penalized rows, their weights)
+    terms = []   # (trace row, penalized rows, their lift weights)
     if isinstance(y, SbpOperatorSet1D):
         if low:
-            terms.append((0, range(3), (s_low * y.proj_left[:3] / y.a_v[:3]).tolist()))
+            terms.append((0, slice(0, 3), s_low * y.proj_left[:3] / y.a_v[:3]))
         if high:
-            terms.append((-1, range(-3, 0), (s_high * y.proj_right[-3:] / y.a_v[-3:]).tolist()))
+            terms.append((-1, slice(-3, None), s_high * y.proj_right[-3:] / y.a_v[-3:]))
 
     def add_terms(p, dvel, scale=1.0):
-        for trace, rows, w in terms:
-            _add_rank_one(dvel[0], rows, p[trace], w, scale)
+        for trace, rows, lift in terms:
+            slab = dvel[0][rows]
+            slab += np.multiply.outer(scale * lift, p[trace])
 
     return add_terms
 
@@ -197,7 +193,8 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
     exchange restricted/projected traces through the transfer pair, which
     maps across the other axis and is applied from its elemental stencils
     (`GatherPlan`); a one-axis block is read as a single column with a 1x1
-    transfer. The penalty weights, sign included, are floats fixed here.
+    transfer. Fixed here, sign included: a float weight per pressure row and
+    a 3-vector that lifts each trace onto three velocity rows in one update.
 
     Raises:
         DomainError: transfer operator shapes do not match the interface.
@@ -211,8 +208,8 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
     y_m, y_p = bottom.ops[0], top.ops[0]
     proj_m = y_m.proj_right[-3:]
     proj_p = y_p.proj_left[:3]
-    lift_m = (coeffs.sigma_v_minus * proj_m / y_m.a_v[-3:]).tolist()
-    lift_p = (coeffs.sigma_v_plus * proj_p / y_p.a_v[:3]).tolist()
+    lift_m = coeffs.sigma_v_minus * proj_m / y_m.a_v[-3:]
+    lift_p = coeffs.sigma_v_plus * proj_p / y_p.a_v[:3]
     tau_m = float(coeffs.sigma_p_minus / y_m.a_p[-1])
     tau_p = float(coeffs.sigma_p_plus / y_p.a_p[0])
     f2c, c2f = transfer.f2c_plan.apply, transfer.c2f_plan.apply
@@ -220,8 +217,6 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
     col = () if bottom.ndim == 2 else (None,)
     last3, first3 = (slice(-3, None),) + col, (slice(0, 3),) + col
     last, first = (-1,) + col, (0,) + col
-    rows_m = [(j,) + col for j in range(-3, 0)]
-    rows_p = [(j,) + col for j in range(3)]
 
     def add_to_pressure(v_m, v_p, dp_m, dp_p, scale=1.0):
         v_int_m = proj_m @ v_m[last3]
@@ -232,8 +227,9 @@ def interface_sat_terms(bottom: BlockOperators, top: BlockOperators,
     def add_to_velocity(p_m, p_p, dv_m, dv_p, scale=1.0):
         p_int_m = p_m[last]
         p_int_p = p_p[first]
-        _add_rank_one(dv_m, rows_m, f2c(p_int_p) - p_int_m, lift_m, scale)
-        _add_rank_one(dv_p, rows_p, p_int_p - c2f(p_int_m), lift_p, scale)
+        slab_m, slab_p = dv_m[last3], dv_p[first3]
+        slab_m += np.multiply.outer(scale * lift_m, f2c(p_int_p) - p_int_m)
+        slab_p += np.multiply.outer(scale * lift_p, p_int_p - c2f(p_int_m))
 
     return add_to_pressure, add_to_velocity
 

@@ -138,14 +138,19 @@ _FLUSH_INTERVAL = 8
 _FLUSH_EXPONENT = -200
 
 
-def _flush_unit(sources, state: SimState | None) -> float:
-    """u = 2^-200 s, s the power of two at or below the run's scale (the
-    largest |source amplitude| and |entry of the initial state|, where None
-    stands for a zero state); 0 when the scale is 0 or not finite. A state
-    costs two reductions per vector and no field-sized temporary."""
+def _peaks(sources, state: SimState | None) -> list[float]:
+    """Each source amplitude and the extremes of each initial vector (None
+    stands for a zero state): two reductions per vector, no temporary."""
     peaks = [s.amplitude for s in sources]
     if state is not None:
         peaks += [float(f(x, initial=0.0)) for x in (state.p, state.v) for f in (np.max, np.min)]
+    return peaks
+
+
+def _flush_unit(sources, state: SimState | None) -> float:
+    """u = 2^-200 s, s the power of two at or below the run's scale, the
+    largest |peak|; 0 when the scale is 0 or a peak is not finite."""
+    peaks = _peaks(sources, state)
     scale = max(map(abs, peaks), default=0.0)
     if scale == 0.0 or not all(map(math.isfinite, peaks)):
         return 0.0
@@ -188,23 +193,26 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     2^-199 of the scale; for a scale below 2^-769 some subnormals survive.
     `step_forward` does not round.
 
-    With `record_energy`, step n records the leapfrog's conserved energy
-    E_{n+1/2} (see the module docstring) at t_n + dt/2. Less each source's
-    share 1/2 W_p[i] p_n[i] dt s(t_n + dt/2), which can take it below 0 at a
-    stable dt, it is a form of the state that is positive definite exactly
-    when dt is stable, and the run stops at the first step where that form is
-    below 0. Without the record only the final non-finite check remains.
+    Step n's energy E_{n+1/2} (see the module docstring) less each source's
+    share 1/2 W_p[i] p_n[i] dt s(t_n + dt/2), which can take E below 0 at a
+    stable dt, is a form of the state that is positive definite exactly when
+    dt is stable. The run checks it every 8 steps, or with `record_energy`
+    every step, recording E_{n+1/2} at t_n + dt/2, and stops at the first
+    check where it is below 0. A non-finite start is refused before step 1.
 
     Returns:
         RunResult with traces at integer levels and energy at half levels.
 
     Raises:
         DomainError: a source or receiver index is not an integer (a bool
-            is refused) or is outside the pressure vector, a recorded
-            energy less the sources' shares is negative or not finite, or a
-            trace or the final state is not finite.
+            is refused) or is outside the pressure vector, the initial state
+            or a source amplitude is not finite, a checked energy less the
+            sources' shares is negative or not finite, or a trace or the
+            final state is not finite.
     """
     dt, n = time_grid.dt, time_grid.n_steps
+    if not all(map(math.isfinite, _peaks(sources, state))):
+        raise DomainError("non-finite initial state or source amplitude")
     u = _flush_unit(sources, state)
     if state is None:
         state = SimState(*system.zero_state())
@@ -214,14 +222,14 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     at = np.array([r.index for r in receivers], dtype=np.intp)
     traces = np.zeros((len(at), n + 1))
     traces[:, 0] = state.p[at]
-    energy = np.zeros(n) if record_energy else None
-    p_prev = np.empty_like(state.p) if record_energy else None
+    energy, p_prev = np.zeros(n), np.empty_like(state.p)
     shares = [(s.index, 0.5 * system.cw_p[s.index]) for s in sources]
     for it in range(n):
-        if record_energy:
+        check = record_energy or (it + 1) % _FLUSH_INTERVAL == 0
+        if check:
             np.copyto(p_prev, state.p)
         kicks = _advance_pressure(system, state, dt, sources)
-        if record_energy:
+        if check:
             energy[it] = system.energy(p_prev, state.v, p_next=state.p)
             form = energy[it] - sum(w * p_prev[i] * k for (i, w), k in zip(shares, kicks))
             if not 0 <= form < math.inf:
@@ -236,7 +244,7 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     times = t_start + dt * np.arange(n + 1)
     energy_times = t_start + dt * (np.arange(n) + 0.5)
     return RunResult(times=times, seismograms=traces, energy_times=energy_times,
-                     energy=energy, final_state=state)
+                     energy=energy if record_energy else None, final_state=state)
 
 
 # ---------------------------------------------------------------------------

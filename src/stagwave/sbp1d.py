@@ -17,12 +17,13 @@ staggered pair of subgrids:
 * ``PeriodicOperatorSet1D`` -- wrapped interior stencil on a periodic pair;
   the analogous bilinear form vanishes identically.
 
-Every operator of both families applies through one in-place kernel
-(`apply_d_p`, `apply_d_v`): along axis 0 of a 1D or 2D array or axis 1 of a
-2D array, optionally scaled, into an output array that it overwrites. The
-kernel cuts the interior rows into tiles of 8 and applies them all with one
-batched BLAS product of a banded 8 x 11 matrix against overlapping windows
-of the input; the rows the tiles leave over are data, a few small dense
+Both families share one pair of methods, `apply_d_p` and `apply_d_v`, and
+each operator applies through its own in-place kernel, which knows its
+sizes: along axis 0 of a 1D or 2D array or axis 1 of a 2D array, optionally
+scaled, into an output array that it overwrites. The kernel cuts the
+interior rows into tiles of 8 and applies them all with one batched BLAS
+product of a banded 8 x 11 matrix against overlapping windows of the
+input; the rows the tiles leave over are data, a few small dense
 products: the two boundary closures of a bounded operator, or the rows of a
 periodic one from the last tile around the seam. On an axis of at most 76
 primary points every row is data: one BLAS product with the kernel's matrix
@@ -42,7 +43,7 @@ run it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -109,8 +110,9 @@ def _band(k: int) -> NDArray[np.float64]:
 # ---------------------------------------------------------------------------
 
 class _Kernel:
-    """scale * D for one staggered operator, written into (never added to) an
-    output array, along axis 0 of a 1D or 2D array or axis 1 of a 2D array.
+    """scale * D for one staggered operator, n_in points in and n_out out,
+    written into (never added to) an output array, along axis 0 of a 1D or
+    2D array or axis 1 of a 2D array.
 
     D is banded: output row lo + i applies the interior stencil to input rows
     first + i .. first + i + 3. Rows lo .. lo + TILE * tiles - 1 are `tiles`
@@ -127,10 +129,14 @@ class _Kernel:
     join the right closure or the seam rows. Every matrix is divided by dx
     here and multiplied by the scale when it changes (kept for the last
     scale); along axis 1 it is kept transposed and C-contiguous, since BLAS
-    runs a transposed view of the band about half as fast.
+    runs a transposed view of the band about half as fast. Up to
+    DENSE_MAX_POINTS points the operator applies as one product with its
+    matrix instead: the tiles run on the identity, on the first call along
+    each axis per scale, and laid out for the axis as the edge matrices are.
     """
 
-    def __init__(self, lo: int, first: int, tiles: int, dx: float, edges):
+    def __init__(self, n_in: int, n_out: int, lo: int, first: int, tiles: int, dx: float, edges):
+        self.n_in, self.n_out = n_in, n_out
         self.lo, self.first, self.tiles = lo, first, tiles
         self.rows = [(o, i) for o, i, _ in edges]
         self.unit = [mat / dx for mat in (_band(TILE), *(mat for *_, mat in edges))]
@@ -142,13 +148,27 @@ class _Kernel:
         self.by_axis = mats, [mat.T.copy() for mat in mats]
 
     def __call__(self, w, out, axis: int, scale: float) -> None:
-        if not (w.flags.c_contiguous and out.flags.c_contiguous and out.dtype == float):
-            target = np.empty(out.shape)
-            self(np.ascontiguousarray(w), target, axis, scale)
-            out[...] = target
-            return
         if scale != self.scale:
             self._rescale(scale)
+        if max(self.n_in, self.n_out) > DENSE_MAX_POINTS:
+            self._tiles(w, out, axis)
+            return
+        mat = self.dense_by_axis.get(axis)
+        if mat is None:
+            mat = np.empty((self.n_out, self.n_in))
+            self._tiles(np.eye(self.n_in), mat, 0)
+            mat = self.dense_by_axis[axis] = mat.T.copy() if axis else mat
+        if axis == 0:
+            np.matmul(mat, w, out=out)
+        else:
+            np.matmul(w, mat, out=out)
+
+    def _tiles(self, w, out, axis: int) -> None:
+        if not (w.flags.c_contiguous and out.flags.c_contiguous and out.dtype == float):
+            target = np.empty(out.shape)
+            self._tiles(np.ascontiguousarray(w), target, axis)
+            out[...] = target
+            return
         band, *mats = self.by_axis[axis]
         k, t, b = TILE, self.tiles, w.itemsize
         if axis == 0:
@@ -166,17 +186,6 @@ class _Kernel:
             for (out_rows, in_rows), mat in zip(self.rows, mats):
                 out[:, out_rows] = w[:, in_rows] @ mat
 
-    def dense(self, scale: float, n_in: int, n_out: int, axis: int) -> NDArray[np.float64]:
-        """scale * D as a matrix laid out for `axis` as the edge matrices are:
-        the kernel applied to the identity (kept for the last scale)."""
-        if scale != self.scale:
-            self._rescale(scale)
-        if axis not in self.dense_by_axis:
-            mat = np.empty((n_out, n_in))
-            self(np.eye(n_in), mat, 0, scale)
-            self.dense_by_axis[axis] = mat.T.copy() if axis else mat
-        return self.dense_by_axis[axis]
-
 
 def _bounded_kernel(closure, n_in: int, n_out: int, dx: float) -> _Kernel:
     """A bounded operator: each closure is a product with the five input rows
@@ -187,7 +196,7 @@ def _bounded_kernel(closure, n_in: int, n_out: int, dx: float) -> _Kernel:
     right = np.zeros((r + k, r + 5))
     right[:r, :r + 3] = _band(r)
     right[r:, r:] = _as_float(_mirror(closure))
-    return _Kernel(k, 2, tiles, dx, [
+    return _Kernel(n_in, n_out, k, 2, tiles, dx, [
         (slice(0, k), slice(0, 5), _as_float(closure)),
         (slice(n_out - k - r, n_out), slice(n_in - r - 5, n_in), right)])
 
@@ -198,34 +207,53 @@ def _periodic_kernel(n: int, dx: float, lo: int) -> _Kernel:
     the seam."""
     tiles = (n - 3) // TILE
     t = TILE * tiles
-    return _Kernel(lo, 0, tiles, dx, [
+    return _Kernel(n, n, lo, 0, tiles, dx, [
         (np.arange(lo + t, lo + n) % n, np.arange(t, n + 3) % n, _band(n - t))])
 
 
-def _apply(kernel: _Kernel, values, axis: int, out, scale: float,
-           n_in: int, n_out: int) -> NDArray[np.float64]:
-    """Shared body of every `apply_d_*`: check the arrays, allocate `out` where
-    needed, and run the kernel, or on a short axis its matrix as one product."""
+def _apply(kernel: _Kernel, values, axis: int, out, scale: float) -> NDArray[np.float64]:
+    """Shared body of `apply_d_p` and `apply_d_v`: check the arrays, allocate
+    `out` where needed, and run the kernel."""
     w = np.asarray(values, dtype=float)
     if w.ndim > 2 or axis not in range(w.ndim):
         raise DomainError(f"cannot apply along axis {axis} of a {w.ndim}D array")
-    if w.shape[axis] != n_in:
-        raise DomainError(f"expected {n_in} values along axis {axis}, got {w.shape[axis]}")
+    if w.shape[axis] != kernel.n_in:
+        raise DomainError(f"expected {kernel.n_in} values along axis {axis}, got {w.shape[axis]}")
     if out is None:
-        out = np.empty(w.shape[:axis] + (n_out,) + w.shape[axis + 1:])
+        out = np.empty(w.shape[:axis] + (kernel.n_out,) + w.shape[axis + 1:])
     elif np.may_share_memory(out, w):
         raise DomainError("out must not share memory with the input")
-    if max(n_in, n_out) > DENSE_MAX_POINTS:
-        kernel(w, out, axis, scale)
-    elif axis == 0:
-        np.matmul(kernel.dense(scale, n_in, n_out, 0), w, out=out)
-    else:
-        np.matmul(w, kernel.dense(scale, n_in, n_out, 1), out=out)
+    kernel(w, out, axis, scale)
     return out
 
 
+class _OperatorSet1D:
+    """`apply_d_p` and `apply_d_v` of both families, through the `_d_p` and
+    `_d_v` kernels each sets when built. Neither family derives from the
+    other, so wrapping one's methods (`perfbench/tracing.py`) spares the other's."""
+
+    _d_p: _Kernel
+    _d_v: _Kernel
+
+    def apply_d_v(self, values, axis: int = 0, out=None,
+                  scale: float = 1.0) -> NDArray[np.float64]:
+        """scale * (d^v values) along `axis`: dual values in, primary points out.
+
+        `values` is 1D or 2D. With `out`, the result is written into it and
+        `out` is returned; otherwise a new array is. `out` may not share
+        memory with `values`: the kernel would overwrite its own input.
+        """
+        return _apply(self._d_v, values, axis, out, scale)
+
+    def apply_d_p(self, values, axis: int = 0, out=None,
+                  scale: float = 1.0) -> NDArray[np.float64]:
+        """scale * (d^p values) along `axis`: primary values in, dual points
+        out; `out` as in `apply_d_v`."""
+        return _apply(self._d_p, values, axis, out, scale)
+
+
 @dataclass(frozen=True)
-class SbpOperatorSet1D:
+class SbpOperatorSet1D(_OperatorSet1D):
     """Bounded-interval staggered SBP pair with diagonal norms.
 
     Shapes (n = n_p primary points, n-1 dual points):
@@ -244,9 +272,6 @@ class SbpOperatorSet1D:
     proj_left: NDArray[np.float64]
     proj_right: NDArray[np.float64]
 
-    _d_v: _Kernel = field(init=False, repr=False, compare=False)
-    _d_p: _Kernel = field(init=False, repr=False, compare=False)
-
     def __post_init__(self):
         n, dx = self.n_p, self.dx
         object.__setattr__(self, "_d_v", _bounded_kernel(DV_CLOSURE, n - 1, n, dx))
@@ -255,24 +280,6 @@ class SbpOperatorSet1D:
     @property
     def n_v(self) -> int:
         return self.n_p - 1
-
-    # -- application: the in-place kernel --
-
-    def apply_d_v(self, values, axis: int = 0, out=None,
-                  scale: float = 1.0) -> NDArray[np.float64]:
-        """scale * (d^v values) along `axis`: dual values in, primary points out.
-
-        `values` is 1D or 2D. With `out`, the result is written into it and
-        `out` is returned; otherwise a new array is. `out` may not share
-        memory with `values`: the kernel would overwrite its own input.
-        """
-        return _apply(self._d_v, values, axis, out, scale, self.n_p - 1, self.n_p)
-
-    def apply_d_p(self, values, axis: int = 0, out=None,
-                  scale: float = 1.0) -> NDArray[np.float64]:
-        """scale * (d^p values) along `axis`: primary values in, dual points
-        out; `out` as in `apply_d_v`."""
-        return _apply(self._d_p, values, axis, out, scale, self.n_p, self.n_p - 1)
 
     # -- dense and exact materializations (tests, certificates, dumps) --
 
@@ -351,13 +358,11 @@ def build_sbp_1d(n_p: int, dx: float) -> SbpOperatorSet1D:
 
 
 @dataclass(frozen=True)
-class PeriodicOperatorSet1D:
+class PeriodicOperatorSet1D(_OperatorSet1D):
     """Wrapped staggered pair: primary points i*dx, dual points (i+1/2)*dx."""
 
     n: int
     dx: float
-    _d_p: _Kernel = field(init=False, repr=False, compare=False)
-    _d_v: _Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # d^p row j starts at primary point j - 1, d^v row i at dual point i - 2
@@ -370,17 +375,6 @@ class PeriodicOperatorSet1D:
         return np.full(self.n, self.dx)
 
     a_v = a_p
-
-    def apply_d_p(self, values, axis: int = 0, out=None,
-                  scale: float = 1.0) -> NDArray[np.float64]:
-        """scale * (derivative of the primary field) at dual points; `out`
-        as in `SbpOperatorSet1D.apply_d_v`."""
-        return _apply(self._d_p, values, axis, out, scale, self.n, self.n)
-
-    def apply_d_v(self, values, axis: int = 0, out=None,
-                  scale: float = 1.0) -> NDArray[np.float64]:
-        """scale * (derivative of the dual field) at primary points."""
-        return _apply(self._d_v, values, axis, out, scale, self.n, self.n)
 
     def dense_d_p(self) -> NDArray[np.float64]:
         return _circulant(self.n, -1) / self.dx

@@ -132,12 +132,15 @@ def test_unstable_dt_exits_3_without_outputs(energy, tmp_path):
     assert not out.exists()
 
 
-def test_barely_unstable_dt_exits_3_at_the_first_negative_energy(tmp_path, capsys):
-    # just above the shipped 2:1 config's limit (about 0.00371) the recorded
-    # energy, less the source's share, turns negative while every value is still finite
+@pytest.mark.parametrize("energy", [True, False], ids=["record", "no_record"])
+def test_barely_unstable_dt_exits_3_at_the_first_negative_energy(energy, tmp_path, capsys):
+    # just above the shipped 2:1 config's limit (about 0.00371) the leapfrog
+    # energy, less the source's share, turns negative while every value is
+    # still finite; a run without the energy record checks it every 8 steps
     config = Path(__file__).resolve().parents[1] / "configs" / "two_layer_2to1.yaml"
     cfg = yaml.safe_load(config.read_text())
     cfg["time"] = {"dt": 0.00372, "n_steps": 1613}
+    cfg["outputs"]["energy"] = energy
     path = tmp_path / "unstable.yaml"
     path.write_text(yaml.safe_dump(cfg))
     out = tmp_path / "never"

@@ -273,6 +273,28 @@ def test_run_from_a_non_finite_state_raises(bad):
         run(system, TimeGrid(1e-3, 20), state=state)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_run_refuses_a_non_finite_source_amplitude_before_the_first_step(bad):
+    system = uniform_standing_system(12)
+    source = SourceSpec(system.locate_pressure_point(0.25, 0.25), f0=20.0, amplitude=bad)
+    with pytest.raises(sw.DomainError, match="non-finite initial state or source"):
+        run(system, TimeGrid(1e-3, 20), sources=[source])
+
+
+def test_the_energy_record_changes_no_output():
+    # without the record the run checks the energy every 8 steps, from the
+    # same state: traces and final state are the same bytes either way
+    system, grid, sources, receivers = _survey_slice()
+    plain = run(system, grid, sources, receivers)
+    recorded = run(system, grid, sources, receivers, record_energy=True)
+    assert plain.energy is None and recorded.energy.shape == (grid.n_steps,)
+    assert plain.seismograms.tobytes() == recorded.seismograms.tobytes()
+    for a, b in ((plain.final_state.p, recorded.final_state.p),
+                 (plain.final_state.v, recorded.final_state.v)):
+        assert a.tobytes() == b.tobytes()
+    assert plain.final_state.t_p == recorded.final_state.t_p
+
+
 @pytest.mark.parametrize("where", ["source", "receiver"])
 @pytest.mark.parametrize("index", ["-1", "n_p"])
 def test_run_rejects_an_index_outside_the_pressure_vector(where, index):
