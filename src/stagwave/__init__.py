@@ -17,9 +17,8 @@ from .grids import (StaggeredBlock2D, StaggeredGrid1D, build_block_2d,
                     build_grid_1d, build_layout)
 from .leapfrog import (ReceiverSpec, SimState, SourceSpec, TimeGrid, find_cfl,
                        ricker, run, step_backward, step_forward)
-from .media import (ConstantMedium, CoefficientDiagonals, GriddedMedium,
-                    TwoLayerMedium, VerticalLinearMedium, load_gridded_model,
-                    sample_coefficients)
+from .media import (ConstantMedium, GriddedMedium, TwoLayerMedium,
+                    VerticalLinearMedium, load_gridded_model, sample_coefficients)
 from .sbp1d import (PeriodicOperatorSet1D, SbpOperatorSet1D, build_periodic_1d,
                     build_sbp_1d, verify_sbp_structure)
 from .transfer import (ElementalStencilPair, TransferPair, certify_pair,

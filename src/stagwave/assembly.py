@@ -104,11 +104,11 @@ class BlockOperators:
     the norm weight and the material coefficient of each field. Every axis
     but the first is periodic; only the first may be bounded (`DomainError`).
 
-    Fields are ordered [p, velocity along axis 0, (velocity along axis 1)];
-    a velocity lives on the dual points of its own axis and on the primary
-    points of the other. `coefficients` holds one array per field, shaped
-    like it (unit coefficients when omitted); `block` is the grid block the
-    operators were built for, if any.
+    Fields are in state order, [p, velocity along axis 0, (velocity along
+    axis 1)], [p, v, u] on a grid block; a velocity lives on the dual points
+    of its own axis and the primary points of the other. `shapes` lists their
+    shapes, `coefficients` one array per field shaped like it (unit when
+    omitted), and `block` is the grid block they were built for, if any.
     """
 
     def __init__(self, ops, coefficients=None, block: StaggeredBlock2D | None = None):
@@ -139,12 +139,8 @@ def assemble_2d_block(block: StaggeredBlock2D,
     """Build one grid block's operators, y bounded along axis 0 and x
     periodic along axis 1, sampling the medium if given."""
     gx, gy = block.grid_x, block.grid_y
-    coefficients = None
-    if medium is not None:
-        sampled = sample_coefficients(medium, block)
-        coefficients = (sampled.c_p, sampled.c_v, sampled.c_u)
     return BlockOperators((build_sbp_1d(gy.n_p, gy.dx), build_periodic_1d(gx.n_p, gx.dx)),
-                          coefficients, block)
+                          None if medium is None else sample_coefficients(medium, block), block)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ half a spacing. Two alignments occur:
   dual point so periodic wraparound is seamless. Used horizontally.
 
 A 2D block is the tensor product of a periodic x-grid and a bounded y-grid
-(no other pair). A stack is a bottom-first sequence of blocks, each
-consecutive pair sharing a horizontal interface row, the coarser one below.
+(no other pair); its fields, in state order: p, v (dual in y), u (dual in
+x). A stack is a bottom-first sequence of blocks, each consecutive pair
+sharing a horizontal interface row, the coarser one below.
 
 Coordinates are stored as exact rationals so that widths, interface
 positions, and spacing ratios can be compared without tolerance.
@@ -109,10 +110,10 @@ def build_grid_1d(x_left, x_right, n_p: int, alignment: Alignment) -> StaggeredG
 class StaggeredBlock2D:
     """Tensor-product block: periodic x-grid x bounded y-grid.
 
-    Subgrid shapes (rows x columns, stored row-major with x fastest):
+    Subgrid shapes in state order (rows x columns, row-major, x fastest):
       p: (n_y, n_x)        -- pressure
-      u: (n_y, n_x)        -- x-velocity, staggered in x only
       v: (n_y-1, n_x)      -- y-velocity, staggered in y only
+      u: (n_y, n_x)        -- x-velocity, staggered in x only
 
     Any other pair of grids raises `DomainError`.
     """
@@ -130,23 +131,11 @@ class StaggeredBlock2D:
     def p_shape(self) -> tuple[int, int]:
         return (self.grid_y.n_p, self.grid_x.n_p)
 
-    @property
-    def u_shape(self) -> tuple[int, int]:
-        return (self.grid_y.n_p, self.grid_x.n_dual)
-
-    @property
-    def v_shape(self) -> tuple[int, int]:
-        return (self.grid_y.n_dual, self.grid_x.n_p)
-
-    def subgrid_coords(self, field: str) -> tuple[np.ndarray, np.ndarray]:
-        """1D coordinate arrays (x, y) of the requested subgrid."""
-        if field == "p":
-            return self.grid_x.primary_coords(), self.grid_y.primary_coords()
-        if field == "u":
-            return self.grid_x.dual_coords(), self.grid_y.primary_coords()
-        if field == "v":
-            return self.grid_x.primary_coords(), self.grid_y.dual_coords()
-        raise ValueError(f"unknown field {field!r}")
+    def field_coords(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """1D coordinate arrays (x, y) of each field's subgrid, p, v, u."""
+        x_p, x_u = self.grid_x.primary_coords(), self.grid_x.dual_coords()
+        y_p, y_v = self.grid_y.primary_coords(), self.grid_y.dual_coords()
+        return [(x_p, y_p), (x_p, y_v), (x_u, y_p)]
 
 
 def build_block_2d(x_left, width, n_cols: int, y_bottom, y_top,

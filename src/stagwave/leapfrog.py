@@ -194,11 +194,12 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     `step_forward` does not round.
 
     Step n's energy E_{n+1/2} (see the module docstring) less each source's
-    share 1/2 W_p[i] p_n[i] dt s(t_n + dt/2), which can take E below 0 at a
-    stable dt, is a form of the state that is positive definite exactly when
-    dt is stable. The run checks it every 8 steps, or with `record_energy`
-    every step, recording E_{n+1/2} at t_n + dt/2, and stops at the first
-    check where it is below 0. A non-finite start is refused before step 1.
+    share 1/2 W_p[i] p_n[i] dt s(t_n + dt/2) (E alone can dip below 0 at a
+    stable dt) is a form positive definite exactly when dt is stable. The run
+    checks it every 8 steps, or with `record_energy` every step, recording
+    E_{n+1/2} at t_n + dt/2, and stops at a check that finds it below 0. The
+    check samples: an unstable form can read positive, so a short run at an
+    unstable dt can return. A non-finite start is refused before step 1.
 
     Returns:
         RunResult with traces at integer levels and energy at half levels.

@@ -62,13 +62,12 @@ def _standing_state(system: SemiDiscreteSystem, t_p: float, t_vel: float) -> Sim
     """The standing mode sampled into a state: p of each block at t_p, v and
     u of each block at t_vel (t_p + dt/2 for a consistent staggered start)."""
     state = SimState(*system.zero_state(), t_p=t_p)
-    blocks = [b.block for b in system.blocks]
-    exact = ([standing_p(*blk.subgrid_coords("p"), t_p) for blk in blocks]
-             + [f(*blk.subgrid_coords(name), t_vel) for blk in blocks
-                for f, name in ((standing_v, "v"), (standing_u, "u"))])
-    fields = system.pressure_fields(state.p) + system.velocity_fields(state.v)
-    for field, x in zip(fields, exact):
-        field[...] = x
+    p, vel = system.pressure_fields(state.p), system.velocity_fields(state.v)
+    for k, b in enumerate(system.blocks):
+        for field, f, t, (x, y) in zip((p[k], *vel[2 * k:2 * k + 2]),
+                                       (standing_p, standing_v, standing_u),
+                                       (t_p, t_vel, t_vel), b.block.field_coords()):
+            field[...] = f(x, y, t)
     return state
 
 
@@ -373,16 +372,17 @@ def long_time_stability_run(scenario: str, n_steps: int = 50_000,
     samples (at half levels) that drift needs after the source tapers raises
     `DomainError` before any step.
     """
-    src = SCENARIOS[scenario]["sources"][0]
-    t_post = src["t0"] + 6.0 / src["f0"]
+    spec = validate_config(SCENARIOS[scenario])
+    _, _, f0, t0, _ = spec.sources[0]
+    t_post = t0 + 6.0 / f0
     shortest = 10 + int(np.count_nonzero(dt * (np.arange(math.ceil(t_post / dt)) + 0.5)
                                          < t_post))
     if n_steps < shortest:
         raise DomainError(f"stability scenario {scenario}: the post-source window "
                           f"needs at least {shortest} steps, got {n_steps}")
-    system, source, receiver = build_scenario(scenario)
-    result = run(system, TimeGrid(dt, n_steps), sources=[source],
-                 receivers=[receiver], record_energy=True)
+    built = build_run(spec)
+    result = run(built.system, TimeGrid(dt, n_steps), sources=built.sources[:1],
+                 receivers=built.receivers[:1], record_energy=True)
     trace = result.seismograms[0]
     tail = trace[-max(1, len(trace) // 10):]
     amp_ratio = float(np.abs(tail).max() / np.abs(trace).max())

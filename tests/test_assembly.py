@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import yaml
+from conftest import TINY_CONFIG
 
 import stagwave as sw
 from stagwave.assembly import (BlockOperators, SatCoefficients, SemiDiscreteSystem,
@@ -10,6 +12,7 @@ from stagwave.assembly import (BlockOperators, SatCoefficients, SemiDiscreteSyst
                                assemble_1d_interface_system, assemble_2d_block,
                                assemble_interface_system,
                                assemble_single_block_system)
+from stagwave.config import validate_config
 from stagwave.errors import DomainError
 from stagwave.grids import build_block_2d
 from stagwave.leapfrog import SimState, step_forward
@@ -158,8 +161,7 @@ def test_two_block_broken_adjoint_relation_leaks(rng):
 
 def test_d_y_v_exact_on_quadratic():
     b = assemble_2d_block(build_block_2d(0, 1, 12, 0, 1, 13))
-    xv, yv = b.block.subgrid_coords("v")
-    _, yp = b.block.subgrid_coords("p")
+    (_, yp), (xv, yv), _ = b.block.field_coords()
     v = (yv**2)[:, None] * np.ones((1, 12))
     dv = b.ops[0].apply_d_v(v, axis=0)
     np.testing.assert_allclose(dv, (2 * yp)[:, None] * np.ones((1, 12)),
@@ -176,8 +178,7 @@ def test_d_x_p_fourth_order_refinement():
     errs = []
     for n in (32, 64):
         b = assemble_2d_block(build_block_2d(0, 1, n, 0, 1, n + 1))
-        xs, _ = b.block.subgrid_coords("p")
-        xu, _ = b.block.subgrid_coords("u")
+        (xs, _), _, (xu, _) = b.block.field_coords()
         p = np.ones((n + 1, 1)) * np.sin(2 * np.pi * xs)
         d = b.ops[1].apply_d_p(p, axis=1)
         errs.append(np.abs(d - 2 * np.pi * np.cos(2 * np.pi * xu)).max())
@@ -273,6 +274,15 @@ def test_block_shapes_are_the_weight_shapes(kind):
     # shapes come from the 1D point counts, without building the weights
     for b in _SYSTEM_KINDS[kind]().blocks:
         assert b.shapes == [w.shape for w in b.weights]
+
+
+@pytest.mark.parametrize("name", [*SCENARIOS, "tiny"])
+def test_field_coords_match_the_operator_shapes(name):
+    # grids, media and assembly each list a block's fields: one order, p, v, u
+    spec = validate_config(yaml.safe_load(TINY_CONFIG) if name == "tiny" else SCENARIOS[name])
+    for b in assemble_interface_system(spec.blocks, spec.medium).blocks:
+        assert [(len(y), len(x)) for x, y in b.block.field_coords()] == b.shapes
+        assert [c.shape for c in b.coefficients] == b.shapes
 
 
 @pytest.mark.parametrize("hetero", [False, True], ids=["unit", "hetero"])

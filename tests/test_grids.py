@@ -47,12 +47,10 @@ def test_gap_reconstruction_is_exact():
 def test_block_subgrid_shapes_match_staggering():
     block = build_block_2d(0, "0.96", 120, "0.48", "0.96", 61)
     assert block.p_shape == (61, 120)   # (rows, columns)
-    assert block.u_shape == (61, 120)
-    assert block.v_shape == (60, 120)
-    xu, yu = block.subgrid_coords("u")
-    assert xu[0] == pytest.approx(0.004)
-    xv, yv = block.subgrid_coords("v")
-    assert yv[0] == pytest.approx(0.484)
+    p, v, u = block.field_coords()      # state order
+    assert [(len(y), len(x)) for x, y in (p, v, u)] == [(61, 120), (60, 120), (61, 120)]
+    assert u[0][0] == pytest.approx(0.004)
+    assert v[1][0] == pytest.approx(0.484)
 
 
 def test_block_requires_bounded_y():
@@ -65,7 +63,8 @@ def test_block_requires_bounded_y():
     with pytest.raises(DomainError):
         StaggeredBlock2D(gy, gy)         # bounded x not allowed
     block = StaggeredBlock2D(gx, gy)
-    assert block.u_shape == block.p_shape == (17, 16)
+    _, _, (xu, yu) = block.field_coords()
+    assert (len(yu), len(xu)) == block.p_shape == (17, 16)
 
 
 def test_layout_requires_periodic_x():

@@ -16,10 +16,10 @@ def block():
 
 
 def test_constant_medium_diagonals(block):
-    diag = sample_coefficients(ConstantMedium(rho=1.0, c=2.0), block)
-    np.testing.assert_array_equal(diag.c_p, np.full(block.p_shape, 0.25))
-    np.testing.assert_array_equal(diag.c_u, np.ones(block.u_shape))
-    np.testing.assert_array_equal(diag.c_v, np.ones(block.v_shape))
+    c_p, c_v, c_u = sample_coefficients(ConstantMedium(rho=1.0, c=2.0), block)
+    np.testing.assert_array_equal(c_p, np.full(block.p_shape, 0.25))
+    np.testing.assert_array_equal(c_v, np.ones((12, 12)))   # v: one row fewer
+    np.testing.assert_array_equal(c_u, np.ones(block.p_shape))
 
 
 def test_two_layer_blocks_sample_their_own_side():
@@ -27,12 +27,12 @@ def test_two_layer_blocks_sample_their_own_side():
                             rho_bottom=1.0, c_bottom=2.0)
     bottom = build_block_2d(0, "0.96", 60, 0, "0.48", 31)
     top = build_block_2d(0, "0.96", 120, "0.48", "0.96", 61)
-    d_bot = sample_coefficients(medium, bottom)
-    d_top = sample_coefficients(medium, top)
-    np.testing.assert_array_equal(d_bot.c_u, np.full(bottom.u_shape, 1.0))
-    np.testing.assert_array_equal(d_bot.c_p, np.full(bottom.p_shape, 0.25))
-    np.testing.assert_array_equal(d_top.c_u, np.full(top.u_shape, 0.5))
-    np.testing.assert_array_equal(d_top.c_p, np.full(top.p_shape, 2.0))
+    c_p_bot, _, c_u_bot = sample_coefficients(medium, bottom)
+    c_p_top, _, c_u_top = sample_coefficients(medium, top)
+    np.testing.assert_array_equal(c_u_bot, np.full(bottom.p_shape, 1.0))
+    np.testing.assert_array_equal(c_p_bot, np.full(bottom.p_shape, 0.25))
+    np.testing.assert_array_equal(c_u_top, np.full(top.p_shape, 0.5))
+    np.testing.assert_array_equal(c_p_top, np.full(top.p_shape, 2.0))
 
 
 def test_vertical_linear_profile():

@@ -140,6 +140,17 @@ def test_two_layer_scenario_short_run_is_stable():
     assert abs(res.energy_slope) * window <= 1e-3
 
 
+def test_stability_run_reads_its_source_through_the_config_defaults(monkeypatch):
+    # a source without t0 starts at t0 = 0: 6/f0 = 1.2 s at dt = 0.0012
+    # needs 1,000 steps before it and ten energy samples after it
+    from stagwave import verification
+    scenario = dict(SCENARIOS["two_layer_2to1"])
+    scenario["sources"] = [{"x": 0.04, "y": 0.92, "f0": 5.0}]
+    monkeypatch.setitem(verification.SCENARIOS, "no_t0", scenario)
+    with pytest.raises(DomainError, match="no_t0: .* at least 1010 steps, got 100"):
+        long_time_stability_run("no_t0", n_steps=100)
+
+
 @pytest.mark.slow
 def test_coarsened_split_agreement_degrades_gracefully():
     from stagwave.verification import two_grid_agreement
