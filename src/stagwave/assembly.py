@@ -42,7 +42,8 @@ Buffer contract: a system allocates its two rate vectors at construction, and
 fixes its weights then too, signs included: a float per interface pressure
 row, a 3-vector per penalized end that lifts a trace onto three velocity rows
 in one update, and the energy weights W = c . w (`cw_p`, `cw_v`, read only),
-laid out like p and v. The rate methods return scale * d/dt (scale 1 by
+laid out like p and v; `conserves_energy` says whether its coefficients are
+the conserving defaults. The rate methods return scale * d/dt (scale 1 by
 default): the difference kernels fold the scale into their matrices, and each
 penalty term multiplies its weights by it where it adds them, so the leapfrog
 passes dt and needs no pass of its own. They write through field views into
@@ -90,6 +91,10 @@ class SatCoefficients:
     sigma_p_plus: float = -0.5
     sigma_v_plus: float = -0.5
 
+
+#: the defaults, made once at import: a system conserves its energy exactly
+#: when its coefficients equal these (`SemiDiscreteSystem.conserves_energy`)
+_CONSERVING = SatCoefficients()
 
 #: SatCoefficients fields of the (low, high) ends of a 1D or a 2D block, by ndim
 _END_SIGMAS = {1: ("sigma_left", "sigma_right"), 2: ("sigma_bottom", "sigma_top")}
@@ -274,6 +279,7 @@ class SemiDiscreteSystem:
         self.blocks = blocks = list(blocks)
         self.transfers = tuple(transfers)
         self.coeffs = coeffs or SatCoefficients()
+        self.conserves_energy = self.coeffs == _CONSERVING
         self._p_layout = _layout([b.shapes[0] for b in blocks])
         self._v_layout = _layout([shape for b in blocks for shape in b.shapes[1:]])
         self._p_rate, self._v_rate = self.zero_state()

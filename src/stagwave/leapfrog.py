@@ -13,7 +13,9 @@ during the pressure update, matching the half-level sampling of the scheme.
 The energy recorded at half levels is the one the leapfrog conserves exactly
 (constant up to roundoff while no source injects): with W = C . A,
 E_{n+1/2} = 1/2 (p_n^T W_p p_{n+1} + v_{n+1/2}^T W_v v_{n+1/2}), taken between
-the pressure and the velocity half of each step, from a copy of p_n.
+the pressure and the velocity half of a step. `run` evaluates it in full, from
+a copy of p_n, every 8 steps, and carries it in between by the identity the
+scheme conserves, one scalar per source (see `run`).
 
 A step updates the state in place: the system returns each rate vector
 already scaled by dt, and it is added to its state vector, so stepping
@@ -137,6 +139,10 @@ def _check_index(index, n_p: int) -> None:
 _FLUSH_INTERVAL = 8
 _FLUSH_EXPONENT = -200
 
+#: run() stops when an evaluated energy is further than this share of the
+#: largest evaluated |E| from the energy carried to it
+_ENERGY_GAP = 1e-12
+
 
 def _peaks(sources, state: SimState | None) -> list[float]:
     """Each source amplitude and the extremes of each initial vector (None
@@ -194,12 +200,22 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     `step_forward` does not round.
 
     Step n's energy E_{n+1/2} (see the module docstring) less each source's
-    share 1/2 W_p[i] p_n[i] dt s(t_n + dt/2) (E alone can dip below 0 at a
-    stable dt) is a form positive definite exactly when dt is stable. The run
-    checks it every 8 steps, or with `record_energy` every step, recording
-    E_{n+1/2} at t_n + dt/2, and stops at a check that finds it below 0. The
-    check samples: an unstable form can read positive, so a short run at an
-    unstable dt can return. A non-finite start is refused before step 1.
+    share 1/2 W_p[i] p_n[i] k_n, k_n = dt s(t_n + dt/2) the step's kick (E
+    alone can dip below 0 at a stable dt), is a form positive definite exactly
+    when dt is stable. The run checks it on every step and stops at the first
+    step where it is below 0 or not finite. E is evaluated in full on the
+    first step and on the first step after each rounding; in between it is
+    carried by the identity the leapfrog conserves,
+    E_{n+3/2} = E_{n+1/2} + 1/2 sum_sources W_p[i] p_{n+1}[i] (k_n + k_{n+1}).
+    At each evaluation the run stops when the evaluated and the carried E
+    differ by more than 1e-12 of the largest |E| evaluated so far: at an
+    unstable dt the state outgrows the energy it conserves and the roundoff
+    shows. The identity holds only for the conserving penalty coefficients
+    (`system.conserves_energy`); for any others E is evaluated on every step
+    and the gap is not checked. The record, with `record_energy`, holds E at
+    t_n + dt/2; with it or without it the run does the same work. A short run
+    at an unstable dt can still return: its form need not read negative yet.
+    A non-finite start is refused before step 1.
 
     Returns:
         RunResult with traces at integer levels and energy at half levels.
@@ -207,9 +223,9 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     Raises:
         DomainError: a source or receiver index is not an integer (a bool
             is refused) or is outside the pressure vector, the initial state
-            or a source amplitude is not finite, a checked energy less the
-            sources' shares is negative or not finite, or a trace or the
-            final state is not finite.
+            or a source amplitude is not finite, the energy less the sources'
+            shares is negative or not finite, an evaluated energy is too far
+            from the carried one, or a trace or the final state is not finite.
     """
     dt, n = time_grid.dt, time_grid.n_steps
     if not all(map(math.isfinite, _peaks(sources, state))):
@@ -224,18 +240,30 @@ def run(system, time_grid: TimeGrid, sources=(), receivers=(),
     traces = np.zeros((len(at), n + 1))
     traces[:, 0] = state.p[at]
     energy, p_prev = np.zeros(n), np.empty_like(state.p)
-    shares = [(s.index, 0.5 * system.cw_p[s.index]) for s in sources]
+    at_sources = [s.index for s in sources]
+    shares = [0.5 * system.cw_p[i] for i in at_sources]   # 1/2 W_p[i] per source
+    every_step = not system.conserves_energy
+    e = peak = 0.0
+    kicks = []
     for it in range(n):
-        check = record_energy or (it + 1) % _FLUSH_INTERVAL == 0
-        if check:
+        p_n = [state.p[i] for i in at_sources]
+        evaluate = every_step or it % _FLUSH_INTERVAL == 0
+        if evaluate:
             np.copyto(p_prev, state.p)
-        kicks = _advance_pressure(system, state, dt, sources)
-        if check:
-            energy[it] = system.energy(p_prev, state.v, p_next=state.p)
-            form = energy[it] - sum(w * p_prev[i] * k for (i, w), k in zip(shares, kicks))
-            if not 0 <= form < math.inf:
-                raise DomainError(f"source-free energy {form:.3g} at step {it + 1} is negative "
-                                  f"or not finite; dt = {dt} is unstable")
+        last, kicks = kicks, _advance_pressure(system, state, dt, sources)
+        e += sum(w * p * (k0 + k1) for w, p, k0, k1 in zip(shares, p_n, last, kicks))
+        if evaluate:
+            carried, e = e, system.energy(p_prev, state.v, p_next=state.p)
+            peak = max(peak, abs(e))
+            if it and not every_step and abs(e - carried) > _ENERGY_GAP * peak:
+                raise DomainError(f"energy evaluated at step {it + 1} differs from the carried "
+                                  f"one by {abs(e - carried):.3g}, above {_ENERGY_GAP} of its peak "
+                                  f"{peak:.3g}; dt = {dt} is unstable")
+        energy[it] = e
+        form = e - sum(w * p * k for w, p, k in zip(shares, p_n, kicks))
+        if not 0 <= form < math.inf:
+            raise DomainError(f"source-free energy {form:.3g} at step {it + 1} is negative "
+                              f"or not finite; dt = {dt} is unstable")
         state.v += system.velocity_rates(state.p, dt)
         traces[:, it + 1] = state.p[at]
         if u and (it + 1) % _FLUSH_INTERVAL == 0:

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from fractions import Fraction as F
 from pathlib import Path
@@ -119,10 +120,13 @@ def test_malformed_value_exits_1_without_outputs(path, value, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("energy", [True, False])
-def test_unstable_dt_exits_3_without_outputs(energy, tmp_path):
+@pytest.mark.parametrize("energy, n_steps", [(True, 400), (False, 400), (False, 12)],
+                         ids=["True", "False", "False-12_steps"])
+def test_unstable_dt_exits_3_without_outputs(energy, n_steps, tmp_path, capsys):
+    # the energy is carried and checked on every step, with the record or
+    # without it: a run of 12 steps stops at step 3 too
     cfg = yaml.safe_load(TINY_CONFIG)
-    cfg["time"] = {"dt": 0.05, "n_steps": 400}
+    cfg["time"] = {"dt": 0.05, "n_steps": n_steps}
     cfg["outputs"]["energy"] = energy
     path = tmp_path / "unstable.yaml"
     path.write_text(yaml.safe_dump(cfg))
@@ -130,13 +134,16 @@ def test_unstable_dt_exits_3_without_outputs(energy, tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["run", str(path), "--out", str(out)]) == 3
     assert not out.exists()
+    assert "at step 3 is negative or not finite; dt = 0.05 is unstable" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("energy", [True, False], ids=["record", "no_record"])
 def test_barely_unstable_dt_exits_3_at_the_first_negative_energy(energy, tmp_path, capsys):
-    # just above the shipped 2:1 config's limit (about 0.00371) the leapfrog
-    # energy, less the source's share, turns negative while every value is
-    # still finite; a run without the energy record checks it every 8 steps
+    # just above the shipped 2:1 config's limit (about 0.00371) the state
+    # outgrows the energy the leapfrog conserves while every value is still
+    # finite: an evaluation of the energy moves away from the value carried
+    # to it, with or without the record, before the energy less the source's
+    # share turns negative
     config = Path(__file__).resolve().parents[1] / "configs" / "two_layer_2to1.yaml"
     cfg = yaml.safe_load(config.read_text())
     cfg["time"] = {"dt": 0.00372, "n_steps": 1613}
@@ -146,7 +153,8 @@ def test_barely_unstable_dt_exits_3_at_the_first_negative_energy(energy, tmp_pat
     out = tmp_path / "never"
     assert main(["run", str(path), "--out", str(out)]) == 3
     assert not out.exists()
-    assert "is negative or not finite; dt = 0.00372 is unstable" in capsys.readouterr().err
+    assert re.search(r"energy evaluated at step \d+ differs from the carried one by .*; "
+                     r"dt = 0\.00372 is unstable", capsys.readouterr().err)
 
 
 def test_a_source_changing_sign_in_the_first_steps_runs_at_a_stable_dt(tmp_path):

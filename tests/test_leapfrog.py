@@ -7,12 +7,12 @@ import pytest
 import stagwave as sw
 from stagwave.config import build_run, validate_config
 from stagwave.leapfrog import (ReceiverSpec, SimState, SourceSpec, TimeGrid,
-                               _flush, _flush_unit, find_cfl, ricker, run,
-                               step_backward, step_forward)
-from stagwave.assembly import (BlockOperators, SemiDiscreteSystem,
+                               _advance_pressure, _flush, _flush_unit, find_cfl,
+                               ricker, run, step_backward, step_forward)
+from stagwave.assembly import (BlockOperators, SatCoefficients, SemiDiscreteSystem,
                                assemble_1d_boundary_system)
-from stagwave.verification import (_standing_state, build_scenario, state_error,
-                                   uniform_standing_system)
+from stagwave.verification import (_standing_state, build_scenario, ratio_system,
+                                   state_error, uniform_standing_system)
 
 
 def test_ricker_peak_and_decay():
@@ -282,8 +282,8 @@ def test_run_refuses_a_non_finite_source_amplitude_before_the_first_step(bad):
 
 
 def test_the_energy_record_changes_no_output():
-    # without the record the run checks the energy every 8 steps, from the
-    # same state: traces and final state are the same bytes either way
+    # the run evaluates, carries and checks the energy alike with the record
+    # and without it: traces and final state are the same bytes either way
     system, grid, sources, receivers = _survey_slice()
     plain = run(system, grid, sources, receivers)
     recorded = run(system, grid, sources, receivers, record_energy=True)
@@ -293,6 +293,49 @@ def test_the_energy_record_changes_no_output():
                  (plain.final_state.v, recorded.final_state.v)):
         assert a.tobytes() == b.tobytes()
     assert plain.final_state.t_p == recorded.final_state.t_p
+
+
+def _evaluated_every_step(system, time_grid, sources):
+    """run()'s energy record evaluated in full on every step, from a copy of
+    p_n, with run()'s rounding every 8 steps."""
+    state = SimState(*system.zero_state())
+    u = _flush_unit(sources, None)
+    energy = []
+    for it in range(time_grid.n_steps):
+        p_old = state.p.copy()
+        _advance_pressure(system, state, time_grid.dt, sources)
+        energy.append(system.energy(p_old, state.v, p_next=state.p))
+        state.v += system.velocity_rates(state.p, time_grid.dt)
+        if (it + 1) % 8 == 0:
+            _flush(state, u)
+    return np.array(energy)
+
+
+def test_the_record_is_evaluated_every_8_steps_and_carried_in_between():
+    # the first step and the first after each rounding are evaluated in full,
+    # the same bytes as an evaluation on every step; in between the record
+    # carries the energy the source injects, to roundoff
+    system, grid, sources, receivers = _survey_slice()
+    want = _evaluated_every_step(system, grid, sources)
+    got = run(system, grid, sources, receivers, record_energy=True).energy
+    evaluated = np.arange(grid.n_steps) % 8 == 0
+    assert got[evaluated].tobytes() == want[evaluated].tobytes()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_coefficients_that_do_not_conserve_are_evaluated_on_every_step():
+    # a flipped interface penalty breaks the identity the carry rests on: the
+    # record is evaluated on every step and no gap stops the run, while the
+    # gap check, were it applied, would stop it at the first reevaluation
+    system = ratio_system(2, 1, coeffs=SatCoefficients(sigma_p_minus=0.5))
+    assert not system.conserves_energy
+    sources = [SourceSpec(system.locate_pressure_point(0.5, 1), f0=2.0, t0=0.5)]
+    grid = TimeGrid(0.01, 64)
+    got = run(system, grid, sources, record_energy=True).energy
+    assert got.tobytes() == _evaluated_every_step(system, grid, sources).tobytes()
+    system.conserves_energy = True
+    with pytest.raises(sw.DomainError, match="energy evaluated at step 9 differs from the carried"):
+        run(system, grid, sources)
 
 
 @pytest.mark.parametrize("where", ["source", "receiver"])
