@@ -25,10 +25,15 @@ interior rows into tiles of 8 and applies them all with one batched BLAS
 product of a banded 8 x 11 matrix against overlapping windows of the
 input; the rows the tiles leave over are data, a few small dense
 products: the two boundary closures of a bounded operator, or the rows of a
-periodic one from the last tile around the seam. On an axis of at most 76
-primary points every row is data: one BLAS product with the kernel's matrix
-replaces the tiles. That product wins up to 48-90 points against the tiles,
-fewer the longer the other axis (one BLAS thread, 31-140 points across).
+periodic one from the last tile around the seam. Along axis 1 a tall
+field runs in row strips of 64 KiB of input (at least 8 rows), each
+strip's tiles before the next strip's, so the cache lines that
+neighbouring tiles share are still cached (48-96 KiB stepped alike on a
+400-480 point wide field, 24 and 128 KiB 4-8% slower). On an axis of
+at most 76 primary points every row is data: one BLAS product with the
+kernel's matrix replaces the tiles. That product wins up to 48-90 points
+against the tiles, fewer the longer the other axis (one BLAS thread,
+31-140 points across).
 
 Closure coefficients are stored as exact rationals. They are the unique
 solution of the accuracy + structure constraint system once the boundary
@@ -94,6 +99,8 @@ def _as_float(rows) -> NDArray[np.float64]:
 DENSE_MAX_POINTS = 76
 #: output rows (columns along axis 1) per tile of the banded product
 TILE = 8
+#: input bytes per row strip of a product along axis 1 (at least TILE rows)
+STRIP_BYTES = 64 * 1024
 _ST = np.array([float(c) for c in INTERIOR_STENCIL])
 
 
@@ -118,9 +125,12 @@ class _Kernel:
     first + i .. first + i + 3. Rows lo .. lo + TILE * tiles - 1 are `tiles`
     tiles of TILE rows, applied by one batched matmul of a TILE x (TILE + 3)
     band matrix against a window view of the input, whose tiles overlap by
-    three rows, straight into a view of `out`. The views are built on the
-    arrays' buffers, so both must be C-contiguous float64; other arrays (only
-    direct callers pass them) go through contiguous copies.
+    three rows, straight into a view of `out`. Along axis 1, a field of at
+    least 2 strips of `strip_rows` rows applies through 4-D views (strips,
+    tiles, rows, .), one strip's tiles after another, and one more product
+    for the rows left over. The views are built on the arrays' buffers, so
+    both must be C-contiguous float64; other arrays (only direct callers
+    pass them) go through contiguous copies.
 
     Every other output row belongs to one of `edges`, a list of products
     (out_rows, in_rows, mat): out[out_rows] = mat @ w[in_rows] along axis 0.
@@ -138,6 +148,7 @@ class _Kernel:
     def __init__(self, n_in: int, n_out: int, lo: int, first: int, tiles: int, dx: float, edges):
         self.n_in, self.n_out = n_in, n_out
         self.lo, self.first, self.tiles = lo, first, tiles
+        self.strip_rows = max(TILE, STRIP_BYTES // (8 * n_in))
         self.rows = [(o, i) for o, i, _ in edges]
         self.unit = [mat / dx for mat in (_band(TILE), *(mat for *_, mat in edges))]
         self.scale = None
@@ -182,6 +193,14 @@ class _Kernel:
             m, n_in, n_out = w.shape[0], w.shape[1], out.shape[1]
             x = np.ndarray((t, m, k + 3), float, w, b * self.first, (b * k, b * n_in, b))
             y = np.ndarray((t, m, k), float, out, b * self.lo, (b * k, b * n_out, b))
+            r = self.strip_rows
+            if m >= 2 * r:
+                s = m // r
+                np.matmul(np.ndarray((s, t, r, k + 3), float, w, b * self.first,
+                                     (b * r * n_in, *x.strides)), band,
+                          out=np.ndarray((s, t, r, k), float, out, b * self.lo,
+                                         (b * r * n_out, *y.strides)))
+                x, y = x[:, s * r:], y[:, s * r:]
             np.matmul(x, band, out=y)
             for (out_rows, in_rows), mat in zip(self.rows, mats):
                 out[:, out_rows] = w[:, in_rows] @ mat

@@ -13,6 +13,7 @@ from stagwave.assembly import (BlockOperators, SatCoefficients, SemiDiscreteSyst
                                assemble_1d_boundary_system)
 from stagwave.verification import (_standing_state, build_scenario, ratio_system,
                                    state_error, uniform_standing_system)
+from stagwave.sbp1d import STRIP_BYTES, TILE
 
 
 def test_ricker_peak_and_decay():
@@ -102,12 +103,25 @@ def test_energy_record_is_constant_without_sources():
         assert np.abs(e - e[0]).max() <= 1e-12 * e[0], dt
 
 
-def _assert_no_field_sized_arrays(rng, call):
-    """Run call(system, state, source) 20 times after 3 warm-up calls on both
-    shipped interfaces, 2:1 and 6:5, and hold its transient memory below the
-    smallest pressure field."""
+def _systems_for_allocation_checks():
+    """Both shipped interfaces, 2:1 and 6:5, and the survey slice, whose
+    bottom block (321 rows of 100 points) applies its x differences in
+    3 row strips and a rest."""
     for name in ("two_layer_2to1", "smooth_gradient_6to5"):
         system, source, _ = build_scenario(name)
+        yield name, system, source
+    system, _, sources, _ = _survey_slice()
+    fields = system.pressure_fields(system.zero_state()[0])
+    assert max(f.shape[0] // max(TILE, STRIP_BYTES // (f.itemsize * f.shape[1]))
+               for f in fields) >= 2
+    yield "survey_slice", system, sources[0]
+
+
+def _assert_no_field_sized_arrays(rng, call):
+    """Run call(system, state, source) 20 times after 3 warm-up calls on each
+    system of `_systems_for_allocation_checks`, and hold its transient memory
+    below the smallest pressure field."""
+    for name, system, source in _systems_for_allocation_checks():
         state = SimState(*system.random_state(rng))
         for _ in range(3):
             call(system, state, source)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from stagwave.errors import DomainError
-from stagwave.sbp1d import (DENSE_MAX_POINTS, PROJECTION, TILE, build_periodic_1d,
-                            build_sbp_1d, structure_report, verify_sbp_structure)
+from stagwave.sbp1d import (DENSE_MAX_POINTS, INTERIOR_STENCIL, PROJECTION, STRIP_BYTES,
+                            TILE, build_periodic_1d, build_sbp_1d, structure_report,
+                            verify_sbp_structure)
 
 F = Fraction
 
@@ -234,6 +235,68 @@ def test_tiled_kernel_with_non_contiguous_values_or_out(ops, kind):
             for out in _layouts(np.full(want.shape, np.nan)):
                 assert apply(w, axis, out) is out
                 np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
+
+
+# along axis 1 a field of at least two strips of rows applies strip by strip;
+# the rows the strips leave over go through one more product
+STRIPED_OPERATORS = [build_sbp_1d(200, 0.37), build_periodic_1d(200, 0.37)]
+
+
+def _strip_cases(ops, kind):
+    """The dense operator of `kind` and three row counts for its strip
+    height r: 2r + 3 (a rest), 3r (no rest) and r - 1 (one product)."""
+    dense = getattr(ops, f"dense_{kind}")()
+    r = max(TILE, STRIP_BYTES // (8 * dense.shape[1]))
+    return dense, (2 * r + 3, 3 * r, r - 1)
+
+
+@pytest.mark.parametrize("ops", STRIPED_OPERATORS, ids=["bounded", "periodic"])
+@pytest.mark.parametrize("kind", ["d_p", "d_v"])
+def test_striped_kernel_matches_dense_inside_its_arrays(ops, kind):
+    # input and `out` are NaN-flanked as in test_tiled_kernel_stays_inside_its_arrays,
+    # and `out` starts as NaN, so every row must be written
+    apply = getattr(ops, f"apply_{kind}")
+    dense, counts = _strip_cases(ops, kind)
+    rng = np.random.default_rng(7)
+    for rows in counts:
+        _, w = _rows_inside_nan((rows, dense.shape[1]))
+        w[...] = rng.standard_normal(w.shape)
+        padded_out, out = _rows_inside_nan((rows, dense.shape[0]))
+        assert apply(w, 1, out, scale=-1.5) is out
+        np.testing.assert_allclose(out, -1.5 * w @ dense.T, rtol=0, atol=1e-13)
+        assert np.isnan(padded_out[:2]).all() and np.isnan(padded_out[-2:]).all(), rows
+
+
+@pytest.mark.parametrize("ops", STRIPED_OPERATORS, ids=["bounded", "periodic"])
+@pytest.mark.parametrize("kind", ["d_p", "d_v"])
+def test_striped_kernel_with_non_contiguous_values_or_out(ops, kind):
+    apply = getattr(ops, f"apply_{kind}")
+    dense, counts = _strip_cases(ops, kind)
+    rng = np.random.default_rng(8)
+    for rows in counts:
+        field = rng.standard_normal((rows, dense.shape[1]))
+        for w in _layouts(field):
+            for out in _layouts(np.full((rows, dense.shape[0]), np.nan)):
+                assert apply(w, 1, out) is out
+                np.testing.assert_allclose(out, field @ dense.T, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind, lo", [("d_p", 1), ("d_v", 2)])
+def test_striped_kernel_on_rows_wider_than_a_strip(kind, lo):
+    # at 9,000 points a row every strip has the floor of TILE rows: 2 strips
+    # and 4 rows left over. There is no dense matrix at this size, so the
+    # periodic reference rolls the stencil (output point j reads input
+    # points j - lo .. j - lo + 3), and the bounded one applies along axis 0
+    n, dx = 9000, 0.37
+    field = np.random.default_rng(9).standard_normal((2 * TILE + 4, n))
+    periodic = getattr(build_periodic_1d(n, dx), f"apply_{kind}")
+    want = sum(float(c) * np.roll(field, lo - k, axis=1)
+               for k, c in enumerate(INTERIOR_STENCIL)) / dx
+    np.testing.assert_allclose(periodic(field, 1), want, rtol=0, atol=1e-13)
+    bounded = getattr(build_sbp_1d(n, dx), f"apply_{kind}")
+    values = field[:, :-1] if kind == "d_v" else field
+    np.testing.assert_allclose(bounded(values, 1), bounded(values.T.copy(), 0).T,
+                               rtol=0, atol=1e-13)
 
 
 def test_kernel_rejects_out_sharing_the_input():
